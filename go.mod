@@ -1,3 +1,3 @@
 module incdata
 
-go 1.21
+go 1.24

@@ -197,9 +197,9 @@ func (n *pjoin) streamChunks(c *pctx, emit func([]table.Tuple) bool) error {
 	err = streamChunks(n.l, c, func(in []table.Tuple) bool {
 		for _, lt := range in {
 			key := c.appendPosKey(lt, n.lpos)
-			for i := ix.Lookup(key); i != 0; {
+			for sh, i := ix.Lookup(key); i != 0; {
 				var rt table.Tuple
-				rt, i = ix.At(i)
+				rt, i = sh.At(i)
 				combined := make(table.Tuple, len(lt), len(lt)+len(n.extraIdx))
 				copy(combined, lt)
 				for _, ri := range n.extraIdx {

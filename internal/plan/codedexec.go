@@ -133,10 +133,10 @@ func bridgeCoded(n pnode, c *pctx, emit codedEmit) error {
 }
 
 // streamCoded on a scan emits zero-copy chunk-sized windows over the
-// relation's cached encoding — no copy, no re-encode.  Under a morsel
-// assignment the worker's tuple slice is encoded on the fly instead (the
-// morsel is an arbitrary sub-slice of a partitioning, which has no
-// cached code vectors).
+// blocks of the relation's cached encoding — no copy, no re-encode.  Under
+// a morsel assignment the worker's tuple slice is encoded on the fly
+// instead (the morsel is an arbitrary sub-slice of a partitioning, which
+// has no cached code vectors).
 func (n *pscan) streamCoded(c *pctx, emit codedEmit) error {
 	arity := n.rs.Arity()
 	if c.morselFor == n {
@@ -172,19 +172,21 @@ func (n *pscan) streamCoded(c *pctx, emit codedEmit) error {
 		Cols:  make([][]uint64, arity),
 		Const: make([]bool, arity),
 	}
-	rows := enc.Rows()
-	for lo := 0; lo < rows; lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > rows {
-			hi = rows
-		}
-		for j := 0; j < arity; j++ {
-			view.Cols[j] = enc.Col(j)[lo:hi]
-			view.Const[j] = enc.ColConst(j)
-		}
-		view.Rows = hi - lo
-		if !emit(&view, nil) {
-			return nil
+	for j := 0; j < arity; j++ {
+		view.Const[j] = enc.ColConst(j)
+	}
+	for b := 0; b < enc.Blocks(); b++ {
+		blk := enc.Block(b)
+		rows := blk.Rows()
+		for lo := 0; lo < rows; lo += chunkSize {
+			hi := min(lo+chunkSize, rows)
+			for j := 0; j < arity; j++ {
+				view.Cols[j] = blk.Col(j)[lo:hi]
+			}
+			view.Rows = hi - lo
+			if !emit(&view, nil) {
+				return nil
+			}
 		}
 	}
 	return nil
@@ -362,13 +364,13 @@ func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 				key[k] = code
 				h = value.HashCode(h, code)
 			}
-			for e := ix.Lookup(h); e != 0; {
+			for sh, e := ix.Lookup(h); e != 0; {
 				var row int32
-				row, e = ix.At(e)
-				if !ix.MatchesKey(row, key) {
+				row, e = sh.At(e)
+				if !sh.MatchesKey(row, key) {
 					continue
 				}
-				rc := ix.Row(row)
+				rc := sh.Row(row)
 				if fast {
 					for j := 0; j < lar; j++ {
 						out.Cols[j] = append(out.Cols[j], ch.Cols[j][i])

@@ -220,9 +220,9 @@ func (n *pjoin) streamCols(c *pctx, emit colEmit) error {
 		probe := func(i int32) bool {
 			key := ch.AppendPosKey(c.keyBuf[:0], n.lpos, int(i))
 			c.keyBuf = key
-			for e := ix.Lookup(key); e != 0; {
+			for sh, e := ix.Lookup(key); e != 0; {
 				var rt table.Tuple
-				rt, e = ix.At(e)
+				rt, e = sh.At(e)
 				if fast {
 					for j := 0; j < lar; j++ {
 						out.Cols[j] = append(out.Cols[j], ch.Cols[j][i])

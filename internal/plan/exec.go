@@ -276,9 +276,9 @@ func (n *pjoin) stream(c *pctx, emit func(table.Tuple) bool) error {
 func (n *pjoin) probeWith(c *pctx, ix *table.Index, emit func(table.Tuple) bool) error {
 	return n.l.stream(c, func(lt table.Tuple) bool {
 		key := c.appendPosKey(lt, n.lpos)
-		for i := ix.Lookup(key); i != 0; {
+		for sh, i := ix.Lookup(key); i != 0; {
 			var rt table.Tuple
-			rt, i = ix.At(i)
+			rt, i = sh.At(i)
 			if !n.emitJoined(lt, rt, emit) {
 				return false
 			}
@@ -377,7 +377,7 @@ func (n *pdiff) containsFn(c *pctx) (func(key []byte) bool, error) {
 		// projected columns is the key set — built once, reused across
 		// evaluations.
 		ix := rrel.Index(n.rproj)
-		return func(key []byte) bool { return ix.Lookup(key) != 0 }, nil
+		return ix.Has, nil
 	}
 	sizeHint := 16
 	if sc, ok := n.r.(*pscan); ok {

@@ -358,8 +358,8 @@ func TestRelationIndex(t *testing.T) {
 	}
 	key := ix.AppendTupleKey(nil, table.NewTuple(value.Int(1)))
 	count := 0
-	for i := ix.Lookup(key); i != 0; {
-		_, i = ix.At(i)
+	for sh, i := ix.Lookup(key); i != 0; {
+		_, i = sh.At(i)
 		count++
 	}
 	if count != 2 {

@@ -301,9 +301,9 @@ func (s *Session) deltaJoin(n *wnode) (*table.Relation, error) {
 				key = rt[p].AppendKey(key)
 			}
 			s.keyBuf = key
-			for i := ixSL.Lookup(key); i != 0; {
+			for sh, i := ixSL.Lookup(key); i != 0; {
 				var lt table.Tuple
-				lt, i = ixSL.At(i)
+				lt, i = sh.At(i)
 				combined := make(table.Tuple, len(lt), len(lt)+len(n.extraIdx))
 				copy(combined, lt)
 				for _, ri := range n.extraIdx {

@@ -151,9 +151,9 @@ func (n *pjoin) joinPartition(c *pctx, sp *spillJoin, p int, emit func(table.Tup
 	ix := build.Index(n.rpos)
 	return sp.probe.each(p, sp.probeArity, func(lt table.Tuple) error {
 		key := c.appendPosKey(lt, n.lpos)
-		for i := ix.Lookup(key); i != 0; {
+		for sh, i := ix.Lookup(key); i != 0; {
 			var rt table.Tuple
-			rt, i = ix.At(i)
+			rt, i = sh.At(i)
 			if !n.emitJoined(lt, rt, emit) {
 				return errStopStream
 			}

@@ -578,9 +578,9 @@ func (wp *WorldPlan) computeStable(n *wnode) (*table.Relation, error) {
 
 // joinProbe emits index matches for one probe tuple into out.
 func joinProbe(out *table.Relation, ix *table.Index, key []byte, lt table.Tuple, extraIdx []int) {
-	for i := ix.Lookup(key); i != 0; {
+	for sh, i := ix.Lookup(key); i != 0; {
 		var rt table.Tuple
-		rt, i = ix.At(i)
+		rt, i = sh.At(i)
 		combined := make(table.Tuple, len(lt), len(lt)+len(extraIdx))
 		copy(combined, lt)
 		for _, ri := range extraIdx {

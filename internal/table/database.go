@@ -101,20 +101,20 @@ func (d *Database) SetRelation(rel string, r *Relation) error {
 	cp := r.Clone()
 	cp.schema = rs
 	if old := d.rels[rel]; old.tracked() {
-		// Diffing needs both tuple maps materialized; untracked replacement
-		// below keeps a lazily loading replacement lazy.
-		old.ensure()
-		cp.ensure()
-		for k, t := range old.tuples {
-			if _, ok := cp.tuples[k]; !ok {
+		// Diffing materializes both sides; untracked replacement below
+		// keeps a lazily loading replacement lazy.
+		old.EachKeyed(func(k string, t Tuple) bool {
+			if !cp.ContainsKeyString(k) {
 				old.rec.get().noteDelete(k, t)
 			}
-		}
-		for k, t := range cp.tuples {
-			if _, ok := old.tuples[k]; !ok {
+			return true
+		})
+		cp.EachKeyed(func(k string, t Tuple) bool {
+			if !old.ContainsKeyString(k) {
 				old.rec.get().noteInsert(k, t)
 			}
-		}
+			return true
+		})
 		cp.rec, old.rec = old.rec, nil
 	}
 	d.rels[rel] = cp
@@ -150,16 +150,17 @@ func (d *Database) Clone() *Database {
 }
 
 // Snapshot returns an immutable view of the database for snapshot-isolated
-// reads: the view shares every relation's tuple storage copy-on-write, so
-// taking it costs O(#relations), and subsequent mutations of the original
-// copy the mutated relation's map first and never disturb the view.  Any
+// reads: the view shares every relation's segments copy-on-write, so
+// taking it costs O(#relations), and a subsequent mutation of the original
+// copies the one segment it touches first and never disturbs the view.  Any
 // number of goroutines may evaluate queries against the returned database
 // concurrently, also while writers keep mutating the original.
 //
 // Snapshot itself must not race with writers (it reads each relation's
 // stamp while marking the storage shared); callers serialize the two, which
 // is what engine.Engine does with its mutex.  The returned database is a
-// view, not a fork: mutating it violates the isolation contract — use
+// view, not a fork: its relations are frozen, and mutating one violates
+// the isolation contract (a panic under the tablecheck build tag) — use
 // Clone for a mutable copy.
 func (d *Database) Snapshot() *Database {
 	return d.SnapshotReusing(nil)
@@ -169,21 +170,34 @@ func (d *Database) Snapshot() *Database {
 // is unchanged since prev (a snapshot of an earlier state of the same
 // database) reuse prev's relation headers instead of fresh shares.
 // Headers own the lazily built derived caches — hash indexes,
-// partitionings, the coded sidecar — so with reuse a commit costs only
-// the mutated relations their caches instead of dropping every
-// relation's.  Safe because snapshots are read-only and stamps identify
-// content: an equal stamp means the header describes exactly the frozen
-// storage the new snapshot reads.  prev may be nil (plain Snapshot).
+// partitionings, the coded sidecar — so with reuse a commit leaves the
+// caches of the relations it did not touch alone.  Safe because snapshots
+// are read-only and stamps identify content: an equal stamp means the
+// header describes exactly the frozen storage the new snapshot reads.
+//
+// A relation that did change gets a fresh header, and that header takes
+// over prev's encoding and indexes as candidates: the first query that
+// asks for one re-encodes or rebuilds only the pieces whose segment
+// changed in between (Relation.Encoding, Relation.Index).  So a small
+// write costs the next reader a small amount of sidecar work.  prev may be
+// nil (plain Snapshot).
 func (d *Database) SnapshotReusing(prev *Database) *Database {
 	out := &Database{schema: d.schema, rels: make(map[string]*Relation, len(d.rels)), dict: d.dict}
 	for n, r := range d.rels {
+		var p *Relation
 		if prev != nil {
-			if p, ok := prev.rels[n]; ok && p.Stamp() == r.Stamp() {
-				out.rels[n] = p
-				continue
-			}
+			p = prev.rels[n]
 		}
-		out.rels[n] = r.share()
+		if p != nil && p.Stamp() == r.Stamp() {
+			out.rels[n] = p
+			continue
+		}
+		s := r.share()
+		s.frozen = true
+		if p != nil {
+			s.adoptCandidates(p)
+		}
+		out.rels[n] = s
 	}
 	return out
 }

@@ -233,16 +233,13 @@ func (r *Relation) ApplyDelta(d *Delta) {
 	}
 	r.mutable()
 	for k, t := range d.Deleted {
-		if _, ok := r.tuples[k]; ok {
-			delete(r.tuples, k)
-			r.noteDelete(k, t)
+		i := r.segOfString(k)
+		if _, ok := r.segs[i].m[k]; ok {
+			r.remove(i, k, t)
 		}
 	}
 	for k, t := range d.Inserted {
-		if _, ok := r.tuples[k]; !ok {
-			r.tuples[k] = t
-			r.noteInsert(k, t)
-		}
+		r.insert(r.segOfString(k), k, t)
 	}
 }
 
@@ -304,12 +301,14 @@ func (r *Relation) noteDelete(k string, t Tuple) {
 
 // noteDeleteAll records the deletion of every current tuple (Reset).
 func (r *Relation) noteDeleteAll() {
-	if r.rec == nil || len(r.tuples) == 0 {
+	if r.rec == nil || r.n == 0 {
 		return
 	}
 	d := r.rec.get()
-	for k, t := range r.tuples {
-		d.noteDelete(k, t)
+	for _, s := range r.segs {
+		for k, t := range s.m {
+			d.noteDelete(k, t)
+		}
 	}
 }
 

@@ -16,15 +16,17 @@ package table
 // to value.Value only at materialization.
 //
 // Encodings are built lazily by Relation.Encoding and CAS-published on
-// the relation with the same lifecycle as Partitioning: any mutation
-// invalidates the cached sidecar (invalidateDerived), and the recorded
-// content stamp double-checks that a cached encoding still describes the
-// relation it is asked for.  A relation containing a value outside the
-// code space (only null ids ≥ 2^62 qualify) yields an Encoding with
-// Ok() == false, which the plan layer treats as "fall back to the
-// columnar path".
+// the relation: one block of code vectors per segment, so the encoding of
+// a later state of the relation re-encodes only the blocks whose segment
+// changed and shares the rest (see segment.go).  Any mutation drops the
+// header's cached sidecar (invalidateDerived).  A relation containing a
+// value outside the code space (only null ids ≥ 2^62 qualify) yields an
+// Encoding with Ok() == false, which the plan layer treats as "fall back
+// to the columnar path".
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -110,20 +112,30 @@ func (d *Dict) Len() int {
 	return n
 }
 
-// Encoding is the coded-column sidecar of a relation: one []uint64 code
-// vector per column (all in the same arbitrary-but-fixed row order) plus
-// the per-column all-constant sidecar mirrored from the columnar layout.
-// An Encoding is immutable once published.
+// Encoding is the coded-column sidecar of a relation: per segment one
+// block of []uint64 code vectors, one vector per column (all in the same
+// arbitrary-but-fixed row order), plus the per-column all-constant sidecar
+// mirrored from the columnar layout.  An Encoding is immutable once
+// published.
 type Encoding struct {
 	dict   *Dict
-	stamp  Stamp
-	cols   [][]uint64
-	consts []bool // per column: no null code present
+	segs   []*segment  // the segments encoded, block i from segment i; nil when adopted
+	blocks []*EncBlock // adopted encodings have one block in no segment's order
+	consts []bool      // per column: no null code present
 	rows   int
-	ok     bool // every value encoded; false → coded path must fall back
+	ok     bool      // every value encoded; false → coded path must fall back
+	stats  *encStats // the relation lineage's counters (nil-safe)
 	// indexes caches coded hash indexes by key positions, CAS-published
 	// exactly like Relation.indexes.
 	indexes atomic.Pointer[[]*CodedIndex]
+}
+
+// EncBlock is the code vectors of one segment's tuples.
+type EncBlock struct {
+	cols   [][]uint64
+	consts []bool
+	rows   int
+	ok     bool
 }
 
 // Ok reports whether every value of the relation was encodable.  When
@@ -133,8 +145,11 @@ func (e *Encoding) Ok() bool { return e != nil && e.ok }
 // Rows returns the number of encoded rows.
 func (e *Encoding) Rows() int { return e.rows }
 
-// Col returns the code vector of column j.  It must not be mutated.
-func (e *Encoding) Col(j int) []uint64 { return e.cols[j] }
+// Blocks returns the number of blocks; every row is in exactly one.
+func (e *Encoding) Blocks() int { return len(e.blocks) }
+
+// Block returns block i.
+func (e *Encoding) Block(i int) *EncBlock { return e.blocks[i] }
 
 // ColConst reports whether column j contains no null code.
 func (e *Encoding) ColConst(j int) bool { return e.consts[j] }
@@ -142,177 +157,177 @@ func (e *Encoding) ColConst(j int) bool { return e.consts[j] }
 // Dict returns the dictionary the encoding was built against.
 func (e *Encoding) Dict() *Dict { return e.dict }
 
-// Churn accounting for the coded sidecar.  A build is an O(relation)
-// interning pass, repaid only when the sidecar is reused across several
-// evaluations; the table layer cannot see evaluation boundaries, but a
-// single evaluation makes at most a handful of Encoding calls per
-// scanned relation (eligibility check, shared prepare, one per worker
-// stream).  So every build charges encChurnCost — set well above one
-// evaluation's worth of cache hits — while each hit repays a single
-// point: a relation mutating every evaluation or two (view maintenance,
-// update streams) rebuilds constantly, accumulates churn and is declined
-// at encChurnLimit, while one that rebuilds at most every ~½ dozen
-// evaluations decays back to zero.  Declined relations still rebuild
-// one request in encProbeInterval, so a relation that goes quiet earns
-// its way back under the limit; encChurnCap bounds how far a
-// persistently hot relation can climb, keeping that recovery fast.
-//
-// The score lives in the lineage-shared encStats, not the relation
-// header: under the engine's snapshot pattern a sidecar is built on a
-// copy-on-write share while the mutations that doom it land on the live
-// header, and only a lineage-wide score sees that the builds are never
-// amortized.
-const (
-	encChurnCost     = 32
-	encChurnLimit    = 64
-	encChurnCap      = 128
-	encProbeInterval = 16
-)
+// Rows returns the number of rows of the block.
+func (b *EncBlock) Rows() int { return b.rows }
 
-// encStats counts coded-sidecar build and decline events for one relation
-// lineage.  The pointer is shared across copy-on-write shares — like the
-// churn score it complements — so Engine.Stats sees the lineage's history
-// no matter which snapshot paid for a build.  Derived temporaries made by
-// the plan layer carry a nil encStats; the methods are nil-safe.
+// Col returns the code vector of column j.  It must not be mutated.
+func (b *EncBlock) Col(j int) []uint64 { return b.cols[j] }
+
+// encStats counts coded-sidecar builds and sidecar carry-forwards for one
+// relation lineage.  The pointer is shared across copy-on-write shares, so
+// Engine.Stats sees the lineage's history no matter which snapshot paid
+// for a build.  Derived temporaries made by the plan layer carry a nil
+// encStats; the methods are nil-safe.
 type encStats struct {
-	builds   atomic.Uint64
-	declines atomic.Uint64
-	churn    atomic.Uint32 // builds not yet repaid by reuse (see above)
-	probe    atomic.Uint32 // declined-request counter driving probe rebuilds
+	builds  atomic.Uint64
+	patched atomic.Uint64
 }
 
-// noteBuild counts one interning pass and charges the churn score for it;
-// cache hits repay the charge one point at a time (churnDecay).
 func (s *encStats) noteBuild() {
-	if s == nil {
-		return
-	}
-	s.builds.Add(1)
-	if c := s.churn.Load(); c < encChurnCap {
-		s.churn.CompareAndSwap(c, c+encChurnCost)
-	}
-}
-
-func (s *encStats) noteDecline() {
 	if s != nil {
-		s.declines.Add(1)
+		s.builds.Add(1)
 	}
 }
 
-// churnDecay repays one churn point for a cache hit.
-func (s *encStats) churnDecay() {
-	if s == nil {
-		return
-	}
-	if c := s.churn.Load(); c > 0 {
-		s.churn.CompareAndSwap(c, c-1)
+// notePatched counts the pieces (encoding blocks, index shards) a sidecar
+// took over unchanged from its predecessor.
+func (s *encStats) notePatched(pieces int) {
+	if s != nil {
+		s.patched.Add(uint64(pieces))
 	}
 }
 
-// declining reports whether the churn score is at or past the decline
-// limit; a nil encStats (plan-layer temporaries) never declines.
-func (s *encStats) declining() bool {
-	return s != nil && s.churn.Load() >= encChurnLimit
-}
-
-// probeNext advances the declined-request counter; every
-// encProbeInterval-th request rebuilds anyway so a quiet relation can
-// recover.
-func (s *encStats) probeNext() uint32 {
-	if s == nil {
-		return 0
-	}
-	return s.probe.Add(1)
-}
-
-// EncodingStats is a point-in-time snapshot of one relation's coded-
-// sidecar churn-guard state, surfaced through Engine.Stats: how many
-// interning passes the relation has paid for, how many Encoding requests
-// the churn guard turned away, and whether it is declining right now.
+// EncodingStats is a point-in-time snapshot of one relation's sidecar
+// counters, surfaced through Engine.Stats: how many full interning passes
+// the relation has paid for, and how many pieces later sidecars took over
+// from their predecessors instead of rebuilding them.
 type EncodingStats struct {
-	Builds   uint64 // coded sidecars built (full interning passes)
-	Declines uint64 // Encoding requests declined by the churn guard
-	Declined bool   // churn score currently at or above the decline limit
+	Builds  uint64 // coded sidecars built from nothing (full interning passes)
+	Patched uint64 // encoding blocks and index shards carried forward unchanged
+	// Declines and Declined are always zero: the churn guard that declined
+	// builds for fast-changing relations is gone, a rebuild now costs what
+	// changed.  The fields stay for readers of Engine.Stats.
+	Declines uint64
+	Declined bool
 }
 
 // Active reports whether the relation has any coded-sidecar history worth
 // reporting.
 func (s EncodingStats) Active() bool {
-	return s.Builds > 0 || s.Declines > 0 || s.Declined
+	return s.Builds > 0 || s.Patched > 0
 }
 
-// EncodingStats returns the relation's encode/decline counters and whether
-// the churn guard is currently declining sidecar builds for it.
+// EncodingStats returns the relation's sidecar build and carry counters.
 func (r *Relation) EncodingStats() EncodingStats {
 	if r == nil || r.encStats == nil {
 		return EncodingStats{}
 	}
 	return EncodingStats{
-		Builds:   r.encStats.builds.Load(),
-		Declines: r.encStats.declines.Load(),
-		Declined: r.encStats.declining(),
+		Builds:  r.encStats.builds.Load(),
+		Patched: r.encStats.patched.Load(),
 	}
 }
 
 // Encoding returns the relation's coded sidecar against the given
 // dictionary, building it on first use and caching it on the relation.
-// Concurrent callers are safe; any mutation of the relation invalidates
-// the cache (and the stamp check below rejects an encoding that slipped
-// past an interleaved mutation).  Check Ok on the result: a relation
-// holding a value outside the code space encodes to a cached negative,
-// and a relation churning faster than the cache pays off declines with
-// nil (Ok() is nil-safe) until it quiets down again.
+// When the header inherited the encoding of an earlier state of the
+// relation (Database.SnapshotReusing), only the blocks whose segment
+// changed are re-encoded.  Concurrent callers are safe as long as the
+// relation is not being mutated — which the engine guarantees by evaluating
+// over snapshot headers only; nothing here detects a writer.  Any mutation
+// drops the cache.  Check Ok on the result: a relation holding a value
+// outside the code space encodes to a cached negative.
 func (r *Relation) Encoding(dict *Dict) *Encoding {
 	if r == nil || dict == nil {
 		return nil
 	}
+	r.ensure()
 	for {
-		e := r.encoding.Load()
-		if e != nil && e.dict == dict && e.stamp == r.Stamp() {
-			r.encStats.churnDecay()
-			return e
+		cur := r.encoding.Load()
+		var prev *Encoding // of an earlier state, worth bringing up to date
+		if cur != nil && cur.dict == dict {
+			if cur.segs == nil || sameSegs(cur.segs, r.segs) {
+				return cur
+			}
+			if patchable(cur.segs, r.segs) {
+				prev = cur
+			}
 		}
-		if r.encStats.declining() && r.encStats.probeNext()%encProbeInterval != 0 {
-			r.encStats.noteDecline()
-			return nil
-		}
-		ne := r.buildEncoding(dict)
-		if r.encoding.CompareAndSwap(e, ne) {
+		ne := r.buildEncoding(dict, prev)
+		if r.encoding.CompareAndSwap(cur, ne) {
 			return ne
 		}
 		// Lost a race with another builder; retry (and likely adopt theirs).
 	}
 }
 
-func (r *Relation) buildEncoding(dict *Dict) *Encoding {
-	r.encStats.noteBuild()
+// buildEncoding encodes r block by block, taking over from prev (an
+// encoding of an earlier state with as many segments, or nil) the blocks
+// of segments that did not change, and its coded indexes as candidates.
+func (r *Relation) buildEncoding(dict *Dict, prev *Encoding) *Encoding {
 	arity := r.schema.Arity()
 	e := &Encoding{
 		dict:   dict,
-		stamp:  r.Stamp(),
-		cols:   make([][]uint64, arity),
-		consts: make([]bool, arity),
-		rows:   r.Len(),
-		ok:     true,
+		segs:   r.segs,
+		blocks: make([]*EncBlock, len(r.segs)),
+		stats:  r.encStats,
 	}
-	for j := range e.cols {
-		e.cols[j] = make([]uint64, 0, e.rows)
-		e.consts[j] = true
+	kept := 0
+	for i, s := range r.segs {
+		if prev != nil && prev.segs[i] == s {
+			e.blocks[i] = prev.blocks[i]
+			kept++
+			continue
+		}
+		e.blocks[i] = encodeSegment(s, arity, dict)
 	}
-	for _, t := range r.tuples {
+	if prev == nil {
+		r.encStats.noteBuild()
+	} else {
+		r.encStats.notePatched(kept)
+		e.indexes.Store(patchableSidecars(prev.indexes.Load(), func(ix *CodedIndex) []*segment { return ix.segs }, r.segs))
+	}
+	e.seal(arity)
+	return e
+}
+
+// encodeSegment interns one segment's tuples; on a value outside the code
+// space the block is left partial with ok false.
+func encodeSegment(s *segment, arity int, dict *Dict) *EncBlock {
+	b := newEncBlock(arity, len(s.m))
+	for _, t := range s.m {
 		for j, v := range t {
 			c, ok := dict.Encode(v)
 			if !ok {
-				e.ok = false
-				return e
+				b.ok = false
+				return b
 			}
-			e.cols[j] = append(e.cols[j], c)
-			if e.consts[j] && value.CodeIsNull(c) {
-				e.consts[j] = false
+			b.cols[j] = append(b.cols[j], c)
+			if b.consts[j] && value.CodeIsNull(c) {
+				b.consts[j] = false
 			}
 		}
+		b.rows++
 	}
-	return e
+	return b
+}
+
+// newEncBlock returns an empty block whose vectors share one allocation
+// sized for rows rows.
+func newEncBlock(arity, rows int) *EncBlock {
+	b := &EncBlock{cols: make([][]uint64, arity), consts: make([]bool, arity), ok: true}
+	slab := make([]uint64, arity*rows)
+	for j := range b.cols {
+		b.cols[j] = slab[j*rows : j*rows : (j+1)*rows]
+		b.consts[j] = true
+	}
+	return b
+}
+
+// seal computes the encoding-wide totals from the blocks.
+func (e *Encoding) seal(arity int) {
+	e.consts = make([]bool, arity)
+	for j := range e.consts {
+		e.consts[j] = true
+	}
+	e.rows, e.ok = 0, true
+	for _, b := range e.blocks {
+		e.rows += b.rows
+		e.ok = e.ok && b.ok
+		for j, c := range b.consts {
+			e.consts[j] = e.consts[j] && c
+		}
+	}
 }
 
 // AdoptEncoding publishes a pre-built coded sidecar: cols holds one code
@@ -328,16 +343,9 @@ func (r *Relation) AdoptEncoding(dict *Dict, cols [][]uint64) {
 	if r == nil || dict == nil || len(cols) != r.Arity() {
 		return
 	}
-	e := &Encoding{
-		dict:   dict,
-		stamp:  r.Stamp(),
-		cols:   cols,
-		consts: make([]bool, len(cols)),
-		rows:   r.Len(),
-		ok:     true,
-	}
+	b := &EncBlock{cols: cols, consts: make([]bool, len(cols)), rows: r.Len(), ok: true}
 	for j, col := range cols {
-		if len(col) != e.rows {
+		if len(col) != b.rows {
 			return
 		}
 		cst := true
@@ -347,19 +355,11 @@ func (r *Relation) AdoptEncoding(dict *Dict, cols [][]uint64) {
 				break
 			}
 		}
-		e.consts[j] = cst
+		b.consts[j] = cst
 	}
+	e := &Encoding{dict: dict, blocks: []*EncBlock{b}}
+	e.seal(len(cols))
 	r.encoding.Store(e)
-}
-
-// invalidateEncoding drops the cached coded sidecar; every mutation path
-// calls it (via invalidateDerived).  The churn score is charged at build
-// time and repaid by cache hits (see encStats), so dropping the cache
-// needs no extra accounting here — a doomed build has already paid.
-func (r *Relation) invalidateEncoding() {
-	if r.encoding.Load() != nil {
-		r.encoding.Store(nil)
-	}
 }
 
 // CodedIndex is an immutable hash index over raw u64 codes: tuples are
@@ -368,14 +368,26 @@ func (r *Relation) invalidateEncoding() {
 // stored as arity-strided code tuples instead of value tuples — probes
 // hash machine words and verify matches by u64 equality, with no binary
 // key encoding and no allocation.  Distinct keys may share a hash
-// bucket; callers verify candidates with MatchesKey.
+// bucket; callers verify candidates with MatchesKey.  Like Index it is a
+// set of immutable shards, here chosen by the high bits of the key hash.
 type CodedIndex struct {
+	positions []int
+	arity     int
+	segs      []*segment // the segments of the encoding indexed; nil over bare code vectors
+	shards    []*CodedShard
+	shift     uint // 64 − log2(len(shards)): the hash's high bits pick the shard
+	n         int
+	complete  bool // every indexed row is null-free
+}
+
+// CodedShard holds the chains of the key hashes that fall to it.
+type CodedShard struct {
 	positions []int
 	arity     int
 	heads     map[uint64]int32 // code hash → 1-based head into entries
 	entries   []codedEntry
 	codes     []uint64 // row-major, arity-strided code tuples
-	complete  bool     // every indexed row is null-free
+	nulls     int      // rows holding a null code
 }
 
 type codedEntry struct {
@@ -390,30 +402,34 @@ func (ix *CodedIndex) Positions() []int { return ix.positions }
 func (ix *CodedIndex) AllComplete() bool { return ix.complete }
 
 // Len returns the number of indexed rows.
-func (ix *CodedIndex) Len() int { return len(ix.entries) }
+func (ix *CodedIndex) Len() int { return ix.n }
 
-// Lookup returns the head of the chain for the given key-code hash (as
-// folded by value.HashCode over the key positions), or 0 if none.
-func (ix *CodedIndex) Lookup(h uint64) int32 { return ix.heads[h] }
+// Lookup returns the shard of the given key-code hash (as folded by
+// value.HashCode over the key positions) and the head of the hash's chain
+// in it, 0 if none.
+func (ix *CodedIndex) Lookup(h uint64) (*CodedShard, int32) {
+	sh := ix.shards[h>>ix.shift]
+	return sh, sh.heads[h]
+}
 
 // At returns the row stored at chain slot i (1-based, as returned by
-// Lookup) and the next slot of the chain (0 terminates).
-func (ix *CodedIndex) At(i int32) (row int32, next int32) {
-	e := ix.entries[i-1]
+// CodedIndex.Lookup) and the next slot of the chain (0 terminates).
+func (sh *CodedShard) At(i int32) (row int32, next int32) {
+	e := sh.entries[i-1]
 	return e.row, e.next
 }
 
 // Row returns the full code tuple of a row.  It must not be mutated.
-func (ix *CodedIndex) Row(row int32) []uint64 {
-	a := int(row) * ix.arity
-	return ix.codes[a : a+ix.arity]
+func (sh *CodedShard) Row(row int32) []uint64 {
+	a := int(row) * sh.arity
+	return sh.codes[a : a+sh.arity]
 }
 
 // MatchesKey reports whether the row's codes at the key positions equal
 // the probe key (key[k] corresponds to positions[k]).
-func (ix *CodedIndex) MatchesKey(row int32, key []uint64) bool {
-	rc := ix.Row(row)
-	for k, p := range ix.positions {
+func (sh *CodedShard) MatchesKey(row int32, key []uint64) bool {
+	rc := sh.Row(row)
+	for k, p := range sh.positions {
 		if rc[p] != key[k] {
 			return false
 		}
@@ -425,9 +441,10 @@ func (ix *CodedIndex) MatchesKey(row int32, key []uint64) bool {
 // given hash — the coded counterpart of Relation.ContainsKey for
 // difference membership.
 func (ix *CodedIndex) HasKey(h uint64, key []uint64) bool {
-	for e := ix.Lookup(h); e != 0; {
-		row, next := ix.At(e)
-		if ix.MatchesKey(row, key) {
+	sh, e := ix.Lookup(h)
+	for e != 0 {
+		row, next := sh.At(e)
+		if sh.MatchesKey(row, key) {
 			return true
 		}
 		e = next
@@ -437,34 +454,47 @@ func (ix *CodedIndex) HasKey(h uint64, key []uint64) bool {
 
 // Index returns a coded hash index of the encoding over the given key
 // positions, building it on first use and caching it on the encoding
-// (CAS-published like Relation.Index).  It returns nil on a failed
-// encoding.  The positions slice is copied.
+// (CAS-published like Relation.Index).  When the encoding took over the
+// index of its predecessor, only the shards that the changed segments'
+// rows hash to are rebuilt.  It returns nil on a failed encoding.  The
+// positions slice is copied.
 func (e *Encoding) Index(positions []int) *CodedIndex {
 	if !e.Ok() {
 		return nil
 	}
 	for {
 		set := e.indexes.Load()
-		if set != nil {
-			for _, ix := range *set {
-				if samePositions(ix.positions, positions) {
-					return ix
-				}
-			}
+		cur, at := findSidecar(set, func(ix *CodedIndex) bool { return samePositions(ix.positions, positions) })
+		if cur != nil && sameSegs(cur.segs, e.segs) {
+			return cur
 		}
-		ix := newCodedIndexFromCols(positions, e.cols, e.rows)
-		var cur []*CodedIndex
-		if set != nil {
-			cur = *set
+		var ix *CodedIndex
+		if cur != nil && patchable(cur.segs, e.segs) {
+			var kept int
+			ix, kept = cur.patched(e.segs, e.dict)
+			e.stats.notePatched(kept)
+		} else {
+			ix = e.buildIndex(positions)
 		}
-		next := make([]*CodedIndex, 0, len(cur)+1)
-		next = append(next, cur...)
-		next = append(next, ix)
-		if e.indexes.CompareAndSwap(set, &next) {
+		if e.indexes.CompareAndSwap(set, withSidecar(set, at, ix)) {
 			return ix
 		}
 		// Lost a race with another builder; retry (and likely adopt theirs).
 	}
+}
+
+func (e *Encoding) buildIndex(positions []int) *CodedIndex {
+	shards := 1
+	if e.segs != nil {
+		shards = len(e.segs)
+	}
+	arity := len(e.consts)
+	ix := newCodedIndex(positions, arity, e.segs, shards, e.rows)
+	for _, b := range e.blocks {
+		ix.addCols(b.cols, b.rows)
+	}
+	ix.seal()
+	return ix
 }
 
 // NewCodedIndexFromCols builds a coded hash index directly from
@@ -474,36 +504,161 @@ func (e *Encoding) Index(positions []int) *CodedIndex {
 // materializing the side as tuples.  The vectors are read once and not
 // retained.
 func NewCodedIndexFromCols(positions []int, cols [][]uint64, rows int) *CodedIndex {
-	return newCodedIndexFromCols(positions, cols, rows)
+	ix := newCodedIndex(positions, len(cols), nil, 1, rows)
+	ix.addCols(cols, rows)
+	ix.seal()
+	return ix
 }
 
-func newCodedIndexFromCols(positions []int, cols [][]uint64, rows int) *CodedIndex {
-	arity := len(cols)
+// newCodedIndex returns a coded index of the given number of empty shards
+// (a power of two), sized for rows rows in all; the caller adds the rows
+// and seals it.
+func newCodedIndex(positions []int, arity int, segs []*segment, shards, rows int) *CodedIndex {
 	ix := &CodedIndex{
 		positions: append([]int(nil), positions...),
 		arity:     arity,
-		heads:     make(map[uint64]int32, rows),
-		entries:   make([]codedEntry, 0, rows),
-		codes:     make([]uint64, 0, rows*arity),
-		complete:  true,
+		segs:      segs,
+		shards:    make([]*CodedShard, shards),
+		shift:     uint(64 - bits.TrailingZeros(uint(shards))),
 	}
-	for i := 0; i < rows; i++ {
-		h := value.CodeHashSeed
-		for _, p := range positions {
-			h = value.HashCode(h, cols[p][i])
-		}
-		for j := 0; j < arity; j++ {
-			c := cols[j][i]
-			ix.codes = append(ix.codes, c)
-			if ix.complete && value.CodeIsNull(c) {
-				ix.complete = false
-			}
-		}
-		head := ix.heads[h]
-		ix.entries = append(ix.entries, codedEntry{row: int32(i), next: head})
-		ix.heads[h] = int32(len(ix.entries))
+	per := shardHint(rows, shards)
+	for i := range ix.shards {
+		ix.shards[i] = ix.newShard(per, per)
 	}
 	return ix
+}
+
+// newShard returns an empty shard sized for the given number of rows under
+// that many distinct key hashes.
+func (ix *CodedIndex) newShard(hashes, rows int) *CodedShard {
+	return &CodedShard{
+		positions: ix.positions,
+		arity:     ix.arity,
+		heads:     make(map[uint64]int32, hashes),
+		entries:   make([]codedEntry, 0, rows),
+		codes:     make([]uint64, 0, rows*ix.arity),
+	}
+}
+
+// keyHash folds the row's codes at the key positions.
+func (ix *CodedIndex) keyHash(row []uint64) uint64 {
+	h := value.CodeHashSeed
+	for _, p := range ix.positions {
+		h = value.HashCode(h, row[p])
+	}
+	return h
+}
+
+// addCols indexes the rows of column-wise code vectors.
+func (ix *CodedIndex) addCols(cols [][]uint64, rows int) {
+	row := make([]uint64, ix.arity)
+	for i := 0; i < rows; i++ {
+		for j := range row {
+			row[j] = cols[j][i]
+		}
+		ix.add(row)
+	}
+}
+
+// add indexes one code tuple (copied).
+func (ix *CodedIndex) add(row []uint64) {
+	h := ix.keyHash(row)
+	ix.shards[h>>ix.shift].add(h, row)
+}
+
+func (sh *CodedShard) add(h uint64, row []uint64) {
+	n := int32(len(sh.entries))
+	sh.codes = append(sh.codes, row...)
+	sh.entries = append(sh.entries, codedEntry{row: n, next: sh.heads[h]})
+	sh.heads[h] = n + 1
+	for _, c := range row {
+		if value.CodeIsNull(c) {
+			sh.nulls++
+			break
+		}
+	}
+}
+
+// seal computes the index-wide totals once the shards are final.
+func (ix *CodedIndex) seal() {
+	ix.n, ix.complete = 0, true
+	for _, sh := range ix.shards {
+		ix.n += len(sh.entries)
+		if sh.nulls > 0 {
+			ix.complete = false
+		}
+	}
+}
+
+// patched returns the index of the same positions over the segments cur,
+// sharing every shard that no row of the difference between ix.segs and
+// cur hashes to.  Every tuple of the difference is encodable: it was, or
+// is, part of an encoding that is Ok.  The second result is the number of
+// shards shared.
+func (ix *CodedIndex) patched(cur []*segment, dict *Dict) (*CodedIndex, int) {
+	ins, del := diffSegs(ix.segs, cur)
+	out := &CodedIndex{positions: ix.positions, arity: ix.arity, segs: cur,
+		shards: append([]*CodedShard(nil), ix.shards...), shift: ix.shift}
+	type change struct{ ins, del [][]uint64 }
+	changes := map[uint64]*change{} // by shard number
+	route := func(t Tuple) (*change, []uint64) {
+		row := make([]uint64, len(t))
+		for j, v := range t {
+			row[j], _ = dict.Encode(v)
+		}
+		i := ix.keyHash(row) >> ix.shift
+		c := changes[i]
+		if c == nil {
+			c = &change{}
+			changes[i] = c
+		}
+		return c, row
+	}
+	for _, t := range ins {
+		c, row := route(t)
+		c.ins = append(c.ins, row)
+	}
+	for _, t := range del {
+		c, row := route(t)
+		c.del = append(c.del, row)
+	}
+	for i, c := range changes {
+		out.shards[i] = ix.rebuiltShard(ix.shards[i], c.ins, c.del)
+	}
+	out.seal()
+	return out, len(out.shards) - len(changes)
+}
+
+// rebuiltShard returns the shard without the rows of del and with those
+// of ins.
+func (ix *CodedIndex) rebuiltShard(sh *CodedShard, ins, del [][]uint64) *CodedShard {
+	out := ix.newShard(len(sh.heads)+len(ins), len(sh.entries)+len(ins))
+	gone := make(map[uint64][][]uint64, len(del)) // by key hash
+	for _, row := range del {
+		h := ix.keyHash(row)
+		gone[h] = append(gone[h], row)
+	}
+	for h, e := range sh.heads {
+		dead := gone[h]
+	chain:
+		for e != 0 {
+			var r int32
+			r, e = sh.At(e)
+			row := sh.Row(r)
+			for _, d := range dead {
+				if slices.Equal(d, row) {
+					continue chain
+				}
+			}
+			// Rows of one chain share the hash of the slot, not
+			// necessarily the key; the hash is all add needs.
+			out.add(h, row)
+		}
+	}
+	for _, row := range ins {
+		out.add(ix.keyHash(row), row)
+	}
+	return out
 }
 
 // codedBucket caches one partition bucket's coded index together with
@@ -547,34 +702,18 @@ func newCodedIndexFromTuples(positions []int, ts []Tuple, dict *Dict) *CodedInde
 	if len(ts) > 0 {
 		arity = len(ts[0])
 	}
-	ix := &CodedIndex{
-		positions: append([]int(nil), positions...),
-		arity:     arity,
-		heads:     make(map[uint64]int32, len(ts)),
-		entries:   make([]codedEntry, 0, len(ts)),
-		codes:     make([]uint64, 0, len(ts)*arity),
-		complete:  true,
-	}
+	ix := newCodedIndex(positions, arity, nil, 1, len(ts))
 	row := make([]uint64, arity)
-	for i, t := range ts {
+	for _, t := range ts {
 		for j, v := range t {
 			c, ok := dict.Encode(v)
 			if !ok {
 				return nil
 			}
 			row[j] = c
-			if ix.complete && value.CodeIsNull(c) {
-				ix.complete = false
-			}
 		}
-		h := value.CodeHashSeed
-		for _, p := range positions {
-			h = value.HashCode(h, row[p])
-		}
-		ix.codes = append(ix.codes, row...)
-		head := ix.heads[h]
-		ix.entries = append(ix.entries, codedEntry{row: int32(i), next: head})
-		ix.heads[h] = int32(len(ix.entries))
+		ix.add(row)
 	}
+	ix.seal()
 	return ix
 }

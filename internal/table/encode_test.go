@@ -2,10 +2,11 @@ package table
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"incdata/internal/schema"
 	"incdata/internal/value"
 )
 
@@ -68,10 +69,7 @@ func TestEncodingBuildAndInvalidate(t *testing.T) {
 		t.Error("column 1 is null-free; ColConst must be true")
 	}
 	// Decoding the vectors reproduces the relation's tuples.
-	seen := map[string]bool{}
-	for i := 0; i < e.Rows(); i++ {
-		seen[fmt.Sprintf("%v|%v", d.Decode(e.Col(0)[i]), d.Decode(e.Col(1)[i]))] = true
-	}
+	seen := decodedRows(e)
 	if len(seen) != 3 {
 		t.Fatalf("decoded rows = %v", seen)
 	}
@@ -132,10 +130,10 @@ func TestCodedIndexLookup(t *testing.T) {
 		key := []uint64{c}
 		h := value.HashCode(value.CodeHashSeed, c)
 		n := 0
-		for s := ix.Lookup(h); s != 0; {
+		for sh, s := ix.Lookup(h); s != 0; {
 			var row int32
-			row, s = ix.At(s)
-			if ix.MatchesKey(row, key) {
+			row, s = sh.At(s)
+			if sh.MatchesKey(row, key) {
 				n++
 			}
 		}
@@ -158,126 +156,111 @@ func TestCodedIndexLookup(t *testing.T) {
 	}
 }
 
-// TestEncodingChurnGuard pins the churn heuristic: a relation whose
-// sidecar keeps getting invalidated before any reuse is eventually
-// declined (Encoding returns nil, the plan layer falls back to the
-// columnar path), and a relation that goes quiet earns its way back to
-// full cache hits through the periodic probe rebuild.
-func TestEncodingChurnGuard(t *testing.T) {
-	d := NewDict()
-	r := NewRelationArity("R", 1)
-	r.MustAdd(NewTuple(value.Int(1)))
-	declined := false
-	for i := 0; i < 64; i++ {
-		if r.Encoding(d) == nil {
-			declined = true
-			break
-		}
-		r.MustAdd(NewTuple(value.Int(int64(10 + i))))
-	}
-	if !declined {
-		t.Fatal("a build-invalidate loop with no reuse must eventually be declined")
-	}
-	// Quiet relation: the probe rebuilds within encProbeInterval requests.
-	var e *Encoding
-	for i := 0; e == nil && i <= encProbeInterval; i++ {
-		e = r.Encoding(d)
-	}
-	if e == nil || !e.Ok() {
-		t.Fatal("the probe must rebuild once the relation goes quiet")
-	}
-	// Sustained reuse decays the churn score back to zero.
-	for i := 0; i < encChurnCap; i++ {
-		if got := r.Encoding(d); got != e {
-			t.Fatalf("request %d after recovery missed the cached sidecar", i)
+// decodedRows decodes every row of an encoding, block by block, into a
+// multiset of rendered rows.
+func decodedRows(e *Encoding) map[string]int {
+	seen := map[string]int{}
+	total := 0
+	for b := 0; b < e.Blocks(); b++ {
+		blk := e.Block(b)
+		for i := 0; i < blk.Rows(); i++ {
+			row := ""
+			for j := range e.consts {
+				row += fmt.Sprint(e.dict.Decode(blk.Col(j)[i]), "|")
+			}
+			seen[row]++
+			total++
 		}
 	}
-	if c := r.encStats.churn.Load(); c != 0 {
-		t.Fatalf("churn = %d after sustained reuse, want 0", c)
+	if total != e.Rows() {
+		seen[fmt.Sprintf("blocks hold %d rows, Rows() = %d", total, e.Rows())]++
 	}
+	return seen
 }
 
-// TestEncodingConcurrentBuildVsWriter races concurrent Encoding builders
-// (CAS publication) against a committing writer that keeps mutating the
-// relation and thereby invalidating the sidecar.  Run under -race in CI.
-// Every encoding a reader observes must be internally consistent: its row
-// count matches its vectors, and its stamp never belongs to the future —
-// a reader may see a stale (already-invalidated) encoding, but never a
-// torn one.
+// TestEncodingConcurrentBuildVsWriter pins the concurrency contract of the
+// derived structures: builders only ever run on snapshot headers, whose
+// segments are frozen, so any number of them may race each other
+// (CAS publication) and a writer that keeps mutating the live header the
+// snapshots were taken from.  Run under -race -tags tablecheck in CI.
+// Every structure a reader gets must describe its own snapshot exactly,
+// however far the writer has moved on.
 func TestEncodingConcurrentBuildVsWriter(t *testing.T) {
-	dict := NewDict()
-	r := NewRelationArity("R", 2)
-	for i := 0; i < 64; i++ {
-		r.MustAdd(NewTuple(value.Int(int64(i%8)), value.String(fmt.Sprintf("s%d", i%5))))
+	db := NewDatabase(schema.MustNew(schema.NewRelation("R", "a", "b")))
+	live := db.Relation("R")
+	// Past one segment, so the writer's copy-on-write is per segment and
+	// the snapshots' sidecars are carried and patched.
+	for i := 0; i < 3*segMax; i++ {
+		live.MustAdd(NewTuple(value.Int(int64(i%97)), value.String(fmt.Sprintf("s%d", i))))
 	}
 
 	const readers = 4
 	var wg sync.WaitGroup
+	var mu sync.Mutex // what engine.Engine's lock does: Snapshot never races the writer
+	var prev *Database
+	var rounds atomic.Int64 // reader rounds completed; the writer outlasts a few of each reader
+	snapshot := func() *Database {
+		mu.Lock()
+		defer mu.Unlock()
+		prev = db.SnapshotReusing(prev)
+		return prev
+	}
 	stop := make(chan struct{})
-
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			rnd := rand.New(rand.NewSource(int64(g)))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				e := r.Encoding(dict)
-				if e == nil {
-					// The churn guard declined: the writer is invalidating
-					// faster than readers reuse the sidecar.  Legal; retry.
-					continue
-				}
-				if !e.Ok() {
-					t.Error("all values are encodable; Ok must hold")
+				snap := snapshot()
+				r := snap.Relation("R")
+				rows := r.Len()
+				e := r.Encoding(snap.Dict())
+				if !e.Ok() || e.Rows() != rows {
+					t.Errorf("encoding: Ok=%v Rows=%d, snapshot has %d", e.Ok(), e.Rows(), rows)
 					return
 				}
-				rows := e.Rows()
-				for j := 0; j < 2; j++ {
-					if len(e.Col(j)) != rows {
-						t.Errorf("col %d has %d codes for %d rows", j, len(e.Col(j)), rows)
-						return
-					}
-				}
-				// Decode a random cell; the dictionary must already hold
-				// every code the published encoding mentions.
-				if rows > 0 {
-					i := rnd.Intn(rows)
-					_ = dict.Decode(e.Col(0)[i])
-					_ = dict.Decode(e.Col(1)[i])
-				}
-				// Coded indexes CAS-publish on the encoding concurrently.
 				if ix := e.Index([]int{0}); ix.Len() != rows {
+					t.Errorf("coded index has %d entries for %d rows", ix.Len(), rows)
+					return
+				}
+				if ix := r.Index([]int{0}); ix.Len() != rows {
 					t.Errorf("index has %d entries for %d rows", ix.Len(), rows)
 					return
 				}
+				n := 0
+				p := r.Partition([]int{0}, 4)
+				for i := 0; i < p.Parts(); i++ {
+					n += len(p.Bucket(i))
+				}
+				if n != rows {
+					t.Errorf("partitioning holds %d tuples for %d rows", n, rows)
+					return
+				}
+				rounds.Add(1)
 			}
-		}(g)
+		}()
 	}
 
-	// The committing writer: each batch bumps the stamp and invalidates.
-	for i := 0; i < 200; i++ {
-		r.MustAdd(NewTuple(value.Int(int64(100+i)), value.String(fmt.Sprintf("w%d", i%7))))
+	// The writer: adds and removes on the live header, under the lock the
+	// way Engine.Update holds it.
+	for i := 0; i < 400 || (rounds.Load() < 10*readers && i < 20000); i++ {
+		mu.Lock()
+		live.MustAdd(NewTuple(value.Int(int64(1000+i)), value.String(fmt.Sprintf("w%d", i))))
+		if i%3 == 0 {
+			live.Remove(NewTuple(value.Int(int64(i%97)), value.String(fmt.Sprintf("s%d", i))))
+		}
+		mu.Unlock()
 	}
 	close(stop)
 	wg.Wait()
 
-	// After the writer quiesces, a fresh encoding describes the final
-	// relation exactly.  The churn guard may decline the first few
-	// requests (the writer just hammered the relation); keep asking —
-	// the probe must rebuild within encProbeInterval requests.
-	var e *Encoding
-	for i := 0; e == nil && i <= encProbeInterval; i++ {
-		e = r.Encoding(dict)
-	}
-	if !e.Ok() || e.Rows() != r.Len() {
-		t.Fatalf("final encoding: Ok=%v Rows=%d Len=%d", e.Ok(), e.Rows(), r.Len())
-	}
-	if e.stamp != r.Stamp() {
-		t.Fatalf("final encoding stamp %v != relation stamp %v", e.stamp, r.Stamp())
-	}
+	// After the writer quiesces, a last snapshot's patched sidecars equal
+	// from-scratch builds.
+	final := snapshot().Relation("R")
+	checkSidecars(t, final, db.Dict())
 }

@@ -4,9 +4,9 @@ package table
 // computes each output row's binary key column-wise before it decides
 // whether to materialize the row as a tuple at all; Inserter lets it
 // probe and insert with that precomputed key so duplicate rows are
-// dropped without ever allocating a tuple, and the copy-on-write check
-// and version bump happen once per batch instead of once per row (the
-// same amortization AddBatch provides for row batches).
+// dropped without ever allocating a tuple, and the sharing check and
+// version bump happen once per batch instead of once per row (the same
+// amortization AddBatch provides for row batches).
 
 // Inserter performs amortized keyed inserts into a relation.  It is
 // obtained from BeginInsert and must be used exclusively: no other
@@ -18,7 +18,7 @@ type Inserter struct {
 }
 
 // BeginInsert prepares the relation for a batch of keyed inserts,
-// performing the copy-on-write check, version bump, and derived-cache
+// performing the sharing check, version bump, and derived-cache
 // invalidation once for the whole batch.
 func (r *Relation) BeginInsert() Inserter {
 	r.mutable()
@@ -28,7 +28,7 @@ func (r *Relation) BeginInsert() Inserter {
 // Has reports whether a tuple with the given precomputed key is already
 // stored.  The key is never retained.
 func (in Inserter) Has(key []byte) bool {
-	_, ok := in.r.tuples[string(key)]
+	_, ok := in.r.lookup(key)
 	return ok
 }
 
@@ -36,9 +36,5 @@ func (in Inserter) Has(key []byte) bool {
 // t.AppendKey(nil)); it is a no-op when the key is already present.  The
 // key bytes are copied into the interned map key, never retained.
 func (in Inserter) Add(key []byte, t Tuple) {
-	if _, ok := in.r.tuples[string(key)]; ok {
-		return
-	}
-	in.r.tuples[string(key)] = t
-	in.r.noteInsert(string(key), t)
+	in.r.insertBytes(key, t)
 }

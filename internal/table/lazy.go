@@ -9,7 +9,7 @@ package table
 // content stamps, copy-on-write sharing, plan-cache validation, the
 // derived index/partitioning/encoding caches — must behave exactly as if
 // the tuples had been there all along.  Loading therefore populates the
-// tuple map WITHOUT bumping the version or generation (the content is
+// segments WITHOUT bumping the version or generation (the content is
 // logically present from the start; materializing it changes nothing),
 // and the load state is a pointer shared across copy-on-write shares, so
 // a snapshot chain of an unloaded relation loads its chunks exactly once
@@ -24,13 +24,14 @@ import (
 
 // lazyLoad is the shared load state of one unloaded relation lineage.
 // All shares of the relation point at the same instance; the mutex
-// serializes the single load, and the filled map is shared by every
-// side (the shares are marked shared, so the usual copy-on-write kicks
-// in before any mutation).
+// serializes the single load, and the loaded segments are shared by every
+// side.  They carry a generation no header has, so whichever side writes
+// first copies the segment it touches like any other frozen one.
 type lazyLoad struct {
 	mu   sync.Mutex
 	fill func(add func(Tuple)) error
-	m    map[string]Tuple // the loaded storage, set once under mu
+	segs []*segment // the loaded storage, set once under mu
+	n    int
 	done bool
 }
 
@@ -55,7 +56,7 @@ func NewLazyRelation(rs schema.Relation, fill func(add func(Tuple)) error) *Rela
 
 // ensure materializes a lazily loading relation's tuples; it is a cheap
 // nil check on the overwhelmingly common eager path.  Every accessor and
-// mutator of the tuple map calls it first.
+// mutator of the segments calls it first.
 func (r *Relation) ensure() {
 	if r == nil {
 		return
@@ -66,24 +67,24 @@ func (r *Relation) ensure() {
 	}
 	ls.mu.Lock()
 	if !ls.done {
-		m := make(map[string]Tuple)
+		load := &Relation{schema: r.schema}
+		load.initStorage(0)
 		var buf [keyBufSize]byte
 		err := ls.fill(func(t Tuple) {
-			k := t.AppendKey(buf[:0])
-			m[string(k)] = t
+			load.insertBytes(t.AppendKey(buf[:0]), t)
 		})
 		if err != nil {
 			ls.mu.Unlock()
 			panic(fmt.Sprintf("table: lazy load of %s failed: %v", r.schema.Name, err))
 		}
-		ls.m = m
+		ls.segs, ls.n = load.segs, load.n
 		ls.done = true
 		ls.fill = nil
 	}
-	r.tuples = ls.m
+	r.segs, r.n = ls.segs, ls.n
 	ls.mu.Unlock()
 	// Publish "loaded" with release semantics: a goroutine that reads
-	// lazy == nil afterwards also observes the r.tuples assignment above.
+	// lazy == nil afterwards also observes the assignments above.
 	r.lazy.Store(nil)
 }
 

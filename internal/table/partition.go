@@ -10,11 +10,13 @@ package table
 // probe side only ever matches bucket i of the build side.
 //
 // Partitionings are built lazily by Relation.Partition and cached on the
-// relation exactly like hash indexes: any mutation invalidates them, and
-// because relations are immutable while being evaluated (stamp-validated
-// plan caches retain stable relations unchanged), a cached partitioning —
+// relation like hash indexes: any mutation drops them, and because
+// relations are immutable while being evaluated (stamp-validated plan
+// caches retain stable relations unchanged), a cached partitioning —
 // including its lazily built per-partition indexes — survives for as long
-// as plans keep evaluating over the same storage.
+// as plans keep evaluating over the same segments.  Unlike an index or an
+// encoding it is never brought up to date for a later state of the
+// relation: a header whose segments differ rebuilds it in full.
 
 import (
 	"sync/atomic"
@@ -23,7 +25,8 @@ import (
 // Partitioning is an immutable split of a relation's tuples into disjoint
 // buckets, with a lazily built hash index per bucket.
 type Partitioning struct {
-	positions []int // nil: round-robin morsel split, no key semantics
+	positions []int      // nil: round-robin morsel split, no key semantics
+	segs      []*segment // the segments partitioned
 	parts     int
 	buckets   [][]Tuple
 	indexes   []atomic.Pointer[Index]       // per-bucket, built on first use
@@ -81,30 +84,23 @@ func hashKey(key []byte) uint64 {
 // Partition returns a partitioning of the relation into parts buckets over
 // the given column positions (nil positions split round-robin), building it
 // on first use and caching it on the relation.  Concurrent callers are
-// safe; the cache is invalidated by any mutation of the relation, exactly
-// like Index's.  The positions slice is copied.
+// safe as long as the relation is not being mutated; any mutation drops
+// the cache, exactly like Index's.  The positions slice is copied.
 func (r *Relation) Partition(positions []int, parts int) *Partitioning {
 	if parts < 1 {
 		parts = 1
 	}
+	r.ensure()
 	for {
 		set := r.partitions.Load()
-		if set != nil {
-			for _, p := range *set {
-				if p.parts == parts && samePositions(p.positions, positions) {
-					return p
-				}
-			}
+		cur, at := findSidecar(set, func(p *Partitioning) bool {
+			return p.parts == parts && samePositions(p.positions, positions)
+		})
+		if cur != nil && sameSegs(cur.segs, r.segs) {
+			return cur
 		}
 		p := r.buildPartitioning(positions, parts)
-		var cur []*Partitioning
-		if set != nil {
-			cur = *set
-		}
-		next := make([]*Partitioning, 0, len(cur)+1)
-		next = append(next, cur...)
-		next = append(next, p)
-		if r.partitions.CompareAndSwap(set, &next) {
+		if r.partitions.CompareAndSwap(set, withSidecar(set, at, p)) {
 			return p
 		}
 		// Lost a race with another builder; retry (and likely adopt theirs).
@@ -121,70 +117,36 @@ func (r *Relation) buildPartitioning(positions []int, parts int) *Partitioning {
 	if positions != nil {
 		p.positions = append([]int(nil), positions...)
 	}
-	if r == nil {
-		return p
-	}
-	sizeHint := r.Len()/parts + 1
-	if positions == nil {
-		// Round-robin morsels: assignment is arbitrary (consumers always
-		// merge every bucket under set semantics), so spread evenly.
-		i := 0
-		for _, t := range r.tuples {
+	p.segs = r.segs
+	sizeHint := r.n/parts + 1
+	var buf [keyBufSize]byte
+	i := -1
+	for _, s := range r.segs {
+		for _, t := range s.m {
+			if positions == nil {
+				// Round-robin morsels: assignment is arbitrary (consumers
+				// always merge every bucket under set semantics), so
+				// spread evenly.
+				i = (i + 1) % parts
+			} else {
+				i = p.PartitionOfKey(appendProjectedKey(buf[:0], t, positions))
+			}
 			if p.buckets[i] == nil {
 				p.buckets[i] = make([]Tuple, 0, sizeHint)
 			}
 			p.buckets[i] = append(p.buckets[i], t)
-			i++
-			if i == parts {
-				i = 0
-			}
 		}
-		return p
-	}
-	var buf [keyBufSize]byte
-	for _, t := range r.tuples {
-		key := buf[:0]
-		for _, pos := range positions {
-			key = t[pos].AppendKey(key)
-		}
-		i := p.PartitionOfKey(key)
-		if p.buckets[i] == nil {
-			p.buckets[i] = make([]Tuple, 0, sizeHint)
-		}
-		p.buckets[i] = append(p.buckets[i], t)
 	}
 	return p
 }
 
-// newIndexFromTuples builds a hash index over a tuple slice, in the same
-// chained-slice layout Relation.buildIndex produces.
+// newIndexFromTuples builds a single-shard hash index over a tuple slice.
 func newIndexFromTuples(positions []int, ts []Tuple) *Index {
-	ix := &Index{
-		positions: append([]int(nil), positions...),
-		heads:     make(map[string]int32, len(ts)),
-		entries:   make([]indexEntry, 0, len(ts)),
-		complete:  true,
-	}
+	ix := newIndex(positions, nil, 1, len(ts))
 	var buf [keyBufSize]byte
 	for _, t := range ts {
-		key := buf[:0]
-		for _, p := range positions {
-			key = t[p].AppendKey(key)
-		}
-		head := ix.heads[string(key)]
-		ix.entries = append(ix.entries, indexEntry{t: t, next: head})
-		ix.heads[string(key)] = int32(len(ix.entries))
-		if ix.complete && !t.IsComplete() {
-			ix.complete = false
-		}
+		ix.shards[0].add(appendProjectedKey(buf[:0], t, positions), t)
 	}
+	ix.seal()
 	return ix
-}
-
-// invalidatePartitionings drops cached partitionings; every mutation path
-// calls it (via invalidateDerived).
-func (r *Relation) invalidatePartitionings() {
-	if r.partitions.Load() != nil {
-		r.partitions.Store(nil)
-	}
 }

@@ -89,9 +89,9 @@ func TestPartitionIndexes(t *testing.T) {
 		for _, tp := range p.Bucket(i) {
 			key := tp[1].AppendKey(nil)
 			found := false
-			for e := ix.Lookup(key); e != 0; {
+			for sh, e := ix.Lookup(key); e != 0; {
 				var cand Tuple
-				cand, e = ix.At(e)
+				cand, e = sh.At(e)
 				if cand.Key() == tp.Key() {
 					found = true
 					break

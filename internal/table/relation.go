@@ -17,27 +17,38 @@ import (
 // valid.  Relation uses set semantics; Add silently deduplicates.
 //
 // Relations are copy-on-write: Clone, Rename and WithSchema share the
-// underlying tuple storage and the first subsequent mutation of either side
-// copies the map (never the tuples, which are immutable once stored).  A
-// tuple passed to Add is adopted by the relation and must not be mutated by
-// the caller afterwards.
+// underlying tuple storage, and the first subsequent mutation of either side
+// copies the segment it touches (see segment.go; never the tuples, which are
+// immutable once stored).  A tuple passed to Add is adopted by the relation
+// and must not be mutated by the caller afterwards.
+//
+// Concurrency: any number of goroutines may read a relation, and build its
+// derived structures (Encoding, Index, Partition), as long as nobody mutates
+// that header; a header must not be mutated while anything else uses it.
+// Writers and readers therefore work on different headers: the engine
+// mutates the live database under its lock and readers evaluate over
+// Database.Snapshot headers, which are frozen (mutating one is a bug, and a
+// panic under the tablecheck build tag).
 type Relation struct {
 	schema     schema.Relation
-	tuples     map[string]Tuple                // keyed by Tuple.Key
-	shared     atomic.Bool                     // tuple map shared with another Relation
+	segs       []*segment                      // tuple storage, hash-segmented; the length is a power of two (see segment.go)
+	n          int                             // tuples stored across segs
+	shared     atomic.Bool                     // segs and every segment are reachable from another header
+	frozen     bool                            // a Snapshot header: read-only by contract (see checkWritable)
 	indexes    atomic.Pointer[[]*Index]        // lazily built hash indexes (see index.go)
 	partitions atomic.Pointer[[]*Partitioning] // lazily built hash partitionings (see partition.go)
 	encoding   atomic.Pointer[Encoding]        // lazily built coded sidecar (see encode.go)
-	encStats   *encStats                       // build/decline/churn counters, shared across shares (see encode.go)
+	encStats   *encStats                       // build/patch counters, shared across shares (see encode.go)
 	lazy       atomic.Pointer[lazyLoad]        // pending on-demand load, nil once materialized (see lazy.go)
 	version    uint64                          // bumped on every mutation (plan-cache validation)
 	gen        uint64                          // storage generation, see Stamp
 	rec        *recorder                       // delta capture hook, nil unless tracked (see delta.go)
 }
 
-// storageGen issues a process-unique generation id for every tuple map a
-// relation ever owns.  Copy-on-write shares carry the generation over, so
-// two relations with the same generation read the same storage lineage.
+// storageGen issues a process-unique generation id every time a relation
+// takes exclusive ownership of its storage.  Copy-on-write shares carry the
+// generation over, so two relations with the same generation read the same
+// storage lineage.
 var storageGen atomic.Uint64
 
 // nextGen returns a fresh, never-before-issued storage generation.
@@ -45,7 +56,9 @@ func nextGen() uint64 { return storageGen.Add(1) }
 
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(rs schema.Relation) *Relation {
-	return &Relation{schema: rs, tuples: make(map[string]Tuple), gen: nextGen(), encStats: &encStats{}}
+	r := &Relation{schema: rs, encStats: &encStats{}}
+	r.initStorage(0)
+	return r
 }
 
 // NewRelationArity creates an empty relation named name with auto-named
@@ -90,16 +103,16 @@ func (r *Relation) Len() int {
 		return 0
 	}
 	r.ensure()
-	return len(r.tuples)
+	return r.n
 }
 
 // Stamp identifies the content of a relation's tuple storage: the storage
-// generation (process-unique per tuple map, carried across copy-on-write
-// shares) plus the mutation counter.  Two relations whose stamps are equal
-// hold identical tuple sets — either they share the same frozen map, or
-// the stamp belongs to the single exclusive owner — which is what lets
-// plan caches validate entries across database snapshots without pointer
-// identity.
+// generation (process-unique per exclusive owner, carried across
+// copy-on-write shares) plus the mutation counter.  Two relations whose
+// stamps are equal hold identical tuple sets — either they share the same
+// frozen segments, or the stamp belongs to the single exclusive owner —
+// which is what lets plan caches validate entries across database snapshots
+// without pointer identity.
 type Stamp struct {
 	Gen uint64
 	Ver uint64
@@ -115,49 +128,73 @@ func (r *Relation) Stamp() Stamp {
 	return Stamp{Gen: r.gen, Ver: r.version}
 }
 
-// mutable ensures r exclusively owns its tuple map, copying it first when it
-// is shared with another relation (the copy shares the stored tuples and
-// their keys, which are immutable).
+// mutable prepares r for a mutation: it bumps the version, drops the
+// derived structures, and stops sharing, by taking a fresh generation —
+// which leaves every segment frozen until writable copies the one a write
+// touches — and its own copy of the segment pointer array.  A relation
+// that has outgrown (or shrunk out of) its segment count is rehashed into
+// the right number of segments instead: this is the one place that
+// happens, see segment.go.
 func (r *Relation) mutable() {
 	r.ensure()
+	r.checkWritable()
 	r.version++
 	r.invalidateDerived()
-	if r.tuples == nil {
-		r.tuples = make(map[string]Tuple)
-		r.gen = nextGen()
-		return
-	}
 	if r.shared.Load() {
-		m := make(map[string]Tuple, len(r.tuples))
-		for k, t := range r.tuples {
-			m[k] = t
-		}
-		r.tuples = m
 		r.gen = nextGen()
 		r.shared.Store(false)
+		if s := fitCount(r.n, len(r.segs)); s != len(r.segs) {
+			r.resize(s)
+		} else {
+			r.segs = slices.Clone(r.segs)
+		}
+	}
+}
+
+// checkWritable panics on a mutation of a Snapshot header when the package
+// is built with the tablecheck tag (CI's race jobs are): readers build
+// sidecars from such headers without synchronisation, which is only sound
+// while nobody writes them.
+func (r *Relation) checkWritable() {
+	if tablecheck && r.frozen {
+		panic("table: mutation of a frozen snapshot relation " + r.schema.Name)
 	}
 }
 
 // share returns a relation sharing r's tuple storage copy-on-write; both
-// sides copy the map before their next mutation.
+// sides stop sharing before their next mutation.
 func (r *Relation) share() *Relation {
 	r.shared.Store(true)
 	// A pending lazy load is shared: whichever side touches the tuples
-	// first materializes the one shared map for the whole lineage.  The
-	// load state must be read BEFORE the tuple map: concurrent readers may
+	// first materializes the one shared storage for the whole lineage.  The
+	// load state must be read BEFORE the segments: concurrent readers may
 	// ensure() r between the two reads, and reading lazy first guarantees
-	// that a nil here means the loaded map assignment is already visible
-	// (ensure publishes it with a release store on the lazy pointer).
+	// that a nil here means the loaded storage is already visible (ensure
+	// publishes it with a release store on the lazy pointer).
 	ls := r.lazy.Load()
-	out := &Relation{schema: r.schema, tuples: r.tuples, version: r.version, gen: r.gen, encStats: r.encStats}
+	out := &Relation{schema: r.schema, segs: r.segs, n: r.n, version: r.version, gen: r.gen, encStats: r.encStats}
 	out.shared.Store(true)
 	out.lazy.Store(ls)
-	// The share reads the same frozen storage at the same stamp, so the
-	// coded sidecar — stamp- and dictionary-validated on every use —
-	// stays valid; carry it (and the churn score that rations its
-	// rebuilds) instead of re-interning the relation on the other side.
+	// The share reads the same frozen segments, so every derived structure
+	// of r serves it as it is.
 	out.encoding.Store(r.encoding.Load())
+	out.indexes.Store(r.indexes.Load())
+	out.partitions.Store(r.partitions.Load())
 	return out
+}
+
+// adoptCandidates hands r, a fresh share of a later state of the relation
+// p is a snapshot of, those of p's encoding and indexes that are worth
+// bringing up to date for r's segments (patchable); each is when it is
+// next asked for.  Kinds r already has (the live header had built its own)
+// are left alone, and partitionings are not carried: they rebuild in full.
+func (r *Relation) adoptCandidates(p *Relation) {
+	if e := p.encoding.Load(); e != nil && r.encoding.Load() == nil && patchable(e.segs, r.segs) {
+		r.encoding.Store(e)
+	}
+	if r.indexes.Load() == nil {
+		r.indexes.Store(patchableSidecars(p.indexes.Load(), func(ix *Index) []*segment { return ix.segs }, r.segs))
+	}
 }
 
 // Add inserts a tuple; duplicates are ignored.  The arity must match.  The
@@ -169,11 +206,7 @@ func (r *Relation) Add(t Tuple) error {
 	}
 	r.mutable()
 	var buf [keyBufSize]byte
-	k := t.AppendKey(buf[:0])
-	if _, ok := r.tuples[string(k)]; !ok {
-		r.tuples[string(k)] = t
-		r.noteInsert(string(k), t)
-	}
+	r.insertBytes(t.AppendKey(buf[:0]), t)
 	return nil
 }
 
@@ -185,8 +218,8 @@ func (r *Relation) MustAdd(t Tuple) {
 }
 
 // AddBatch inserts a batch of tuples with a single mutation step: one
-// version bump, one copy-on-write check and one derived-cache invalidation
-// for the whole batch, instead of one per tuple.  The chunked executor
+// version bump, one sharing check and one derived-cache invalidation for
+// the whole batch, instead of one per tuple.  The chunked executor
 // (internal/plan) materializes operator output through it.  Like Add, the
 // relation adopts the tuples; duplicates are ignored.
 func (r *Relation) AddBatch(ts []Tuple) error {
@@ -203,11 +236,7 @@ func (r *Relation) AddBatch(ts []Tuple) error {
 	r.mutable()
 	var buf [keyBufSize]byte
 	for _, t := range ts {
-		k := t.AppendKey(buf[:0])
-		if _, ok := r.tuples[string(k)]; !ok {
-			r.tuples[string(k)] = t
-			r.noteInsert(string(k), t)
-		}
+		r.insertBytes(t.AppendKey(buf[:0]), t)
 	}
 	return nil
 }
@@ -230,65 +259,67 @@ func (r *Relation) AddAll(o *Relation) error {
 			o.Arity(), r.schema.Name, r.schema.Arity())
 	}
 	r.mutable()
-	if r.tracked() {
-		for k, t := range o.tuples {
-			if _, ok := r.tuples[k]; !ok {
-				r.tuples[k] = t
-				r.noteInsert(k, t)
+	aligned := len(o.segs) == len(r.segs) // then segment j of o feeds segment j of r
+	tracked := r.tracked()
+	for j, os := range o.segs {
+		for k, t := range os.m {
+			i := j
+			if !aligned {
+				i = r.segOfString(k)
 			}
+			if tracked {
+				r.insert(i, k, t)
+				continue
+			}
+			// Nothing to note: assign without looking first.
+			w := r.writable(i)
+			before := len(w.m)
+			w.m[k] = t
+			r.n += len(w.m) - before
 		}
-		return nil
-	}
-	for k, t := range o.tuples {
-		r.tuples[k] = t
 	}
 	return nil
 }
 
 // Remove deletes a tuple if present and reports whether it was there.
 func (r *Relation) Remove(t Tuple) bool {
-	r.ensure()
+	if r.Len() == 0 {
+		return false
+	}
 	var buf [keyBufSize]byte
 	k := t.AppendKey(buf[:0])
-	if old, ok := r.tuples[string(k)]; ok {
-		r.mutable()
-		delete(r.tuples, string(k))
-		r.noteDelete(string(k), old)
-		return true
+	old, ok := r.lookup(k)
+	if !ok {
+		return false
 	}
-	return false
+	r.mutable()
+	r.remove(r.segOfBytes(k), string(k), old) // mutable may have moved it to another segment
+	return true
 }
 
 // Contains reports whether the tuple is present (marked-null identity).
 func (r *Relation) Contains(t Tuple) bool {
-	if r == nil {
-		return false
-	}
-	r.ensure()
 	var buf [keyBufSize]byte
-	_, ok := r.tuples[string(t.AppendKey(buf[:0]))]
-	return ok
+	return r.ContainsKey(t.AppendKey(buf[:0]))
 }
 
 // ContainsKey reports whether a tuple with the given binary key (as built
 // by Tuple.AppendKey) is present.  Query plans probe with reusable key
 // buffers, so this never allocates.
 func (r *Relation) ContainsKey(key []byte) bool {
-	if r == nil {
+	if r.Len() == 0 {
 		return false
 	}
-	r.ensure()
-	_, ok := r.tuples[string(key)]
+	_, ok := r.lookup(key)
 	return ok
 }
 
 // ContainsKeyString is ContainsKey for an already-interned key string.
 func (r *Relation) ContainsKeyString(key string) bool {
-	if r == nil {
+	if r.Len() == 0 {
 		return false
 	}
-	r.ensure()
-	_, ok := r.tuples[key]
+	_, ok := r.segs[r.segOfString(key)].m[key]
 	return ok
 }
 
@@ -298,9 +329,11 @@ func (r *Relation) EachKeyed(f func(key string, t Tuple) bool) {
 		return
 	}
 	r.ensure()
-	for k, t := range r.tuples {
-		if !f(k, t) {
-			return
+	for _, s := range r.segs {
+		for k, t := range s.m {
+			if !f(k, t) {
+				return
+			}
 		}
 	}
 }
@@ -312,9 +345,11 @@ func (r *Relation) Tuples() []Tuple {
 		return nil
 	}
 	r.ensure()
-	out := make([]Tuple, 0, len(r.tuples))
-	for _, t := range r.tuples {
-		out = append(out, t.Clone())
+	out := make([]Tuple, 0, r.n)
+	for _, s := range r.segs {
+		for _, t := range s.m {
+			out = append(out, t.Clone())
+		}
 	}
 	slices.SortFunc(out, Tuple.Compare)
 	return out
@@ -330,9 +365,11 @@ func (r *Relation) SortedTuples() []Tuple {
 		return nil
 	}
 	r.ensure()
-	out := make([]Tuple, 0, len(r.tuples))
-	for _, t := range r.tuples {
-		out = append(out, t)
+	out := make([]Tuple, 0, r.n)
+	for _, s := range r.segs {
+		for _, t := range s.m {
+			out = append(out, t)
+		}
 	}
 	slices.SortFunc(out, Tuple.Compare)
 	return out
@@ -345,15 +382,18 @@ func (r *Relation) Each(f func(Tuple) bool) {
 		return
 	}
 	r.ensure()
-	for _, t := range r.tuples {
-		if !f(t) {
-			return
+	for _, s := range r.segs {
+		for _, t := range s.m {
+			if !f(t) {
+				return
+			}
 		}
 	}
 }
 
 // Clone returns a copy of the relation.  The copy is made lazily: both
-// relations share the tuple map until one of them is mutated.
+// relations share the segments, and a mutation of either copies the one it
+// touches.
 func (r *Relation) Clone() *Relation { return r.share() }
 
 // Rename returns a copy of the relation under a new name (same tuples,
@@ -381,9 +421,15 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() || r.Arity() != o.Arity() {
 		return false
 	}
-	for k := range r.tuples {
-		if _, ok := o.tuples[k]; !ok {
-			return false
+	aligned := len(r.segs) == len(o.segs)
+	for j, s := range r.segs {
+		if aligned && s == o.segs[j] {
+			continue // the same frozen segment on both sides
+		}
+		for k := range s.m {
+			if !o.ContainsKeyString(k) {
+				return false
+			}
 		}
 	}
 	return true
@@ -391,31 +437,32 @@ func (r *Relation) Equal(o *Relation) bool {
 
 // IsComplete reports whether no tuple contains a null.
 func (r *Relation) IsComplete() bool {
-	r.ensure()
-	for _, t := range r.tuples {
-		if t.HasNull() {
-			return false
-		}
-	}
-	return true
+	complete := true
+	r.Each(func(t Tuple) bool {
+		complete = !t.HasNull()
+		return complete
+	})
+	return complete
 }
 
 // IsCodd reports whether the relation is a Codd table: every null occurs at
 // most once in the whole relation.
 func (r *Relation) IsCodd() bool {
-	r.ensure()
 	seen := map[value.Value]bool{}
-	for _, t := range r.tuples {
+	codd := true
+	r.Each(func(t Tuple) bool {
 		for _, v := range t {
 			if v.IsNull() {
 				if seen[v] {
+					codd = false
 					return false
 				}
 				seen[v] = true
 			}
 		}
-	}
-	return true
+		return true
+	})
+	return codd
 }
 
 // CompletePart returns the sub-relation of null-free tuples (D_cmpl in the
@@ -431,41 +478,41 @@ func (r *Relation) CompletePart() *Relation {
 
 // Nulls returns the set of nulls occurring in the relation.
 func (r *Relation) Nulls() map[value.Value]bool {
-	r.ensure()
 	out := map[value.Value]bool{}
-	for _, t := range r.tuples {
+	r.Each(func(t Tuple) bool {
 		for _, v := range t {
 			if v.IsNull() {
 				out[v] = true
 			}
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // Consts returns the set of constants occurring in the relation.
 func (r *Relation) Consts() map[value.Value]bool {
-	r.ensure()
 	out := map[value.Value]bool{}
-	for _, t := range r.tuples {
+	r.Each(func(t Tuple) bool {
 		for _, v := range t {
 			if v.IsConst() {
 				out[v] = true
 			}
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // ActiveDomain returns adom(r) = Consts(r) ∪ Nulls(r).
 func (r *Relation) ActiveDomain() map[value.Value]bool {
-	r.ensure()
 	out := map[value.Value]bool{}
-	for _, t := range r.tuples {
+	r.Each(func(t Tuple) bool {
 		for _, v := range t {
 			out[v] = true
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -473,25 +520,26 @@ func (r *Relation) ActiveDomain() map[value.Value]bool {
 // relation (useful for applying valuations and homomorphisms).  Tuples that
 // f leaves unchanged are shared together with their stored keys.
 func (r *Relation) Map(f func(value.Value) value.Value) *Relation {
-	r.ensure()
-	out := &Relation{schema: r.schema, tuples: make(map[string]Tuple, len(r.tuples)), gen: nextGen()}
+	out := &Relation{schema: r.schema}
+	out.initStorage(r.Len())
 	out.fillMapped(r, f)
 	return out
 }
 
 // FillMapped resets r in place to f applied to every tuple of src, adopting
-// src's schema.  The tuple map storage is reused across calls when r is not
-// shared, which lets world-enumeration workers apply one valuation after
-// another without reallocating.
+// src's schema.  The storage of a single-segment r is reused across calls
+// when r is not shared, which lets world-enumeration workers apply one
+// valuation after another without reallocating.
 func (r *Relation) FillMapped(src *Relation, f func(value.Value) value.Value) {
 	r.Reset(src.schema)
 	r.fillMapped(src, f)
 }
 
-// Reset clears r in place to the empty relation over rs, reusing the tuple
-// map storage when r owns it exclusively.  World enumeration uses it to
-// recycle per-world scratch relations.
+// Reset clears r in place to the empty relation over rs, reusing the
+// storage when r has one segment and owns it exclusively.  World
+// enumeration uses it to recycle per-world scratch relations.
 func (r *Relation) Reset(rs schema.Relation) {
+	r.checkWritable()
 	r.schema = rs
 	r.version++
 	r.invalidateDerived()
@@ -504,36 +552,25 @@ func (r *Relation) Reset(rs schema.Relation) {
 		r.dropLazy()
 	}
 	r.noteDeleteAll()
-	if r.tuples == nil || r.shared.Load() {
-		r.tuples = make(map[string]Tuple)
-		r.gen = nextGen()
-		r.shared.Store(false)
+	if len(r.segs) == 1 && r.segs[0].gen == r.gen && !r.shared.Load() {
+		clear(r.segs[0].m)
+		r.n = 0
 	} else {
-		clear(r.tuples)
+		r.initStorage(0)
 	}
 }
 
 func (r *Relation) fillMapped(src *Relation, f func(value.Value) value.Value) {
 	src.ensure()
 	var buf [keyBufSize]byte
-	tracked := r.tracked()
-	for k, t := range src.tuples {
-		nt, changed := t.mapChanged(f)
-		if !changed {
-			if tracked {
-				if _, ok := r.tuples[k]; !ok {
-					r.noteInsert(k, t)
-				}
+	for _, s := range src.segs {
+		for k, t := range s.m {
+			nt, changed := t.mapChanged(f)
+			if !changed {
+				r.insert(r.segOfString(k), k, t)
+				continue
 			}
-			r.tuples[k] = t
-			continue
-		}
-		nk := nt.AppendKey(buf[:0])
-		if _, ok := r.tuples[string(nk)]; !ok {
-			r.tuples[string(nk)] = nt
-			if tracked {
-				r.noteInsert(string(nk), nt)
-			}
+			r.insertBytes(nt.AppendKey(buf[:0]), nt)
 		}
 	}
 }
@@ -542,12 +579,17 @@ func (r *Relation) fillMapped(src *Relation, f func(value.Value) value.Value) {
 // their stored keys are shared with r, not copied.
 func (r *Relation) Filter(pred func(Tuple) bool) *Relation {
 	r.ensure()
-	out := &Relation{schema: r.schema, tuples: make(map[string]Tuple), gen: nextGen()}
-	for k, t := range r.tuples {
-		if pred(t) {
-			out.tuples[k] = t
+	out := &Relation{schema: r.schema}
+	out.initStorage(0)
+	m := out.segs[0].m
+	for _, s := range r.segs {
+		for k, t := range s.m {
+			if pred(t) {
+				m[k] = t
+			}
 		}
 	}
+	out.n = len(m)
 	return out
 }
 
@@ -555,10 +597,13 @@ func (r *Relation) Filter(pred func(Tuple) bool) *Relation {
 // allocation-free complement of Filter, used for running intersections.
 func (r *Relation) Retain(pred func(Tuple) bool) {
 	r.mutable()
-	for k, t := range r.tuples {
-		if !pred(t) {
-			delete(r.tuples, k)
-			r.noteDelete(k, t)
+	for i, s := range r.segs {
+		// Deleting from the map being ranged over is fine; so is deleting
+		// from the copy writable made of it.
+		for k, t := range s.m {
+			if !pred(t) {
+				r.remove(i, k, t)
+			}
 		}
 	}
 }
@@ -567,9 +612,11 @@ func (r *Relation) Retain(pred func(Tuple) bool) {
 // contents (its sorted tuple keys, count-prefixed) to dst.
 func (r *Relation) appendCanonicalKey(dst []byte) []byte {
 	r.ensure()
-	keys := make([]string, 0, len(r.tuples))
-	for k := range r.tuples {
-		keys = append(keys, k)
+	keys := make([]string, 0, r.n)
+	for _, s := range r.segs {
+		for k := range s.m {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))

@@ -1,0 +1,549 @@
+package table
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"incdata/internal/schema"
+	"incdata/internal/value"
+)
+
+// checkSidecars holds the derived structures r serves — patched from a
+// predecessor's or built — against builds from nothing on a fresh copy of
+// its tuples.
+func checkSidecars(t testing.TB, r *Relation, dict *Dict) {
+	t.Helper()
+	fresh := NewRelation(r.Schema())
+	if err := fresh.AddAll(r); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	r.EachKeyed(func(k string, _ Tuple) bool {
+		want[k]++
+		return true
+	})
+	if len(want) != r.Len() || fresh.Len() != r.Len() {
+		t.Fatalf("Len() = %d, fresh copy %d, but %d distinct stored keys", r.Len(), fresh.Len(), len(want))
+	}
+	sameBag := func(what string, got map[string]int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s holds %d distinct tuples, relation has %d", what, len(got), len(want))
+		}
+		for k, n := range got {
+			if n != 1 || want[k] != 1 {
+				t.Fatalf("%s holds %q %d times, relation %d times", what, k, n, want[k])
+			}
+		}
+	}
+	positions := [][]int{{0}, {1}, {0, 1}}
+	if r.Arity() < 2 {
+		positions = [][]int{{0}}
+	}
+
+	e, fe := r.Encoding(dict), fresh.Encoding(dict)
+	if e.Ok() != fe.Ok() || e.Rows() != fe.Rows() {
+		t.Fatalf("encoding Ok=%v Rows=%d, from scratch Ok=%v Rows=%d", e.Ok(), e.Rows(), fe.Ok(), fe.Rows())
+	}
+	if e.Ok() {
+		got := map[string]int{}
+		row := make(Tuple, r.Arity())
+		for b := 0; b < e.Blocks(); b++ {
+			blk := e.Block(b)
+			for i := 0; i < blk.Rows(); i++ {
+				for j := range row {
+					row[j] = dict.Decode(blk.Col(j)[i])
+				}
+				got[row.Key()]++
+			}
+		}
+		sameBag("encoding", got)
+		for j := 0; j < r.Arity(); j++ {
+			if e.ColConst(j) != fe.ColConst(j) {
+				t.Fatalf("ColConst(%d) = %v, from scratch %v", j, e.ColConst(j), fe.ColConst(j))
+			}
+		}
+	}
+
+	for _, pos := range positions {
+		ix, fix := r.Index(pos), fresh.Index(pos)
+		if ix.Len() != fix.Len() || ix.AllComplete() != fix.AllComplete() {
+			t.Fatalf("Index(%v): Len=%d AllComplete=%v, from scratch Len=%d AllComplete=%v",
+				pos, ix.Len(), ix.AllComplete(), fix.Len(), fix.AllComplete())
+		}
+		// Every chain entry must be found by probing with its own key:
+		// walking the chains of all stored tuples' keys visits each entry
+		// once.
+		got := map[string]int{}
+		probed := map[string]bool{}
+		r.Each(func(tp Tuple) bool {
+			key := ix.AppendTupleKey(nil, tp)
+			if probed[string(key)] {
+				return true
+			}
+			probed[string(key)] = true
+			for sh, i := ix.Lookup(key); i != 0; {
+				var m Tuple
+				m, i = sh.At(i)
+				if string(ix.AppendTupleKey(nil, m)) != string(key) {
+					t.Fatalf("Index(%v): chain of %q holds %s", pos, key, m)
+				}
+				got[m.Key()]++
+			}
+			return true
+		})
+		sameBag(fmt.Sprintf("Index(%v)", pos), got)
+
+		if !e.Ok() {
+			continue
+		}
+		cx, fcx := e.Index(pos), fe.Index(pos)
+		if cx.Len() != fcx.Len() || cx.AllComplete() != fcx.AllComplete() {
+			t.Fatalf("coded Index(%v): Len=%d AllComplete=%v, from scratch Len=%d AllComplete=%v",
+				pos, cx.Len(), cx.AllComplete(), fcx.Len(), fcx.AllComplete())
+		}
+		cgot := map[string]int{}
+		cprobed := map[string]bool{}
+		key := make([]uint64, len(pos))
+		row := make(Tuple, r.Arity())
+		r.Each(func(tp Tuple) bool {
+			h := value.CodeHashSeed
+			for k, p := range pos {
+				key[k], _ = dict.Encode(tp[p])
+				h = value.HashCode(h, key[k])
+			}
+			id := fmt.Sprint(key)
+			if cprobed[id] {
+				return true
+			}
+			cprobed[id] = true
+			if !cx.HasKey(h, key) {
+				t.Fatalf("coded Index(%v): HasKey misses %s", pos, tp)
+			}
+			for sh, i := cx.Lookup(h); i != 0; {
+				var rn int32
+				rn, i = sh.At(i)
+				if !sh.MatchesKey(rn, key) {
+					continue // another key of the same hash
+				}
+				for j, c := range sh.Row(rn) {
+					row[j] = dict.Decode(c)
+				}
+				cgot[row.Key()]++
+			}
+			return true
+		})
+		sameBag(fmt.Sprintf("coded Index(%v)", pos), cgot)
+	}
+
+	for _, pos := range [][]int{nil, {0}} {
+		p := r.Partition(pos, 3)
+		got := map[string]int{}
+		for i := 0; i < p.Parts(); i++ {
+			for _, tp := range p.Bucket(i) {
+				got[tp.Key()]++
+			}
+		}
+		sameBag(fmt.Sprintf("Partition(%v)", pos), got)
+	}
+}
+
+// storageModel is the plain-map model a relation is checked against, with
+// an order-independent fingerprint of its content.
+type storageModel struct {
+	m   map[int]bool
+	sum uint64
+}
+
+func (m *storageModel) clone() *storageModel {
+	out := &storageModel{m: make(map[int]bool, len(m.m)), sum: m.sum}
+	for x := range m.m {
+		out.m[x] = true
+	}
+	return out
+}
+
+func fingerprint(x int) uint64 {
+	h := fnv.New64a()
+	fmt.Fprint(h, x)
+	return h.Sum64() | 1
+}
+
+func (m *storageModel) add(x int) {
+	if !m.m[x] {
+		m.m[x] = true
+		m.sum += fingerprint(x)
+	}
+}
+
+func (m *storageModel) remove(x int) {
+	if m.m[x] {
+		delete(m.m, x)
+		m.sum -= fingerprint(x)
+	}
+}
+
+// simDomain is the number of distinct tuples a program can name: enough
+// for eight segments, so splits and merges happen at several sizes.
+const simDomain = 8 * segMax
+
+// simTuple returns tuple number x mod simDomain; a few hold a null.
+func simTuple(x int) Tuple {
+	simOnce.Do(func() {
+		for x := range simTuples {
+			b := value.String(fmt.Sprint("v", x%61))
+			if x%53 == 0 {
+				b = value.Null(uint64(x%7 + 1))
+			}
+			simTuples[x] = NewTuple(value.Int(int64(x)), b)
+		}
+	})
+	return simTuples[x%simDomain]
+}
+
+var (
+	simOnce   sync.Once
+	simTuples [simDomain]Tuple
+)
+
+func simID(tp Tuple) int {
+	x, _ := tp[0].AsInt()
+	return int(x)
+}
+
+// held is a relation that must keep reading what its model says, whatever
+// happens to the relations it shares storage with.
+type held struct {
+	what  string
+	rel   *Relation
+	model *storageModel
+}
+
+// runStorageProgram interprets prog as a sequence of mutations, clones and
+// snapshots of one live relation and checks every invariant of the
+// segmented storage after each step.  Both the seeded property test and
+// the fuzz target drive it.
+func runStorageProgram(t testing.TB, prog []byte) {
+	db := NewDatabase(schema.MustNew(schema.NewRelation("R", "a", "b")))
+	live := &held{what: "live", rel: db.Relation("R"), model: &storageModel{m: map[int]bool{}}}
+	var others []*held
+	var prev *Database
+	stamps := map[Stamp]uint64{} // content fingerprint each stamp was seen with
+
+	next := func() int {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return int(b)
+	}
+	arg := func() int { return next()<<8 | next() }
+
+	check := func(h *held) {
+		t.Helper()
+		if h.rel.Len() != len(h.model.m) {
+			t.Fatalf("%s: Len() = %d, model has %d", h.what, h.rel.Len(), len(h.model.m))
+		}
+		n := 0
+		h.rel.Each(func(tp Tuple) bool {
+			n++
+			x := simID(tp)
+			if !h.model.m[x] || !tp.Equal(simTuple(x)) {
+				t.Fatalf("%s: holds %s, which the model does not", h.what, tp)
+			}
+			return true
+		})
+		if n != len(h.model.m) {
+			t.Fatalf("%s: Each visited %d tuples, model has %d", h.what, n, len(h.model.m))
+		}
+		mask := uint64(len(h.rel.segs) - 1)
+		for i, s := range h.rel.segs {
+			for k := range s.m {
+				if hashString(k)&mask != uint64(i) {
+					t.Fatalf("%s: segment %d of %d holds a key of segment %d", h.what, i, len(h.rel.segs), hashString(k)&mask)
+				}
+			}
+		}
+		st := h.rel.Stamp()
+		if sum, seen := stamps[st]; seen && sum != h.model.sum {
+			t.Fatalf("%s: stamp %v seen before with other content", h.what, st)
+		}
+		stamps[st] = h.model.sum
+	}
+
+	mutate := func(h *held, op int) {
+		before, wasShared := len(h.rel.segs), h.rel.shared.Load()
+		fitted := fitCount(h.rel.Len(), before)
+		defer func() {
+			after := len(h.rel.segs)
+			switch {
+			case op%7 == 5: // Reset starts over with one segment
+			case !wasShared && after != before:
+				t.Fatalf("%s: went from %d to %d segments in place", h.what, before, after)
+			case wasShared && !h.rel.shared.Load() && after != fitted:
+				t.Fatalf("%s: stopped sharing with %d segments, its size called for %d", h.what, after, fitted)
+			}
+			if after > before {
+				simSplits++
+			} else if after < before {
+				simMerges++
+			}
+		}()
+		switch op % 7 {
+		case 0: // Add
+			x := arg() % simDomain
+			h.rel.MustAdd(simTuple(x))
+			h.model.add(x)
+		case 1: // Remove
+			x := arg() % simDomain
+			if got := h.rel.Remove(simTuple(x)); got != h.model.m[x] {
+				t.Fatalf("%s: Remove(%d) = %v, model says %v", h.what, x, got, h.model.m[x])
+			}
+			h.model.remove(x)
+		case 2: // AddBatch of a run of ids: what crosses split thresholds
+			x0, n := arg()%simDomain, (next()+1)*24
+			ts := make([]Tuple, n)
+			for i := range ts {
+				ts[i] = simTuple(x0 + i)
+				h.model.add((x0 + i) % simDomain)
+			}
+			h.rel.MustAddBatch(ts)
+		case 3: // AddAll of another relation
+			x0, n := arg()%simDomain, (next()+1)*16
+			o := NewRelation(h.rel.Schema())
+			for i := 0; i < n; i++ {
+				o.MustAdd(simTuple(x0 + 3*i))
+				h.model.add((x0 + 3*i) % simDomain)
+			}
+			if err := h.rel.AddAll(o); err != nil {
+				t.Fatal(err)
+			}
+		case 4: // Retain a residue class, or everything under a bound: what crosses merge thresholds
+			k, bound := next()%5+2, arg()%simDomain
+			keep := func(x int) bool { return x%k != 0 }
+			if k == 2 {
+				keep = func(x int) bool { return x < bound }
+			}
+			h.rel.Retain(func(tp Tuple) bool { return keep(simID(tp)) })
+			for x := range h.model.m {
+				if !keep(x) {
+					h.model.remove(x)
+				}
+			}
+		case 5: // Reset, rarely
+			if next()%4 == 0 {
+				h.rel.Reset(h.rel.Schema())
+				h.model = &storageModel{m: map[int]bool{}}
+			}
+		case 6: // ApplyDelta
+			d := NewDelta()
+			for i, n := 0, next()%8; i < n; i++ {
+				x := arg() % simDomain
+				tp := simTuple(x)
+				if d.Inserted[tp.Key()] != nil || d.Deleted[tp.Key()] != nil {
+					continue // a delta names a tuple once
+				}
+				if h.model.m[x] {
+					d.Deleted[tp.Key()] = tp
+					h.model.remove(x)
+				} else {
+					d.Inserted[tp.Key()] = tp
+					h.model.add(x)
+				}
+			}
+			h.rel.ApplyDelta(d)
+		}
+	}
+
+	for steps := 0; len(prog) > 0 && steps < 400; steps++ {
+		switch op := next(); op % 10 {
+		default:
+			mutate(live, op)
+		case 7: // Clone or Rename, then sometimes write the copy
+			c := &held{what: fmt.Sprint("clone@", steps), model: live.model.clone()}
+			if op%2 == 0 {
+				c.rel = live.rel.Clone()
+			} else {
+				c.rel = live.rel.Rename("C")
+			}
+			for i, n := 0, next()%3; i < n; i++ {
+				mutate(c, next())
+			}
+			others = append(others, c)
+		case 8, 9: // Snapshot: sidecars patched from the previous one's
+			snap := db.SnapshotReusing(prev)
+			prev = snap
+			s := &held{what: fmt.Sprint("snapshot@", steps), rel: snap.Relation("R"), model: live.model.clone()}
+			check(s)
+			checkSidecars(t, s.rel, db.Dict())
+			others = append(others, s)
+		}
+		check(live)
+		if len(others) > 6 {
+			others = others[len(others)-6:]
+		}
+		if steps%8 == 0 {
+			for _, h := range others {
+				check(h)
+			}
+		}
+	}
+	for _, h := range others {
+		check(h)
+	}
+	if prev != nil {
+		checkSidecars(t, prev.Relation("R"), db.Dict())
+	}
+}
+
+// simSplits and simMerges count the mutations that left a relation with
+// more, or fewer, segments.
+var simSplits, simMerges int
+
+// TestSegmentedStorageModel runs seeded random programs through
+// runStorageProgram.  CI runs it under -race -tags tablecheck as well.
+func TestSegmentedStorageModel(t *testing.T) {
+	simSplits, simMerges = 0, 0
+	defer func() {
+		if simSplits < 5 || simMerges < 5 {
+			t.Errorf("the programs split segments %d times and merged them %d times; want at least 5 of each", simSplits, simMerges)
+		}
+	}()
+	rnd := rand.New(rand.NewSource(12))
+	for p := 0; p < 4; p++ {
+		prog := make([]byte, 300)
+		rnd.Read(prog)
+		// Load past a few split thresholds first, so that the rest of the
+		// program works on a multi-segment relation.
+		head := []byte{2, byte(p), 0, 255, 2, byte(p), 40, 255, 8, 2, 50, 0, 200, 9}
+		runStorageProgram(t, append(head, prog...))
+	}
+}
+
+func FuzzSegmentedStorage(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 255, 8, 0, 0, 1, 9, 4, 2, 1, 0, 8, 1, 0, 1, 9})
+	f.Add([]byte{2, 0, 0, 255, 2, 9, 0, 255, 2, 20, 0, 255, 9, 4, 0, 0, 100, 9, 5, 0, 9})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 400 {
+			prog = prog[:400]
+		}
+		runStorageProgram(t, prog)
+	})
+}
+
+// TestFrozenSnapshotPanicsUnderTablecheck pins the enforcement half of the
+// concurrency contract: with the tablecheck tag, every mutator of a
+// snapshot header panics.
+func TestFrozenSnapshotPanicsUnderTablecheck(t *testing.T) {
+	if !tablecheck {
+		t.Skip("built without -tags tablecheck")
+	}
+	db := NewDatabase(schema.MustNew(schema.NewRelation("R", "a")))
+	db.MustAdd("R", NewTuple(value.Int(1)))
+	r := db.Snapshot().Relation("R")
+	for name, mutate := range map[string]func(){
+		"Add":        func() { r.MustAdd(NewTuple(value.Int(2))) },
+		"Remove":     func() { r.Remove(NewTuple(value.Int(1))) },
+		"Retain":     func() { r.Retain(func(Tuple) bool { return true }) },
+		"Reset":      func() { r.Reset(r.Schema()) },
+		"FillMapped": func() { r.FillMapped(db.Relation("R"), func(v value.Value) value.Value { return v }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a snapshot relation did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+	}
+	// A clone of a snapshot relation is an ordinary, writable relation.
+	c := r.Clone()
+	c.MustAdd(NewTuple(value.Int(2)))
+	if r.Len() != 1 || c.Len() != 2 {
+		t.Fatalf("clone write leaked: snapshot %d, clone %d", r.Len(), c.Len())
+	}
+}
+
+// TestWriteCostFollowsDelta pins O(Δ): the bytes allocated by one
+// write-snapshot-read cycle — the first write after a snapshot, the next
+// SnapshotReusing, and bringing the encoding, a coded index and an index
+// up to date — must not follow the size of the relation.
+func TestWriteCostFollowsDelta(t *testing.T) {
+	sizes := []int{1_000, 100_000, 1_000_000}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	perCycle := map[int]float64{}
+	for _, n := range sizes {
+		db := NewDatabase(schema.MustNew(schema.NewRelation("R", "a", "b")))
+		live := db.Relation("R")
+		ts := make([]Tuple, n)
+		for i := range ts {
+			ts[i] = NewTuple(value.Int(int64(i)), value.Int(int64(i/4)))
+		}
+		live.MustAddBatch(ts)
+		var prev *Database
+		cycle := func(i int) {
+			live.MustAdd(NewTuple(value.Int(int64(n+i)), value.Int(int64(n+i))))
+			prev = db.SnapshotReusing(prev)
+			r := prev.Relation("R")
+			r.Encoding(db.Dict()).Index([]int{1})
+			r.Index([]int{1})
+		}
+		// The full builds, twice: over the one segment the relation was
+		// loaded into, and again after the first write has split it.
+		cycle(0)
+		cycle(1)
+		built := live.EncodingStats()
+		const cycles = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 2; i < 2+cycles; i++ {
+			cycle(i)
+		}
+		runtime.ReadMemStats(&after)
+		perCycle[n] = float64(after.TotalAlloc-before.TotalAlloc) / cycles
+		t.Logf("n=%d: %d segments, %.0f bytes allocated per cycle", n, len(live.segs), perCycle[n])
+		if st := live.EncodingStats(); n > segMax && (st.Builds != built.Builds || st.Patched <= built.Patched) {
+			t.Errorf("n=%d: %+v after %+v; want every measured cycle patched, none built", n, st, built)
+		}
+	}
+	if big, ok := perCycle[1_000_000]; ok && big > 2*perCycle[100_000] {
+		t.Errorf("a cycle allocates %.0f bytes at 1M tuples, %.0f at 100k: more than 2×", big, perCycle[100_000])
+	}
+	// At any size a cycle must cost far less than a copy of the relation:
+	// a map entry alone is over 40 bytes a tuple.
+	if perCycle[100_000] > 100_000*40/4 {
+		t.Errorf("a cycle allocates %.0f bytes at 100k tuples: that is a copy, not a delta", perCycle[100_000])
+	}
+}
+
+// TestScratchRelationAllocs guards the world sweep's scratch relations:
+// creating, filling and resetting a 20-tuple relation must allocate no
+// more than it did with a single map per relation.  That was 49 objects at
+// the commit before segments: the segment and its one-element array are two
+// more, and Add now interns each key once where it made two strings of it,
+// which takes 20 off.
+func TestScratchRelationAllocs(t *testing.T) {
+	rs := schema.WithArity("T", 2)
+	tuples := make([]Tuple, 20)
+	for i := range tuples {
+		tuples[i] = NewTuple(value.Int(int64(i)), value.Int(int64(i*7)))
+	}
+	got := testing.AllocsPerRun(200, func() {
+		r := NewRelation(rs)
+		for _, tp := range tuples {
+			r.MustAdd(tp)
+		}
+		r.Reset(rs)
+	})
+	if got != 31 {
+		t.Errorf("create+fill+Reset of a 20-tuple relation: %v allocations, want 31", got)
+	}
+}

@@ -1,14 +1,18 @@
 // Micro-benchmarks for the evaluator hot path, alongside the E1–E12
 // experiment benchmarks in bench_test.go: tuple-key encoding, the hash
-// join, and world enumeration.  These are the numbers the perf work of
-// each PR is judged against (see README.md, "Benchmarks").
+// join, world enumeration, and the cost of a write to a snapshotted
+// relation and of bringing its sidecars up to date afterwards.  These are
+// the numbers the perf work of each PR is judged against (see README.md,
+// "Benchmarks").
 package incdata_test
 
 import (
+	"fmt"
 	"testing"
 
 	"incdata/internal/certain"
 	"incdata/internal/ra"
+	"incdata/internal/schema"
 	"incdata/internal/table"
 	"incdata/internal/value"
 	"incdata/internal/workload"
@@ -85,4 +89,71 @@ func BenchmarkWorldEnum(b *testing.B) {
 			}
 		}
 	})
+}
+
+// snapshottedRelation returns a database whose relation R(a, b) holds n
+// tuples and has been written once after a snapshot, so that its storage
+// is segmented the way a live engine's is.
+func snapshottedRelation(n int) *table.Database {
+	db := table.NewDatabase(schema.MustNew(schema.NewRelation("R", "a", "b")))
+	ts := make([]table.Tuple, n)
+	for i := range ts {
+		ts[i] = table.NewTuple(value.Int(int64(i)), value.Int(int64(i/4)))
+	}
+	db.Relation("R").MustAddBatch(ts)
+	db.Snapshot()
+	db.MustAdd("R", table.NewTuple(value.Int(-1), value.Int(-1)))
+	return db
+}
+
+// BenchmarkCowWrite times the first write to a relation after a snapshot
+// of it: the copy-on-write step, which copies one segment however large
+// the relation is.
+func BenchmarkCowWrite(b *testing.B) {
+	for _, n := range []int{1_000, 120_000, 1_000_000} {
+		b.Run(fmt.Sprint("n=", n), func(b *testing.B) {
+			db := snapshottedRelation(n)
+			r := db.Relation("R")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db.Snapshot()
+				t := table.NewTuple(value.Int(int64(n+i)), value.Int(int64(n+i)))
+				b.StartTimer()
+				r.MustAdd(t)
+			}
+		})
+	}
+}
+
+// BenchmarkSidecarCarry times what the first query after a single-tuple
+// write pays for its sidecars: SnapshotReusing, then the encoding, a coded
+// index and an index of the written relation, each brought up to date from
+// the previous snapshot's.  "rebuild" is the same without a previous
+// snapshot to carry from.
+func BenchmarkSidecarCarry(b *testing.B) {
+	const n = 120_000
+	sidecars := func(db, snap *table.Database) {
+		r := snap.Relation("R")
+		r.Encoding(db.Dict()).Index([]int{1})
+		r.Index([]int{1})
+	}
+	for _, mode := range []string{"carry", "rebuild"} {
+		b.Run(mode, func(b *testing.B) {
+			db := snapshottedRelation(n)
+			prev := db.Snapshot()
+			sidecars(db, prev)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db.MustAdd("R", table.NewTuple(value.Int(int64(n+i)), value.Int(int64(n+i))))
+				if mode == "rebuild" {
+					prev = nil
+				}
+				prev = db.SnapshotReusing(prev)
+				sidecars(db, prev)
+			}
+		})
+	}
 }
