@@ -241,6 +241,11 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Println(rel.String())
+	if ps != engine.PlannerOff && (m == engine.ModeNaive || m == engine.ModeCertain) {
+		if plan, err := eng.Explain(expr); err == nil {
+			fmt.Printf("plan:\n%s", plan)
+		}
+	}
 	return nil
 }
 

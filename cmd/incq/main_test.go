@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -205,5 +207,42 @@ func TestExitCodes(t *testing.T) {
 	}
 	if exitCode(nil) != 0 {
 		t.Error("nil error must exit 0")
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it wrote.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := f()
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil || runErr != nil {
+		t.Fatalf("run: %v; reading its output: %v", runErr, err)
+	}
+	return string(out)
+}
+
+// TestPlannerOnPrintsPlan pins the operator-facing plan text: with the
+// planner on, a query is followed by its physical plan, and a selection's
+// scan says which access path it took — a one-shot run scans and builds no
+// index.  The oracle path has no plan to print.
+func TestPlannerOnPrintsPlan(t *testing.T) {
+	dir := writeData(t)
+	query := "project(select(Order; product = 'pr2' & 'oid2' = o_id); o_id)"
+	out := captureStdout(t, func() error { return run([]string{"-data", dir, query}) })
+	want := "plan:\nselect-project [o_id]\n  filter\n    scan Order [o_id = oid2 and product = pr2] scan: below build threshold 1/7\n"
+	if !strings.HasSuffix(out, want) {
+		t.Errorf("planner on: output\n%s\ndoes not end with\n%s", out, want)
+	}
+	out = captureStdout(t, func() error { return run([]string{"-data", dir, "-planner", "off", query}) })
+	if strings.Contains(out, "plan:") {
+		t.Errorf("planner off printed a plan:\n%s", out)
 	}
 }

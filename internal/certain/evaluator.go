@@ -6,6 +6,7 @@ import (
 	"incdata/internal/order"
 	"incdata/internal/plan"
 	"incdata/internal/ra"
+	"incdata/internal/schema"
 	"incdata/internal/table"
 )
 
@@ -72,6 +73,18 @@ func (ev *Evaluator) Stats() CacheStats {
 		WorldMisses:      ev.worldMisses.Load(),
 		WorldEvictions:   ev.worldEvictions.Load(),
 	}
+}
+
+// Explain returns the physical plan the planner path runs q with over a
+// database of schema sc (plan.Plan.Describe): the operator tree, the
+// sargable conjuncts of every filtered base scan and, once the cached plan
+// has been evaluated, the access path each such scan took last.
+func (ev *Evaluator) Explain(q ra.Expr, sc *schema.Schema) (string, error) {
+	p, err := ev.cachedCompile(q, sc)
+	if err != nil {
+		return "", err
+	}
+	return p.Describe(), nil
 }
 
 // NaiveRaw evaluates the query naïvely (nulls as values) without stripping

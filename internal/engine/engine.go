@@ -177,11 +177,13 @@ type Stats struct {
 	// the same instant the cache counters were read; nil when no views are
 	// registered.
 	Views map[string]inc.Stats
-	// Encoding maps each live relation with coded-sidecar history to its
-	// churn-guard state: sidecars built, Encoding requests declined, and
-	// whether the guard is currently declining (the relation mutates
-	// faster than the coded tier pays off).  Relations with no coded
-	// activity are omitted; nil when none have any.
+	// Encoding maps each live relation to its sidecar and access-path
+	// counters: coded sidecars built from nothing, encoding blocks and index
+	// shards carried forward across writes, and how equality selections on
+	// it were served (IndexLookups, SelectScans) at what cost in hash indexes
+	// (IndexBuilds, IndexPatches).  The counters are the relation lineage's,
+	// whichever snapshot paid.  Relations with no such activity are omitted;
+	// nil when none have any.
 	Encoding map[string]table.EncodingStats
 }
 
@@ -196,6 +198,18 @@ func (e *Engine) evaluator(o Options) *certain.Evaluator {
 // Eval evaluates q on the current snapshot; see Snapshot.Eval.
 func (e *Engine) Eval(q ra.Expr, opts Options) (*table.Relation, error) {
 	return e.Snapshot().Eval(q, opts)
+}
+
+// Explain returns the physical plan the planner path evaluates q with
+// (ModeNaive and ModeCertain): the operator tree, one operator per line,
+// with the sargable conjuncts of every filtered base scan and, after an
+// evaluation, the access path that scan took last, index(attrs) or scan
+// with the reason no index answered.
+func (e *Engine) Explain(q ra.Expr) (string, error) {
+	e.mu.Lock()
+	sc := e.db.Schema()
+	e.mu.Unlock()
+	return e.planned.Explain(q, sc)
 }
 
 // EvalBool evaluates a Boolean query on the current snapshot; see

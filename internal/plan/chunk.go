@@ -105,7 +105,7 @@ func (n *pscan) streamChunks(c *pctx, emit func([]table.Tuple) bool) error {
 	chp := getChunk()
 	defer putChunk(chp)
 	chunk := (*chp)[:0]
-	rel.Each(func(t table.Tuple) bool {
+	n.each(c, rel, func(t table.Tuple) bool {
 		chunk = append(chunk, t)
 		if len(chunk) == chunkSize {
 			if !emit(chunk) {

@@ -166,6 +166,9 @@ func (n *pscan) streamCoded(c *pctx, emit codedEmit) error {
 	if !enc.Ok() {
 		return bridgeCoded(n, c, emit)
 	}
+	if n.eq != nil && n.streamCodedIndex(c, rel, enc, emit) {
+		return nil
+	}
 	// Window views share the encoding's storage; the per-column constant
 	// flag is the whole column's (conservative for a window, never wrong).
 	view := col.Coded{
@@ -507,58 +510,65 @@ func (n *pdiff) codedContainsFn(c *pctx) (codedContains, error) {
 		ix := enc.Index(pos)
 		return ix.HasKey, nil
 	}
-	// Derived right side (or a base scan with a fused filter): stream the
-	// rows once — the right side is a pipeline breaker either way — and
-	// collect the code tuples of the (projected) keys.
+	// Derived right side (or a base scan with a fused filter): stream it
+	// coded once — the right side is a pipeline breaker either way — with
+	// the fused filter narrowing the selection, and collect the code tuples
+	// of the (projected) keys.  The set is sized from the survivors.
+	if n.rpred != nil && n.rkpred == nil {
+		return nil, nil
+	}
 	width := n.r.out().Arity()
 	if n.rproj != nil {
 		width = len(n.rproj)
 	}
-	sizeHint := 16
-	if sc, ok := n.r.(*pscan); ok {
-		if rrel := c.db.Relation(sc.name); rrel != nil {
-			sizeHint = rrel.Len()
+	var keys []uint64 // the survivors' key codes, row-major
+	rows := 0
+	err := streamCoded(n.r, c, func(ch *col.Coded, sel []int32) bool {
+		owned := false
+		if n.rkpred != nil {
+			sel = n.rkpred(c, ch, sel)
+			owned = true
 		}
-	}
-	set := newCodedSet(width, sizeHint)
-	key := make([]uint64, width)
-	encodable := true
-	err := n.r.stream(c, func(t table.Tuple) bool {
-		if n.rpred != nil && !n.rpred(t) {
-			return true
-		}
-		h := value.CodeHashSeed
-		fill := func(k int, v value.Value) bool {
-			code, ok := c.dict.Encode(v)
-			if !ok {
-				encodable = false
-				return false
-			}
-			key[k] = code
-			h = value.HashCode(h, code)
-			return true
-		}
-		if n.rproj == nil {
-			for k, v := range t {
-				if !fill(k, v) {
-					return false
+		collect := func(i int32) {
+			if n.rproj == nil {
+				for j := 0; j < width; j++ {
+					keys = append(keys, ch.Cols[j][i])
 				}
+			} else {
+				for _, p := range n.rproj {
+					keys = append(keys, ch.Cols[p][i])
+				}
+			}
+			rows++
+		}
+		if sel == nil {
+			for i := int32(0); int(i) < ch.Rows; i++ {
+				collect(i)
 			}
 		} else {
-			for k, p := range n.rproj {
-				if !fill(k, t[p]) {
-					return false
-				}
+			for _, i := range sel {
+				collect(i)
 			}
 		}
-		set.insert(h, key)
+		if owned {
+			c.putSel(sel)
+		}
 		return true
 	})
+	if errors.Is(err, errCodedOverflow) {
+		return nil, nil // a value outside the code space: the caller bridges
+	}
 	if err != nil {
 		return nil, err
 	}
-	if !encodable {
-		return nil, nil
+	set := newCodedSet(width, rows)
+	for r := 0; r < rows; r++ {
+		key := keys[r*width : (r+1)*width]
+		h := value.CodeHashSeed
+		for _, code := range key {
+			h = value.HashCode(h, code)
+		}
+		set.insert(h, key)
 	}
 	return set.contains, nil
 }

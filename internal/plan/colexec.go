@@ -110,7 +110,7 @@ func (n *pscan) streamCols(c *pctx, emit colEmit) error {
 		return relationErr(n.name)
 	}
 	stopped := false
-	rel.Each(func(t table.Tuple) bool {
+	n.each(c, rel, func(t table.Tuple) bool {
 		ch.AppendTuple(t)
 		if ch.Rows == chunkSize {
 			if !emit(ch, nil) {

@@ -112,10 +112,13 @@ func materialize(n pnode, c *pctx) (*table.Relation, error) {
 	return out, nil
 }
 
-// pscan scans a base relation.
+// pscan scans a base relation.  eq, when set, holds the equality conjuncts
+// of the filters directly above the scan; an index on their positions may
+// then stand in for the scan (access.go).
 type pscan struct {
 	name string
 	rs   schema.Relation
+	eq   *eqAccess
 }
 
 func (n *pscan) out() schema.Relation { return n.rs }
@@ -133,7 +136,7 @@ func (n *pscan) stream(c *pctx, emit func(table.Tuple) bool) error {
 	if rel == nil {
 		return relationErr(n.name)
 	}
-	rel.Each(emit)
+	n.each(c, rel, emit)
 	return nil
 }
 
@@ -336,7 +339,8 @@ type pdiff struct {
 	r      pnode
 	rproj  []int
 	rpred  cpred
-	negate bool // true: −, false: ∩
+	rkpred kpred // coded twin of rpred
+	negate bool  // true: −, false: ∩
 	rs     schema.Relation
 }
 
@@ -379,13 +383,9 @@ func (n *pdiff) containsFn(c *pctx) (func(key []byte) bool, error) {
 		ix := rrel.Index(n.rproj)
 		return ix.Has, nil
 	}
-	sizeHint := 16
-	if sc, ok := n.r.(*pscan); ok {
-		if rrel := c.db.Relation(sc.name); rrel != nil {
-			sizeHint = rrel.Len()
-		}
-	}
-	keys := make(map[string]struct{}, sizeHint)
+	// A base scan gets here only under a fused filter, which keeps an unknown
+	// share of it: the set grows with the survivors.
+	keys := make(map[string]struct{}, 16)
 	err := n.r.stream(c, func(t table.Tuple) bool {
 		if n.rpred != nil && !n.rpred(t) {
 			return true
@@ -431,10 +431,10 @@ func (n *pdiff) stream(c *pctx, emit func(table.Tuple) bool) error {
 // fusedDiff builds a pdiff, fusing projections below both sides.
 func fusedDiff(l, r pnode, negate bool, rs schema.Relation) *pdiff {
 	lsrc, lproj, lpred, lvpred, lkpred := fuseDiffSide(l)
-	rsrc, rproj, rpred, _, _ := fuseDiffSide(r)
+	rsrc, rproj, rpred, _, rkpred := fuseDiffSide(r)
 	return &pdiff{
 		l: lsrc, lproj: lproj, lpred: lpred, lvpred: lvpred, lkpred: lkpred,
-		r: rsrc, rproj: rproj, rpred: rpred,
+		r: rsrc, rproj: rproj, rpred: rpred, rkpred: rkpred,
 		negate: negate, rs: rs,
 	}
 }

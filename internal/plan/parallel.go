@@ -155,8 +155,8 @@ func runParallel(root pnode, db ra.DB, cfg EvalConfig, certainOnly bool, out *ta
 			if br.rel = db.Relation(br.scan.name); br.rel == nil {
 				return relationErr(br.scan.name)
 			}
-			if br.rel.Len() < parallelCutoff {
-				br.scan, br.join = nil, nil // too small; evaluate serially
+			if br.rel.Len() < parallelCutoff || !br.scan.splittable(br.rel) {
+				br.scan, br.join = nil, nil // too small, or an index serves the scan; evaluate serially
 			}
 		}
 		if err := prepareShared(b, c0, br.join); err != nil {

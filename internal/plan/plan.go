@@ -188,7 +188,9 @@ func (p *Plan) EvalBool(db ra.DB) (bool, error) {
 }
 
 // Describe renders the physical operator tree, one operator per line, for
-// debugging and documentation.
+// debugging and documentation.  A scan under equality filters lists its
+// sargable conjuncts and the access path its most recent evaluation took:
+// index(attrs), or scan with the reason no index answered.
 func (p *Plan) Describe() string {
 	var b strings.Builder
 	describe(p.root, &b, 0)
@@ -199,7 +201,11 @@ func describe(n pnode, b *strings.Builder, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	switch x := n.(type) {
 	case *pscan:
-		fmt.Fprintf(b, "scan %s\n", x.name)
+		if x.eq != nil {
+			fmt.Fprintf(b, "scan %s %s\n", x.name, x.eq.describe())
+		} else {
+			fmt.Fprintf(b, "scan %s\n", x.name)
+		}
 	case *pempty:
 		fmt.Fprintf(b, "empty %s\n", x.rs)
 	case *pfilter:
@@ -289,6 +295,7 @@ func compileNode(e ra.Expr, s *schema.Schema) (pnode, error) {
 			if err != nil {
 				return nil, err
 			}
+			noteSargable(in, pred)
 		}
 		idx, err := projectPositions(ex.Attrs, rs)
 		if err != nil {
@@ -590,6 +597,7 @@ func wrapFilters(in pnode, preds []ra.Predicate, rs schema.Relation) (pnode, err
 		if err != nil {
 			return nil, err
 		}
+		noteSargable(in, preds[i])
 		node = &pfilter{in: node, pred: cp, vpred: vp, kpred: kp}
 	}
 	return node, nil

@@ -22,6 +22,7 @@ import (
 	"incdata/internal/server/wire"
 	"incdata/internal/table"
 	"incdata/internal/version"
+	"incdata/internal/workload"
 )
 
 // cid converts a wire commit id back to the engine's typed form.
@@ -428,5 +429,109 @@ func TestE2EConcurrentClients(t *testing.T) {
 	}
 	if !acc.equal(liveRows) {
 		t.Fatalf("final accumulated answer diverges from live answer\nacc: %v\nlive:\n%s", acc, live)
+	}
+}
+
+// TestE2EPointQueries sends equality selections through the wire until
+// their index is there, across writes that patch it and an ASOF session
+// that must scan, requiring every answer to match in-process oracle
+// evaluation of the same state, and STATS to say which path served them.
+func TestE2EPointQueries(t *testing.T) {
+	db, _ := workload.Orders(workload.OrdersConfig{Orders: 5000, PaidFraction: 0.7, NullRate: 0.1, Seed: 9})
+	eng := engine.New(db)
+	srv, err := New(eng, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl := dial(t, addr.String())
+	queries := func(oid string) []string {
+		return []string{
+			fmt.Sprintf("select(Order; o_id = '%s')", oid),
+			fmt.Sprintf("project(select(Order; '%s' = o_id); product)", oid),
+			fmt.Sprintf("select(Pay; order = '%s')", oid),
+			fmt.Sprintf("diff(project(select(Order; o_id = '%s'); o_id), project(select(Pay; order = '%s'); order))", oid, oid),
+		}
+	}
+	check := func(snap *engine.Snapshot, oid, label string) {
+		t.Helper()
+		for _, q := range queries(oid) {
+			for _, mode := range []string{"certain", "naive"} {
+				resp, err := cl.Query(q, mode, "on", 0)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", label, q, err)
+				}
+				if got, want := flat(resp.Columns, resp.Rows), localFlat(t, srv, snap, q, mode, "off"); got != want {
+					t.Fatalf("%s: %s mode=%s:\nremote:\n%s\noracle:\n%s", label, q, mode, got, want)
+				}
+			}
+		}
+	}
+	for i := 0; i < 6; i++ {
+		check(eng.Snapshot(), fmt.Sprint("oid", 10*i), "warm-up")
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc := st.Relations["Order"]; rc.IndexBuilds == 0 || rc.IndexLookups == 0 || rc.SelectScans == 0 {
+		t.Fatalf("STATS after the warm-up: %+v; want scans, then a build, then lookups", st.Relations)
+	}
+
+	var commits []string
+	for i := 0; i < 5; i++ {
+		oid := fmt.Sprint("oid-w", i)
+		if _, err := cl.Update(client.Add("Order", oid, "pr-w"), client.Add("Pay", "pid-w"+fmt.Sprint(i), oid, "12"),
+			client.Delete("Order", fmt.Sprint("oid", 10*i), "no-such-product")); err != nil {
+			t.Fatal(err)
+		}
+		c, err := cl.Commit(fmt.Sprint("write ", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		commits = append(commits, c)
+		if _, err := cl.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		check(eng.Snapshot(), oid, fmt.Sprint("after write ", i))
+		check(eng.Snapshot(), fmt.Sprint("oid", 10*i), fmt.Sprint("after write ", i))
+	}
+	before, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Relations["Order"].IndexPatches == 0 {
+		t.Errorf("STATS after five writes: %+v; want patched indexes", before.Relations)
+	}
+
+	// An ASOF session reads a reconstructed state: its point query scans.
+	id, err := cl.AsOf(commits[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng.AsOf(cid(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oid := range []string{"oid-w1", "oid-w2"} {
+		q := queries(oid)[0]
+		resp, err := cl.Query(q, "certain", "on", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := flat(resp.Columns, resp.Rows), localFlat(t, srv, snap, q, "certain", "off"); got != want {
+			t.Fatalf("as of write 1: %s:\nremote:\n%s\noracle:\n%s", q, got, want)
+		}
+	}
+	after, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, a := before.Relations["Order"], after.Relations["Order"]; a.IndexBuilds != b.IndexBuilds || a.SelectScans != b.SelectScans+2 {
+		t.Errorf("STATS across the ASOF queries: %+v after %+v; want two scans and no build", a, b)
 	}
 }

@@ -299,6 +299,18 @@ func (s *Server) stats() *wire.Stats {
 			}
 		}
 	}
+	for name, es := range est.Encoding {
+		if es.IndexLookups+es.SelectScans+es.IndexBuilds+es.IndexPatches == 0 {
+			continue
+		}
+		if st.Relations == nil {
+			st.Relations = map[string]wire.RelationCounters{}
+		}
+		st.Relations[name] = wire.RelationCounters{
+			IndexLookups: es.IndexLookups, SelectScans: es.SelectScans,
+			IndexBuilds: es.IndexBuilds, IndexPatches: es.IndexPatches,
+		}
+	}
 	return st
 }
 

@@ -195,6 +195,9 @@ type Stats struct {
 	Oracle  CacheCounters `json:"oracle"`
 	// Views maps registered view names to their refresh counters.
 	Views map[string]ViewCounters `json:"views,omitempty"`
+	// Relations maps each relation that has served equality selections or
+	// built hash indexes to how: see RelationCounters.
+	Relations map[string]RelationCounters `json:"relations,omitempty"`
 }
 
 // CacheCounters mirrors the engine's plan-cache statistics.
@@ -205,6 +208,16 @@ type CacheCounters struct {
 	WorldHits        uint64 `json:"world_hits"`
 	WorldMisses      uint64 `json:"world_misses"`
 	WorldEvictions   uint64 `json:"world_evictions"`
+}
+
+// RelationCounters mirrors the access-path counters of one relation:
+// equality selections answered from a hash index and by a scan, and the
+// hash indexes built from nothing and brought up to date after a write.
+type RelationCounters struct {
+	IndexLookups uint64 `json:"index_lookups"`
+	SelectScans  uint64 `json:"select_scans"`
+	IndexBuilds  uint64 `json:"index_builds"`
+	IndexPatches uint64 `json:"index_patches"`
 }
 
 // ViewCounters mirrors a maintained view's refresh statistics.

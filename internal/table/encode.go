@@ -80,6 +80,18 @@ func (d *Dict) Encode(v value.Value) (uint64, bool) {
 	return c, true
 }
 
+// Lookup returns the code of v without interning it: false means v has no
+// code yet, so no relation encoded against the dictionary holds it.
+func (d *Dict) Lookup(v value.Value) (uint64, bool) {
+	if c, ok := value.EncodeDirect(v); ok {
+		return c, true
+	}
+	d.mu.RLock()
+	c, ok := d.ids[v]
+	d.mu.RUnlock()
+	return c, ok
+}
+
 // Decode returns the value a code stands for.  The code must have been
 // produced by this dictionary (or value.EncodeDirect).
 func (d *Dict) Decode(code uint64) value.Value {
@@ -163,14 +175,43 @@ func (b *EncBlock) Rows() int { return b.rows }
 // Col returns the code vector of column j.  It must not be mutated.
 func (b *EncBlock) Col(j int) []uint64 { return b.cols[j] }
 
-// encStats counts coded-sidecar builds and sidecar carry-forwards for one
-// relation lineage.  The pointer is shared across copy-on-write shares, so
+// encStats counts coded-sidecar builds, sidecar carry-forwards, index builds
+// and the access paths of equality selections (access.go) for one relation
+// lineage.  The pointer is shared across copy-on-write shares, so
 // Engine.Stats sees the lineage's history no matter which snapshot paid
 // for a build.  Derived temporaries made by the plan layer carry a nil
 // encStats; the methods are nil-safe.
 type encStats struct {
-	builds  atomic.Uint64
-	patched atomic.Uint64
+	builds       atomic.Uint64
+	patched      atomic.Uint64
+	indexLookups atomic.Uint64
+	selectScans  atomic.Uint64
+	indexBuilds  atomic.Uint64
+	indexPatches atomic.Uint64
+}
+
+func (s *encStats) noteIndexLookup() {
+	if s != nil {
+		s.indexLookups.Add(1)
+	}
+}
+
+func (s *encStats) noteSelectScan() {
+	if s != nil {
+		s.selectScans.Add(1)
+	}
+}
+
+func (s *encStats) noteIndexBuild() {
+	if s != nil {
+		s.indexBuilds.Add(1)
+	}
+}
+
+func (s *encStats) noteIndexPatch() {
+	if s != nil {
+		s.indexPatches.Add(1)
+	}
 }
 
 func (s *encStats) noteBuild() {
@@ -194,6 +235,14 @@ func (s *encStats) notePatched(pieces int) {
 type EncodingStats struct {
 	Builds  uint64 // coded sidecars built from nothing (full interning passes)
 	Patched uint64 // encoding blocks and index shards carried forward unchanged
+	// The access paths equality selections on the relation took (access.go),
+	// and what their indexes and the joins' cost: selections answered from an
+	// index, selections that scanned, hash indexes (of either kind) built
+	// from nothing, and indexes brought up to date from a predecessor.
+	IndexLookups uint64
+	SelectScans  uint64
+	IndexBuilds  uint64
+	IndexPatches uint64
 	// Declines and Declined are always zero: the churn guard that declined
 	// builds for fast-changing relations is gone, a rebuild now costs what
 	// changed.  The fields stay for readers of Engine.Stats.
@@ -201,10 +250,10 @@ type EncodingStats struct {
 	Declined bool
 }
 
-// Active reports whether the relation has any coded-sidecar history worth
-// reporting.
+// Active reports whether the relation has any sidecar or access-path
+// history worth reporting.
 func (s EncodingStats) Active() bool {
-	return s.Builds > 0 || s.Patched > 0
+	return s.Builds > 0 || s.Patched > 0 || s.IndexLookups > 0 || s.SelectScans > 0 || s.IndexBuilds > 0
 }
 
 // EncodingStats returns the relation's sidecar build and carry counters.
@@ -213,8 +262,12 @@ func (r *Relation) EncodingStats() EncodingStats {
 		return EncodingStats{}
 	}
 	return EncodingStats{
-		Builds:  r.encStats.builds.Load(),
-		Patched: r.encStats.patched.Load(),
+		Builds:       r.encStats.builds.Load(),
+		Patched:      r.encStats.patched.Load(),
+		IndexLookups: r.encStats.indexLookups.Load(),
+		SelectScans:  r.encStats.selectScans.Load(),
+		IndexBuilds:  r.encStats.indexBuilds.Load(),
+		IndexPatches: r.encStats.indexPatches.Load(),
 	}
 }
 
@@ -473,8 +526,10 @@ func (e *Encoding) Index(positions []int) *CodedIndex {
 			var kept int
 			ix, kept = cur.patched(e.segs, e.dict)
 			e.stats.notePatched(kept)
+			e.stats.noteIndexPatch()
 		} else {
 			ix = e.buildIndex(positions)
+			e.stats.noteIndexBuild()
 		}
 		if e.indexes.CompareAndSwap(set, withSidecar(set, at, ix)) {
 			return ix

@@ -1,5 +1,7 @@
 package table
 
+import "maps"
+
 // Hash indexes over relation columns.  An Index groups the tuples of a
 // relation by the binary key of a fixed list of column positions, in the
 // chained-slice layout the evaluator's hash join uses: one map entry per
@@ -110,8 +112,10 @@ func (r *Relation) Index(positions []int) *Index {
 			var kept int
 			ix, kept = cur.patched(r.segs)
 			r.encStats.notePatched(kept)
+			r.encStats.noteIndexPatch()
 		} else {
 			ix = r.buildIndex(positions)
+			r.encStats.noteIndexBuild()
 		}
 		if r.indexes.CompareAndSwap(set, withSidecar(set, at, ix)) {
 			return ix
@@ -286,8 +290,18 @@ func (ix *Index) patched(cur []*segment) (*Index, int) {
 // rebuilt returns the shard without the tuples of del and with those of
 // ins.
 func (sh *IndexShard) rebuilt(positions []int, ins, del []Tuple) *IndexShard {
-	out := newIndexShard(len(sh.heads)+len(ins), len(sh.entries)+len(ins))
 	var buf [keyBufSize]byte
+	if len(del) == 0 {
+		// Nothing to unlink: a copy of the chains, then the new tuples.
+		entries := make([]indexEntry, len(sh.entries), len(sh.entries)+len(ins))
+		copy(entries, sh.entries)
+		out := &IndexShard{heads: maps.Clone(sh.heads), entries: entries, nulls: sh.nulls}
+		for _, t := range ins {
+			out.add(appendProjectedKey(buf[:0], t, positions), t)
+		}
+		return out
+	}
+	out := newIndexShard(len(sh.heads)+len(ins), len(sh.entries)+len(ins))
 	gone := make(map[string][]Tuple, len(del)) // by projected key
 	for _, t := range del {
 		key := appendProjectedKey(buf[:0], t, positions)
@@ -315,9 +329,10 @@ func (sh *IndexShard) rebuilt(positions []int, ins, del []Tuple) *IndexShard {
 }
 
 // invalidateDerived drops all cached derived structures (hash indexes,
-// partitionings and the coded sidecar); every mutation path calls it.  A
-// header that mutates may be writing its segments in place, so nothing it
-// cached can be checked against them any more.
+// partitionings, the coded sidecar) and the selection demand counted towards
+// building one; every mutation path calls it.  A header that mutates may be
+// writing its segments in place, so nothing it cached can be checked against
+// them any more.
 func (r *Relation) invalidateDerived() {
 	if r.indexes.Load() != nil {
 		r.indexes.Store(nil)
@@ -327,6 +342,9 @@ func (r *Relation) invalidateDerived() {
 	}
 	if r.encoding.Load() != nil {
 		r.encoding.Store(nil)
+	}
+	if r.demands.Load() != nil {
+		r.demands.Store(nil)
 	}
 }
 

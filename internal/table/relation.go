@@ -38,7 +38,8 @@ type Relation struct {
 	indexes    atomic.Pointer[[]*Index]        // lazily built hash indexes (see index.go)
 	partitions atomic.Pointer[[]*Partitioning] // lazily built hash partitionings (see partition.go)
 	encoding   atomic.Pointer[Encoding]        // lazily built coded sidecar (see encode.go)
-	encStats   *encStats                       // build/patch counters, shared across shares (see encode.go)
+	demands    atomic.Pointer[[]*selectDemand] // per key positions: scans served and selectivity (see access.go)
+	encStats   *encStats                       // sidecar and access-path counters, shared across shares (see encode.go)
 	lazy       atomic.Pointer[lazyLoad]        // pending on-demand load, nil once materialized (see lazy.go)
 	version    uint64                          // bumped on every mutation (plan-cache validation)
 	gen        uint64                          // storage generation, see Stamp
@@ -180,6 +181,7 @@ func (r *Relation) share() *Relation {
 	out.encoding.Store(r.encoding.Load())
 	out.indexes.Store(r.indexes.Load())
 	out.partitions.Store(r.partitions.Load())
+	out.demands.Store(cloneDemands(r.demands.Load()))
 	return out
 }
 
@@ -188,12 +190,20 @@ func (r *Relation) share() *Relation {
 // bringing up to date for r's segments (patchable); each is when it is
 // next asked for.  Kinds r already has (the live header had built its own)
 // are left alone, and partitionings are not carried: they rebuild in full.
+// The selection demand p has seen carries over with them (access.go) — the
+// write in between reset the live header's, not what readers have asked
+// for — as long as the relation still has the segment count it was recorded
+// at: a relation that has doubled or halved since is sampled and counted
+// afresh, as its sidecars are rebuilt.
 func (r *Relation) adoptCandidates(p *Relation) {
 	if e := p.encoding.Load(); e != nil && r.encoding.Load() == nil && patchable(e.segs, r.segs) {
 		r.encoding.Store(e)
 	}
 	if r.indexes.Load() == nil {
 		r.indexes.Store(patchableSidecars(p.indexes.Load(), func(ix *Index) []*segment { return ix.segs }, r.segs))
+	}
+	if r.demands.Load() == nil && len(p.segs) == len(r.segs) {
+		r.demands.Store(cloneDemands(p.demands.Load()))
 	}
 }
 

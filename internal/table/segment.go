@@ -214,14 +214,22 @@ func diffSegs(old, cur []*segment) (ins, del []Tuple) {
 		if o == c {
 			continue
 		}
+		before := len(ins)
 		for k, t := range c.m {
 			if _, ok := o.m[k]; !ok {
 				ins = append(ins, t)
 			}
 		}
+		// The sizes say how many tuples of o are gone: none after a pure
+		// insert, and the search stops at the last one otherwise.
+		gone := len(o.m) + len(ins) - before - len(c.m)
 		for k, t := range o.m {
+			if gone == 0 {
+				break
+			}
 			if _, ok := c.m[k]; !ok {
 				del = append(del, t)
+				gone--
 			}
 		}
 	}

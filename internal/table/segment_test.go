@@ -232,6 +232,7 @@ func runStorageProgram(t testing.TB, prog []byte) {
 	live := &held{what: "live", rel: db.Relation("R"), model: &storageModel{m: map[int]bool{}}}
 	var others []*held
 	var prev *Database
+	var lastSnap *held           // prev's relation
 	stamps := map[Stamp]uint64{} // content fingerprint each stamp was seen with
 
 	next := func() int {
@@ -360,10 +361,71 @@ func runStorageProgram(t testing.TB, prog []byte) {
 		}
 	}
 
+	// lookup answers a = x the way a selection does, through the access-path
+	// rule (asking often enough that a selective key gets its index), and
+	// holds the answer against the model.
+	lookup := func(h *held, x int, coded bool) {
+		t.Helper()
+		want, found := simTuple(x), false
+		match := func(tp Tuple) {
+			if !tp.Equal(want) {
+				t.Fatalf("%s: lookup of %d yields %s", h.what, x, tp)
+			}
+			found = true
+		}
+		e := h.rel.Encoding(db.Dict())
+		switch coded = coded && e.Ok(); coded {
+		case false:
+			var ix *Index
+			for i := 0; i <= indexBuildScans && ix == nil; i++ {
+				ix, _ = h.rel.SelectIndex([]int{0}, true)
+			}
+			if ix == nil {
+				found = h.rel.Contains(want)
+				break
+			}
+			for sh, i := ix.Lookup(ix.AppendTupleKey(nil, want)); i != 0; {
+				var tp Tuple
+				tp, i = sh.At(i)
+				match(tp)
+			}
+		case true:
+			var ix *CodedIndex
+			for i := 0; i <= indexBuildScans && ix == nil; i++ {
+				ix, _ = h.rel.SelectCodedIndex(e, []int{0}, true)
+			}
+			code, ok := db.Dict().Lookup(want[0])
+			if ix == nil || !ok {
+				found = h.rel.Contains(want)
+				break
+			}
+			key := []uint64{code}
+			for sh, i := ix.Lookup(value.HashCode(value.CodeHashSeed, code)); i != 0; {
+				var rn int32
+				rn, i = sh.At(i)
+				if !sh.MatchesKey(rn, key) {
+					continue
+				}
+				tp := make(Tuple, h.rel.Arity())
+				for j, c := range sh.Row(rn) {
+					tp[j] = db.Dict().Decode(c)
+				}
+				match(tp)
+			}
+		}
+		if found != h.model.m[x] {
+			t.Fatalf("%s: lookup of %d (coded %v) found it: %v, model: %v", h.what, x, coded, found, h.model.m[x])
+		}
+	}
+
 	for steps := 0; len(prog) > 0 && steps < 400; steps++ {
-		switch op := next(); op % 10 {
+		switch op := next(); op % 11 {
 		default:
 			mutate(live, op)
+		case 10: // point lookup on the last snapshot: its index is patched from the one before
+			if lastSnap != nil {
+				lookup(lastSnap, arg()%simDomain, op%2 == 0)
+			}
 		case 7: // Clone or Rename, then sometimes write the copy
 			c := &held{what: fmt.Sprint("clone@", steps), model: live.model.clone()}
 			if op%2 == 0 {
@@ -382,6 +444,7 @@ func runStorageProgram(t testing.TB, prog []byte) {
 			check(s)
 			checkSidecars(t, s.rel, db.Dict())
 			others = append(others, s)
+			lastSnap = s
 		}
 		check(live)
 		if len(others) > 6 {
@@ -420,7 +483,7 @@ func TestSegmentedStorageModel(t *testing.T) {
 		rnd.Read(prog)
 		// Load past a few split thresholds first, so that the rest of the
 		// program works on a multi-segment relation.
-		head := []byte{2, byte(p), 0, 255, 2, byte(p), 40, 255, 8, 2, 50, 0, 200, 9}
+		head := []byte{2, byte(p), 0, 255, 2, byte(p), 40, 255, 8, 10, 1, 0, 2, 50, 0, 200, 9, 10, 1, 0, 21, 0, 7}
 		runStorageProgram(t, append(head, prog...))
 	}
 }
@@ -428,6 +491,7 @@ func TestSegmentedStorageModel(t *testing.T) {
 func FuzzSegmentedStorage(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 255, 8, 0, 0, 1, 9, 4, 2, 1, 0, 8, 1, 0, 1, 9})
 	f.Add([]byte{2, 0, 0, 255, 2, 9, 0, 255, 2, 20, 0, 255, 9, 4, 0, 0, 100, 9, 5, 0, 9})
+	f.Add([]byte{2, 0, 0, 255, 8, 10, 0, 9, 0, 0, 9, 1, 0, 9, 9, 10, 0, 9, 21, 0, 9, 10, 0, 8})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 400 {
 			prog = prog[:400]

@@ -8,9 +8,11 @@ package incdata_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"incdata/internal/certain"
+	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/schema"
 	"incdata/internal/table"
@@ -153,6 +155,72 @@ func BenchmarkSidecarCarry(b *testing.B) {
 				}
 				prev = db.SnapshotReusing(prev)
 				sidecars(db, prev)
+			}
+		})
+	}
+}
+
+// BenchmarkPointSelect times select(Order; o_id = c), one matching tuple,
+// through plan.Compile + EvalCertain: served by a scan (a header with no
+// demand yet), by an index that is there, and by an index brought up to date
+// after a one-tuple write; "build" is the index build alone.  build/scan is
+// the ratio table's indexBuildScans rests on.
+func BenchmarkPointSelect(b *testing.B) {
+	for _, n := range []int{20_000, 1_000_000} {
+		db := table.NewDatabase(schema.MustNew(schema.NewRelation("Order", "o_id", "product")))
+		ts := make([]table.Tuple, n)
+		for i := range ts {
+			ts[i] = table.NewTuple(value.String(fmt.Sprint("oid", i)), value.String(fmt.Sprint("pr", i%97)))
+		}
+		db.Relation("Order").MustAddBatch(ts)
+		db.Snapshot()
+		db.MustAdd("Order", table.NewTuple(value.String("oid-first-write"), value.String("pr0"))) // segments the storage
+		q := ra.Select{Input: ra.Base("Order"), Pred: ra.Eq(ra.Attr("o_id"), ra.LitString(fmt.Sprint("oid", n/2)))}
+		p, err := plan.Compile(q, db.Schema())
+		if err != nil {
+			b.Fatal(err)
+		}
+		eval := func(b *testing.B, snap *table.Database) {
+			ans, err := p.EvalCertain(snap)
+			if err != nil || ans.Len() != 1 {
+				b.Fatalf("answer %v, error %v", ans, err)
+			}
+		}
+		indexed := func(b *testing.B) *table.Database {
+			snap := db.Snapshot()
+			for eval(b, snap); !strings.Contains(p.Describe(), "index(o_id)"); {
+				eval(b, snap) // Describe shows the path of the evaluation just made
+			}
+			return snap
+		}
+		b.Run(fmt.Sprint("scan/n=", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eval(b, db.Snapshot()) // a fresh header: no scan counted yet
+			}
+		})
+		b.Run(fmt.Sprint("build/n=", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				db.Snapshot().Relation("Order").Index([]int{0})
+			}
+		})
+		b.Run(fmt.Sprint("index/n=", n), func(b *testing.B) {
+			snap := indexed(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eval(b, snap)
+			}
+		})
+		b.Run(fmt.Sprint("patched-after-write/n=", n), func(b *testing.B) {
+			prev := indexed(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db.MustAdd("Order", table.NewTuple(value.String(fmt.Sprint("oid-w", i)), value.String("pr0")))
+				prev = db.SnapshotReusing(prev)
+				eval(b, prev)
 			}
 		})
 	}
