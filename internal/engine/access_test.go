@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -187,4 +188,56 @@ func TestAccessPathAcrossUpdatesAndReopen(t *testing.T) {
 		t.Fatalf("reopened: %+v; want one build, then lookups", st)
 	}
 	checkPoint(t, re.Snapshot(), "oid-new3", value.Null(900003), "reopened")
+}
+
+// TestPointQueryAllocs pins the fixed cost of a warm indexed point query —
+// one matching tuple, through Engine.Eval with the default options — in
+// allocations and bytes per evaluation: select(Order; o_id = c), which the
+// row path answers from the index, and its projection, which goes through the
+// coded gather.  A one-row result must pay nothing for machinery sized for
+// large ones (the gather's set and slabs start at the size of the result);
+// the limits are what the evaluations took before the two-phase gather, when
+// the projection's one tuple came out of a 256-tuple slab.
+func TestPointQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	db, _ := workload.Orders(workload.OrdersConfig{Orders: 6000, PaidFraction: 0.7, NullRate: 0.1, Seed: 5})
+	eng := New(db)
+	sel := ra.Select{Input: ra.Base("Order"), Pred: ra.Eq(ra.Attr("o_id"), ra.LitString("oid40"))}
+	for _, tc := range []struct {
+		name      string
+		q         ra.Expr
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{"select", sel, 16, 1008 + 64}, // the runtime's own allocations add up to 40 bytes a run to either reading
+		{"project", ra.Project{Input: sel, Attrs: []string{"product"}}, 38, 13705},
+	} {
+		eval := func() {
+			if got, err := eng.Eval(tc.q, Options{}); err != nil || got.Len() != 1 {
+				t.Fatalf("%s: %v, %v", tc.name, got, err)
+			}
+		}
+		for i := 0; i < 32; i++ {
+			eval()
+		}
+		if plan, err := eng.Explain(tc.q); err != nil || !strings.Contains(plan, "index(o_id)") {
+			t.Fatalf("%s is not served by an index after 32 evaluations: %q, %v", tc.name, plan, err)
+		}
+		// A collection now, and none during the 200 KB the runs allocate: the
+		// pools the executor draws chunks from are refilled before measuring.
+		runtime.GC()
+		eval()
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, eval)
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun makes one warm-up call
+		t.Logf("%s: %.0f allocations, %d bytes per point query", tc.name, allocs, bytes)
+		if allocs > tc.maxAllocs || bytes > tc.maxBytes {
+			t.Errorf("%s: a warm indexed point query takes %.0f allocations and %d bytes, want at most %.0f and %d", tc.name, allocs, bytes, tc.maxAllocs, tc.maxBytes)
+		}
+	}
 }

@@ -157,10 +157,11 @@ func (n *pscan) streamCodedIndex(c *pctx, rel *table.Relation, enc *table.Encodi
 	arity := n.rs.Arity()
 	ch := getCodedChunk(arity)
 	defer putCodedChunk(ch)
+	verify := !ix.HashIsKey()
 	for sh, e := ix.Lookup(h); e != 0; {
 		var row int32
 		row, e = sh.At(e)
-		if !sh.MatchesKey(row, key) {
+		if verify && !sh.MatchesKey(row, key) {
 			continue
 		}
 		for j, code := range sh.Row(row) {

@@ -262,57 +262,23 @@ func (n *pdiff) streamChunks(c *pctx, emit func([]table.Tuple) bool) error {
 	})
 }
 
-// materializeInto streams n in chunks into out, optionally keeping only
-// null-free tuples (the fused null-stripping of certain-answer extraction).
-// Union branches split at the root so each branch picks its own execution
-// model: under a coded context, branches whose base relations all encode
-// (codedEligible) run on the monomorphic coded path (codedexec.go); under
-// a columnar context, branches whose subtree builds fresh output tuples
-// (colEligible) run on the vectorized path (colexec.go); everything else
-// on the row-chunk path below.
+// materializeInto evaluates n into out, optionally keeping only null-free
+// tuples (the fused null-stripping of certain-answer extraction), through a
+// gather of its own (codedexec.go).
 func materializeInto(n pnode, c *pctx, certainOnly bool, out *table.Relation) error {
 	return materializeIntoAdopt(n, c, certainOnly, false, out)
 }
 
 // materializeIntoAdopt is materializeInto with control over whether a
-// coded materialization also publishes the collected codes as out's
-// Encoding sidecar (see AdoptEncoding).  Only temporaries that downstream
-// operators will consume coded — materialize()'s pipeline breakers — pass
-// adopt; root results skip the collection, nothing ever reads their codes.
+// coded materialization also publishes its codes as out's Encoding sidecar
+// (see AdoptEncoding).  Only temporaries that downstream operators will
+// consume coded — materialize()'s pipeline breakers — pass adopt; nothing
+// ever reads a root result's codes.
 func materializeIntoAdopt(n pnode, c *pctx, certainOnly, adopt bool, out *table.Relation) error {
-	if c.columnar || c.coded {
-		if u, ok := n.(*punion); ok {
-			if err := materializeIntoAdopt(u.l, c, certainOnly, adopt, out); err != nil {
-				return err
-			}
-			return materializeIntoAdopt(u.r, c, certainOnly, adopt, out)
-		}
+	g := gather{c: c, out: out, adopt: adopt}
+	if err := g.add(n, certainOnly); err != nil {
+		return err
 	}
-	if c.coded && codedEligible(n, c) {
-		return materializeIntoCoded(n, c, certainOnly, adopt, out)
-	}
-	if c.columnar {
-		if colEligible(n) {
-			return materializeIntoCol(n, c, certainOnly, out)
-		}
-	}
-	if !certainOnly {
-		return streamChunks(n, c, func(ts []table.Tuple) bool {
-			out.MustAddBatch(ts)
-			return true
-		})
-	}
-	chp := getChunk()
-	defer putChunk(chp)
-	return streamChunks(n, c, func(ts []table.Tuple) bool {
-		keep := (*chp)[:0]
-		for _, t := range ts {
-			if t.IsComplete() {
-				keep = append(keep, t)
-			}
-		}
-		*chp = keep
-		out.MustAddBatch(keep)
-		return true
-	})
+	g.finish()
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"incdata/internal/ra"
+	"incdata/internal/schema"
 	"incdata/internal/table"
 	"incdata/internal/value"
 )
@@ -242,5 +243,242 @@ func TestCodedFallbackMidDictionary(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		mustSameCoded(t, absent, d, workers, "absent-eq")
 		mustSameCoded(t, absentNeq, d, workers, "absent-neq")
+	}
+}
+
+// gatherDB builds R(a, b), S(b, c), T(a, b) of the given size: a runs over
+// distinct string keys (every projection on it is distinct-heavy), b over
+// sixteen labels with a null in every fiftieth row (projections on it are
+// dup-heavy), c over integers on both sides of the inline code range.
+func gatherDB(rows int) *table.Database {
+	d := table.NewDatabase(fuzzSchema())
+	for i := 0; i < rows; i++ {
+		b := value.String(fmt.Sprintf("label-%d", i%16))
+		if i%50 == 7 {
+			b = value.Null(uint64(i%3 + 1))
+		}
+		d.MustAdd("R", table.NewTuple(value.String(fmt.Sprintf("key-%05d", i)), b))
+		d.MustAdd("T", table.NewTuple(value.String(fmt.Sprintf("key-%05d", i/2)), b))
+		c := value.Int(int64(i % 40))
+		if i%9 == 0 {
+			c = value.Int(int64(1)<<62 + int64(i%40)) // beyond the inline range: dictionary-coded
+		}
+		d.MustAdd("S", table.NewTuple(b, c))
+	}
+	return d
+}
+
+// TestTwoPhaseMaterializeMatchesOracle holds the two-phase gather against
+// ra.Eval — not against another tier: the tiers share the gather — by
+// CanonicalKey, raw and certain, for the result shapes the gather treats
+// differently: dup-heavy and distinct-heavy, empty (no expression has arity
+// 0: TestGatherArityZero drives the gather over that shape), a union of
+// coded branches (one set), unions mixing a coded branch with one that has no
+// coded form in either order (the relation holds tuples the set never saw),
+// and a derived join build side (the set feeds an index); serial, parallel
+// (a worker's morsels share a gather, the merge does not) and budgeted (the
+// row path: no set at all).
+func TestTwoPhaseMaterializeMatchesOracle(t *testing.T) {
+	withParallelCutoff(t, 64)
+	proj := func(rel string, attrs ...string) ra.Expr {
+		return ra.Project{Input: ra.Base(rel), Attrs: attrs}
+	}
+	queries := map[string]ra.Expr{
+		"dup-heavy":      proj("R", "b"),
+		"distinct-heavy": proj("R", "a"),
+		"dup-heavy-join": ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"b", "c"}},
+		"empty":          ra.Select{Input: proj("R", "a"), Pred: ra.Eq(ra.Attr("a"), ra.LitString("no-such-key"))},
+		"union-coded":    ra.Union{Left: proj("R", "a"), Right: proj("T", "a")},
+		"union-mixed":    ra.Union{Left: ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "b"}}, Right: ra.Base("T")},
+		"union-mixed-rev": ra.Union{Left: ra.Base("T"), Right: ra.Union{
+			Left:  ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "b"}},
+			Right: ra.Base("R")}},
+		"derived-build": ra.Project{
+			Input: ra.Join{Left: ra.Base("R"), Right: ra.Rename{Input: proj("S", "b"), As: "S1", Attrs: []string{"b"}}},
+			Attrs: []string{"a"}},
+		"diff-derived": ra.Diff{Left: proj("R", "b"), Right: ra.Project{
+			Input: ra.Select{Input: ra.Base("S"), Pred: ra.Lt(ra.Attr("c"), ra.LitInt(20))}, Attrs: []string{"b"}}},
+	}
+	for _, rows := range []int{0, 1, 40, 3000} {
+		d := gatherDB(rows)
+		for name, q := range queries {
+			want, err := ra.Eval(q, d)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			wantRaw, wantCertain := want.CanonicalKey(), want.CompletePart().CanonicalKey()
+			p, err := Compile(q, d.Schema())
+			if err != nil {
+				t.Fatalf("%s: compile: %v", name, err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, budget := range []int64{0, 1 << 16} {
+					cfg := EvalConfig{Workers: workers, Columnar: true, Coded: true, MemBudget: budget}
+					label := fmt.Sprintf("%s rows=%d workers=%d budget=%d", name, rows, workers, budget)
+					got, err := p.EvalWith(d, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got.CanonicalKey() != wantRaw {
+						t.Fatalf("%s: EvalWith holds %d tuples, oracle %d\nplan:\n%s", label, got.Len(), want.Len(), p.Describe())
+					}
+					got, err = p.EvalCertainWith(d, cfg)
+					if err != nil {
+						t.Fatalf("%s: certain: %v", label, err)
+					}
+					if got.CanonicalKey() != wantCertain {
+						t.Fatalf("%s: EvalCertainWith holds %d tuples, oracle %d\nplan:\n%s", label, got.Len(), want.CompletePart().Len(), p.Describe())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherAdoptsEncoding pins what the set hands a temporary besides its
+// tuples: the codes, published as the relation's encoding, row for row the
+// tuples the relation holds — and only when every tuple came from the set.
+func TestGatherAdoptsEncoding(t *testing.T) {
+	d := gatherDB(700)
+	for name, tc := range map[string]struct {
+		q       ra.Expr
+		adopted bool
+	}{
+		"coded":       {ra.Project{Input: ra.Base("R"), Attrs: []string{"b"}}, true},
+		"union-coded": {ra.Union{Left: ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}}, Right: ra.Project{Input: ra.Base("T"), Attrs: []string{"a"}}}, true},
+		"union-mixed": {ra.Union{Left: ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "b"}}, Right: ra.Base("T")}, false},
+	} {
+		p, err := Compile(tc.q, d.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newPctx(d, EvalConfig{Columnar: true, Coded: true}, nil)
+		out := table.NewRelation(p.root.out())
+		if err := materializeIntoAdopt(p.root, c, false, true, out); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ra.Eval(tc.q, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.CanonicalKey() != want.CanonicalKey() {
+			t.Fatalf("%s: materialized %d tuples, oracle %d", name, out.Len(), want.Len())
+		}
+		builds := out.EncodingStats().Builds
+		enc := out.Encoding(d.Dict())
+		if adopted := out.EncodingStats().Builds == builds; adopted != tc.adopted {
+			t.Fatalf("%s: encoding adopted = %v, want %v", name, adopted, tc.adopted)
+		}
+		// Adopted or built, the encoding's rows are the relation's tuples.
+		seen := map[string]bool{}
+		for b := 0; b < enc.Blocks(); b++ {
+			blk := enc.Block(b)
+			for i := 0; i < blk.Rows(); i++ {
+				row := make(table.Tuple, out.Arity())
+				for j := range row {
+					row[j] = d.Dict().Decode(blk.Col(j)[i])
+				}
+				if !out.Contains(row) || seen[row.Key()] {
+					t.Fatalf("%s: encoding row %s is not a tuple of the relation, or is there twice", name, row)
+				}
+				seen[row.Key()] = true
+			}
+		}
+		if len(seen) != out.Len() {
+			t.Fatalf("%s: encoding has %d rows, relation %d tuples", name, len(seen), out.Len())
+		}
+	}
+}
+
+// TestGatherArityZero drives the gather over the one result shape no plan
+// produces (ra rejects a projection onto no attributes and a division by
+// every attribute): the relation of arity 0, which holds the empty tuple or
+// nothing.
+func TestGatherArityZero(t *testing.T) {
+	d := gatherDB(10)
+	for _, held := range []bool{false, true} {
+		out := table.NewRelation(schema.NewRelation("Z"))
+		if held {
+			out.MustAdd(table.Tuple{}) // a tuple the set never saw: the gather must look before it inserts
+		}
+		g := gather{c: newPctx(d, EvalConfig{Columnar: true, Coded: true}, nil), out: out, adopt: true}
+		g.finish() // no coded branch ran: nothing to do
+		if want := map[bool]int{false: 0, true: 1}[held]; out.Len() != want {
+			t.Fatalf("held=%v: an idle gather left %d tuples, want %d", held, out.Len(), want)
+		}
+		g.set = newCodedSet(0)
+		for i := 0; i < 3; i++ {
+			if isNew := g.set.insert(value.CodeHashSeed, nil); isNew != (i == 0) {
+				t.Fatalf("insert %d of the empty tuple reported new = %v", i, isNew)
+			}
+		}
+		g.finish()
+		if out.Len() != 1 || !out.Contains(table.Tuple{}) {
+			t.Fatalf("held=%v: the relation holds %d tuples, want the empty tuple once", held, out.Len())
+		}
+	}
+}
+
+// TestCodedSetModel holds codedSet against a map of keys for the widths its
+// probe treats differently — 0 (one possible tuple), 1 (the hash is the key:
+// real hashes only) and 3 (verified against the stored codes, here with the
+// hash cut to four bits so that every slot walk meets foreign tuples) —
+// through every doubling up to 10⁵ tuples.
+func TestCodedSetModel(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	for _, width := range []int{0, 1, 3} {
+		for _, forced := range []bool{false, true} {
+			if forced && width <= 1 {
+				continue // a width-1 probe relies on the hash being the key's own
+			}
+			n := 100_000
+			if forced {
+				n = 2_000 // sixteen hashes for all: every walk is long
+			}
+			set := newCodedSet(width)
+			model := map[string]int{}
+			key := make([]uint64, width)
+			hashOf := func() uint64 {
+				h := value.CodeHashSeed
+				for _, c := range key {
+					h = value.HashCode(h, c)
+				}
+				if forced {
+					h &= 0xF
+				}
+				return h
+			}
+			for i := 0; i < n; i++ {
+				for j := range key {
+					key[j] = uint64(rnd.Intn(n/4 + 1))
+				}
+				h := hashOf()
+				id := fmt.Sprint(key)
+				_, had := model[id]
+				if set.contains(h, key) != had {
+					t.Fatalf("width %d: contains(%v) = %v, model %v", width, key, !had, had)
+				}
+				if set.insert(h, key) == had {
+					t.Fatalf("width %d: insert(%v) reported new = %v, model had it: %v", width, key, had, had)
+				}
+				if !had {
+					model[id] = set.size() - 1
+				}
+				if set.size() != len(model) {
+					t.Fatalf("width %d: size %d, model %d", width, set.size(), len(model))
+				}
+			}
+			for id, r := range model {
+				if got := fmt.Sprint(set.row(r)); got != id {
+					t.Fatalf("width %d: row %d holds %s, model %s", width, r, got, id)
+				}
+			}
+			for j := range key {
+				key[j] = uint64(n) + 5 // no key of the model reaches it
+			}
+			if width > 0 && set.contains(hashOf(), key) {
+				t.Fatalf("width %d: contains of a key never inserted", width)
+			}
+		}
 	}
 }

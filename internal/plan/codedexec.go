@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"incdata/internal/col"
@@ -16,9 +17,11 @@ import (
 // vectors with branch-free u64 compares (codedpred.go), the hash-join
 // probe hashes raw codes (no binary key encoding, no allocation) against
 // a table.CodedIndex, and diff/intersect membership probes hash code
-// tuples the same way.  Codes decode back to value.Value exactly once, at
-// the gather in materializeIntoCoded, and only for rows that survive
-// dedup.
+// tuples the same way.  Every hash step — the join's build side, the
+// membership probe, the dedup set — sits on table.CodeTable, a flat table
+// over code hashes; no Go map is touched between the scan and the result
+// relation.  Codes decode back to value.Value exactly once, in the second
+// phase of the gather (gather.finish), and only for distinct rows.
 //
 // The tier is strictly layered above the columnar path: codedEligible
 // requires the colEligible shape plus an Ok() encoding for every base
@@ -296,52 +299,22 @@ func (n *pjoin) codedIndex(c *pctx) (*table.CodedIndex, error) {
 	// Derived build side with no shared copy: index it straight off its
 	// coded stream — codes never decode into tuples just to be hashed
 	// again.  The dedup set supplies the set semantics a materialization
-	// would have enforced.
-	arity := n.r.out().Arity()
-	seen := newCodedSet(arity, 16)
-	cols := make([][]uint64, arity)
-	row := make([]uint64, arity)
-	rows := 0
-	err := streamCoded(n.r, c, func(ch *col.Coded, sel []int32) bool {
-		gather := func(i int32) {
-			h := value.CodeHashSeed
-			for j := 0; j < arity; j++ {
-				code := ch.Cols[j][i]
-				row[j] = code
-				h = value.HashCode(h, code)
-			}
-			if !seen.insert(h, row) {
-				return
-			}
-			for j, code := range row {
-				cols[j] = append(cols[j], code)
-			}
-			rows++
-		}
-		if sel == nil {
-			for i := int32(0); int(i) < ch.Rows; i++ {
-				gather(i)
-			}
-		} else {
-			for _, i := range sel {
-				gather(i)
-			}
-		}
-		return true
-	})
-	if err != nil {
+	// would have enforced, and its rows are the index's.
+	seen := newCodedSet(n.r.out().Arity())
+	if err := seen.addStream(n.r, c, false, nil, nil); err != nil {
 		return nil, err
 	}
-	return table.NewCodedIndexFromCols(n.rpos, cols, rows), nil
+	return table.NewCodedIndexFromRows(n.rpos, seen.width, seen.codes, seen.size()), nil
 }
 
 // streamCoded on a hash join probes the coded build index with the
 // HashCode fold of the probe columns' raw codes and appends matches
 // column-wise — no binary key is built and no tuple is allocated per
-// match.  Hash buckets may mix distinct keys, so every candidate is
-// verified by u64 equality (MatchesKey).  The all-constant fast path
-// mirrors the columnar one: null-free build side plus all-constant probe
-// chunk skip the sidecar bookkeeping entirely.
+// match.  A chain may mix distinct keys of several columns, so every
+// candidate is verified by u64 equality (MatchesKey) — unless the key is one
+// column, whose hash identifies it (CodedIndex.HashIsKey).  The all-constant
+// fast path mirrors the columnar one: null-free build side plus all-constant
+// probe chunk skip the sidecar bookkeeping entirely.
 func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 	ix, err := n.codedIndex(c)
 	if err != nil {
@@ -356,6 +329,7 @@ func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 	// key must survive emit calls mid-probe (a downstream operator may
 	// use its own scratch), so it is local to this evaluation.
 	key := make([]uint64, len(n.lpos))
+	verify := !ix.HashIsKey()
 	stopped := false
 	err = streamCoded(n.l, c, func(ch *col.Coded, sel []int32) bool {
 		lar := len(ch.Cols)
@@ -370,7 +344,7 @@ func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 			for sh, e := ix.Lookup(h); e != 0; {
 				var row int32
 				row, e = sh.At(e)
-				if !sh.MatchesKey(row, key) {
+				if verify && !sh.MatchesKey(row, key) {
 					continue
 				}
 				rc := sh.Row(row)
@@ -433,55 +407,118 @@ func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 	return nil
 }
 
-// codedSet is an insert-only hash set of fixed-width code tuples, in the
-// same chained-slice layout as CodedIndex — the coded counterpart of the
-// map[string]struct{} key sets of the row path.
+// codedSet is an insert-only set of fixed-width code tuples — the coded
+// counterpart of the map[string]struct{} key sets of the row path: the
+// tuples row-major in codes, and a table.CodeTable from a tuple's hash to
+// its 1-based row.  Distinct tuples of one hash take a slot each; a tuple of
+// width one is identified by its hash (see table.CodeTable), so its slot is
+// never checked against codes.  The set starts at a few slots and doubles:
+// most sets hold the answer of a point query or a few thousand rows, and it
+// is made per evaluation.
 type codedSet struct {
 	width int
-	heads map[uint64]int32 // code hash → 1-based head into next
-	next  []int32
+	slots table.CodeTable
 	codes []uint64 // row-major, width-strided
 }
 
-func newCodedSet(width, sizeHint int) *codedSet {
-	return &codedSet{
-		width: width,
-		heads: make(map[uint64]int32, sizeHint),
-		next:  make([]int32, 0, sizeHint),
+func newCodedSet(width int) *codedSet {
+	return &codedSet{width: width, slots: table.MakeCodeTable(0)}
+}
+
+// row returns the code tuple of a row (0-based).
+func (s *codedSet) row(r int) []uint64 { return s.codes[r*s.width : (r+1)*s.width] }
+
+// find returns the position of the slot that holds the key (hashed to h),
+// or of the empty slot it belongs in, and whether it is there.
+func (s *codedSet) find(h uint64, key []uint64) (pos int, found bool) {
+	pos, ref := s.slots.Find(h, -1)
+	for ref != 0 {
+		if s.width <= 1 || slices.Equal(s.row(int(ref-1)), key) {
+			return pos, true
+		}
+		pos, ref = s.slots.Find(h, pos)
 	}
+	return pos, false
 }
 
 // contains reports whether the set holds the key (hashed to h).
 func (s *codedSet) contains(h uint64, key []uint64) bool {
-	for e := s.heads[h]; e != 0; e = s.next[e-1] {
-		a := int(e-1) * s.width
-		match := true
-		for k, kc := range key {
-			if s.codes[a+k] != kc {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
+	if s.width <= 1 {
+		return s.slots.Get(h) != 0
 	}
-	return false
+	_, found := s.find(h, key)
+	return found
 }
 
 // insert adds the key if absent; it reports whether the key was new.
 func (s *codedSet) insert(h uint64, key []uint64) bool {
-	if s.contains(h, key) {
+	pos, found := s.find(h, key)
+	if found {
 		return false
 	}
+	if len(s.codes)+s.width > cap(s.codes) {
+		// Double: append's own growth of a large slice is a quarter at a
+		// time, which copies the codes four times over on the way up.
+		s.codes = slices.Grow(s.codes, max(len(s.codes), s.width))
+	}
 	s.codes = append(s.codes, key...)
-	s.next = append(s.next, s.heads[h])
-	s.heads[h] = int32(len(s.next))
+	s.slots.Set(pos, h, int32(s.size()+1))
 	return true
 }
 
-// size returns the number of keys held.
-func (s *codedSet) size() int { return len(s.next) }
+// size returns the number of keys held: each has its slot.
+func (s *codedSet) size() int { return s.slots.Len() }
+
+// addStream inserts the rows n streams: those pred selects (nil: all), the
+// null-free ones only under certainOnly (by the tag-test CompleteSel), cut
+// down to the columns of proj (nil: all).  Duplicates are dropped on the full
+// code tuple, hash and u64 compare, and no value is decoded.
+func (s *codedSet) addStream(n pnode, c *pctx, certainOnly bool, pred kpred, proj []int) error {
+	row := make([]uint64, s.width)
+	return streamCoded(n, c, func(ch *col.Coded, sel []int32) bool {
+		if pred != nil {
+			sel = pred(c, ch, sel)
+			defer c.putSel(sel)
+		}
+		if certainOnly {
+			dst := c.getSel()
+			narrowed, used := ch.CompleteSel(sel, dst)
+			if used {
+				sel = narrowed
+				defer c.putSel(narrowed)
+			} else {
+				c.putSel(dst)
+			}
+		}
+		add := func(i int32) {
+			h := value.CodeHashSeed
+			if proj == nil {
+				for j := range row {
+					code := ch.Cols[j][i]
+					row[j] = code
+					h = value.HashCode(h, code)
+				}
+			} else {
+				for k, p := range proj {
+					code := ch.Cols[p][i]
+					row[k] = code
+					h = value.HashCode(h, code)
+				}
+			}
+			s.insert(h, row)
+		}
+		if sel == nil {
+			for i := int32(0); int(i) < ch.Rows; i++ {
+				add(i)
+			}
+		} else {
+			for _, i := range sel {
+				add(i)
+			}
+		}
+		return true
+	})
+}
 
 // codedContainsFn builds (or fetches the prepare phase's shared copy of)
 // the coded right-side membership probe of a diff/intersect.  nil with
@@ -512,8 +549,8 @@ func (n *pdiff) codedContainsFn(c *pctx) (codedContains, error) {
 	}
 	// Derived right side (or a base scan with a fused filter): stream it
 	// coded once — the right side is a pipeline breaker either way — with
-	// the fused filter narrowing the selection, and collect the code tuples
-	// of the (projected) keys.  The set is sized from the survivors.
+	// the fused filter narrowing the selection, into the set of the
+	// (projected) keys' code tuples.
 	if n.rpred != nil && n.rkpred == nil {
 		return nil, nil
 	}
@@ -521,54 +558,13 @@ func (n *pdiff) codedContainsFn(c *pctx) (codedContains, error) {
 	if n.rproj != nil {
 		width = len(n.rproj)
 	}
-	var keys []uint64 // the survivors' key codes, row-major
-	rows := 0
-	err := streamCoded(n.r, c, func(ch *col.Coded, sel []int32) bool {
-		owned := false
-		if n.rkpred != nil {
-			sel = n.rkpred(c, ch, sel)
-			owned = true
-		}
-		collect := func(i int32) {
-			if n.rproj == nil {
-				for j := 0; j < width; j++ {
-					keys = append(keys, ch.Cols[j][i])
-				}
-			} else {
-				for _, p := range n.rproj {
-					keys = append(keys, ch.Cols[p][i])
-				}
-			}
-			rows++
-		}
-		if sel == nil {
-			for i := int32(0); int(i) < ch.Rows; i++ {
-				collect(i)
-			}
-		} else {
-			for _, i := range sel {
-				collect(i)
-			}
-		}
-		if owned {
-			c.putSel(sel)
-		}
-		return true
-	})
+	set := newCodedSet(width)
+	err := set.addStream(n.r, c, false, n.rkpred, n.rproj)
 	if errors.Is(err, errCodedOverflow) {
 		return nil, nil // a value outside the code space: the caller bridges
 	}
 	if err != nil {
 		return nil, err
-	}
-	set := newCodedSet(width, rows)
-	for r := 0; r < rows; r++ {
-		key := keys[r*width : (r+1)*width]
-		h := value.CodeHashSeed
-		for _, code := range key {
-			h = value.HashCode(h, code)
-		}
-		set.insert(h, key)
 	}
 	return set.contains, nil
 }
@@ -706,119 +702,135 @@ func scansEncodable(n pnode, c *pctx) bool {
 	}
 }
 
-// codedDedupProbe is the number of gathered rows after which the
-// code-tuple dedup set is dropped unless it is earning its keep: on
-// distinct-heavy output the set is pure overhead on top of the
-// authoritative inserter check, so it only stays for streams that
-// repeat a substantial fraction of their rows (projected joins that
-// collapse many pairs onto few result tuples).  Each duplicate the set
-// absorbs saves a decode, a binary key and a map probe; each distinct
-// row it retains costs a hash, a chained lookup and ~width words of
-// growth — the break-even sits around one duplicate per eight rows,
-// which codedDedupKeep encodes.
-const (
-	codedDedupProbe = 4096
-	codedDedupKeep  = 8 // keep the set iff dups ≥ gathered/codedDedupKeep
-)
+// gatherSlabRows bounds the slabs the gather carves tuples and keys from: one
+// allocation of values and one key string serve up to this many result rows,
+// so a result tuple that outlives the rest of its relation pins at most one
+// slab of each.
+const gatherSlabRows = 512
 
-// codedTupleSlab is the number of output tuples carved from one slab
-// allocation in the coded gather.
-const codedTupleSlab = 256
+// gather materializes operator output into one relation in two phases.
+// Phase one (add, any number of times: union branches, a worker's morsels)
+// streams coded branches into a set of code tuples and nothing else — the
+// set is the authority on duplicates, since one value has one code in a
+// dictionary (TestDictEncodeInjective) — while branches with no coded form
+// insert into out directly, the way they always did.  Phase two (finish)
+// builds the relation from the set once, at its final size: one map made for
+// all rows, no lookup per row, tuples and keys cut from slabs.  Values are
+// decoded only there, once per distinct row.
+type gather struct {
+	c     *pctx
+	out   *table.Relation
+	adopt bool      // publish the set's codes as out's Encoding (see AdoptEncoding)
+	set   *codedSet // nil until a coded branch streams
+}
 
-// materializeIntoCoded streams n as coded chunks into out.  Certain-only
-// extraction narrows the selection with the tag-test CompleteSel, and
-// duplicates are dropped on the full code tuple (hash + u64 compare)
-// before any value is decoded — only the first occurrence of a row pays
-// for decoding, the binary key, and the tuple allocation.  The dedup set
-// is adaptive (see codedDedupProbe); ins.Has remains the authority, so
-// dropping the set is always sound.
-func materializeIntoCoded(n pnode, c *pctx, certainOnly, adopt bool, out *table.Relation) error {
-	ins := out.BeginInsert()
-	arity := n.out().Arity()
-	seen := newCodedSet(arity, 16)
-	gathered := 0
-	row := make([]uint64, arity)
-	// When adopt is set, every code that reaches the relation is also
-	// collected column-wise: a fresh output adopts them as its coded
-	// sidecar afterwards, so a consumer (join build side, diff probe)
-	// asking for the temporary's Encoding skips the re-interning pass
-	// over values just decoded here.  Root results never pass adopt.
-	var codes [][]uint64
-	if adopt && out.Len() == 0 {
-		codes = make([][]uint64, arity)
+// add streams n into the gather, optionally keeping only null-free tuples
+// (the fused null-stripping of certain-answer extraction).  Union branches
+// split at the root so each branch picks its own execution model: under a
+// coded context, branches whose base relations all encode (codedEligible)
+// run on the monomorphic coded path; under a columnar context, branches
+// whose subtree builds fresh output tuples (colEligible) run on the
+// vectorized path (colexec.go); everything else on the row-chunk path.
+func (g *gather) add(n pnode, certainOnly bool) error {
+	c := g.c
+	if c.columnar || c.coded {
+		if u, ok := n.(*punion); ok {
+			if err := g.add(u.l, certainOnly); err != nil {
+				return err
+			}
+			return g.add(u.r, certainOnly)
+		}
 	}
-	// Tuples that survive dedup are carved out of a slab, one allocation
-	// per codedTupleSlab rows instead of one per tuple.  The slab cursor
-	// only advances on insertion, so a row rejected by ins.Has hands its
-	// storage to the next candidate.  Slab memory is retained by the
-	// inserted tuples, which out keeps alive anyway.
-	var slab []value.Value
-	err := streamCoded(n, c, func(ch *col.Coded, sel []int32) bool {
-		if seen != nil && gathered >= codedDedupProbe &&
-			gathered-seen.size() < gathered/codedDedupKeep {
-			seen = nil
+	if c.coded && codedEligible(n, c) {
+		if g.set == nil {
+			g.set = newCodedSet(n.out().Arity())
 		}
-		if certainOnly {
-			dst := c.getSel()
-			narrowed, used := ch.CompleteSel(sel, dst)
-			if used {
-				sel = narrowed
-				defer c.putSel(narrowed)
-			} else {
-				c.putSel(dst)
-			}
-		}
-		gather := func(i int32) {
-			if seen != nil {
-				h := value.CodeHashSeed
-				for j := 0; j < arity; j++ {
-					code := ch.Cols[j][i]
-					row[j] = code
-					h = value.HashCode(h, code)
-				}
-				gathered++
-				if !seen.insert(h, row) {
-					return
-				}
-			} else {
-				for j := 0; j < arity; j++ {
-					row[j] = ch.Cols[j][i]
-				}
-			}
-			if len(slab) < arity {
-				slab = make([]value.Value, codedTupleSlab*arity)
-			}
-			t := table.Tuple(slab[:arity:arity])
-			for j, code := range row {
-				t[j] = c.decode(code)
-			}
-			key := t.AppendKey(c.keyBuf[:0])
-			c.keyBuf = key
-			// The code-tuple dedup is per materialization; ins.Has still
-			// guards against rows merged in by other branches or workers.
-			if !ins.Has(key) {
-				ins.Add(key, t)
-				slab = slab[arity:]
-				if codes != nil {
-					for j, code := range row {
-						codes[j] = append(codes[j], code)
-					}
-				}
+		return g.set.addStream(n, c, certainOnly, nil, nil)
+	}
+	if c.columnar && colEligible(n) {
+		return materializeIntoCol(n, c, certainOnly, g.out)
+	}
+	out := g.out
+	if !certainOnly {
+		return streamChunks(n, c, func(ts []table.Tuple) bool {
+			out.MustAddBatch(ts)
+			return true
+		})
+	}
+	chp := getChunk()
+	defer putChunk(chp)
+	return streamChunks(n, c, func(ts []table.Tuple) bool {
+		keep := (*chp)[:0]
+		for _, t := range ts {
+			if t.IsComplete() {
+				keep = append(keep, t)
 			}
 		}
-		if sel == nil {
-			for i := int32(0); int(i) < ch.Rows; i++ {
-				gather(i)
-			}
-		} else {
-			for _, i := range sel {
-				gather(i)
-			}
-		}
+		*chp = keep
+		out.MustAddBatch(keep)
 		return true
 	})
-	if err == nil && codes != nil {
-		out.AdoptEncoding(c.dict, codes)
+}
+
+// finish moves the set's rows into out.  When out is empty every tuple comes
+// from the set, which holds each once: the relation is reserved at its final
+// size and no row is looked up.  When out already holds tuples the set never
+// saw — a union branch that did not run coded, an earlier materialization
+// into the same relation — each row's key is looked up first, and only new
+// rows keep their place in the slab.
+func (g *gather) finish() {
+	s := g.set
+	if s == nil || s.size() == 0 {
+		return
 	}
-	return err
+	c, n, arity := g.c, s.size(), s.width
+	ins := g.out.BeginInsert()
+	fresh := g.out.Len() == 0
+	if fresh {
+		ins.Reserve(n)
+	}
+	ends := make([]int32, 0, min(n, gatherSlabRows)) // where each key of a slab ends in the key buffer
+	for lo := 0; lo < n; lo += gatherSlabRows {
+		hi := min(lo+gatherSlabRows, n)
+		slab := make([]value.Value, (hi-lo)*arity)
+		keys := c.keyBuf[:0]
+		ends = ends[:0]
+		for r := lo; r < hi; r++ {
+			k := len(ends) // rows kept so far: the next tuple's place in the slab
+			t := table.Tuple(slab[k*arity : (k+1)*arity : (k+1)*arity])
+			for j, code := range s.row(r) {
+				t[j] = c.decode(code)
+			}
+			start := len(keys)
+			keys = t.AppendKey(keys)
+			if !fresh && ins.Has(keys[start:]) {
+				keys = keys[:start]
+				continue
+			}
+			ends = append(ends, int32(len(keys)))
+		}
+		c.keyBuf = keys
+		// One string for the slab's keys; each tuple's key is a piece of it.
+		ks, start := string(keys), int32(0)
+		for k, end := range ends {
+			ins.AddNew(ks[start:end], table.Tuple(slab[k*arity:(k+1)*arity:(k+1)*arity]))
+			start = end
+		}
+	}
+	if g.adopt && fresh {
+		// A temporary that downstream operators consume coded takes the
+		// set's codes as its sidecar, so that asking for its Encoding skips
+		// the re-interning pass over values just decoded here.
+		cols := make([][]uint64, arity)
+		vec := make([]uint64, arity*n)
+		for j := range cols {
+			cols[j] = vec[j*n : (j+1)*n : (j+1)*n]
+		}
+		for r := 0; r < n; r++ {
+			for j, code := range s.row(r) {
+				cols[j][r] = code
+			}
+		}
+		g.out.AdoptEncoding(c.dict, cols)
+	}
 }

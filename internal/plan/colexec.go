@@ -399,7 +399,7 @@ func materializeIntoCol(n pnode, c *pctx, certainOnly bool, out *table.Relation)
 			key := ch.AppendRowKey(c.keyBuf[:0], int(i))
 			c.keyBuf = key
 			if !ins.Has(key) {
-				ins.Add(key, ch.Tuple(int(i)))
+				ins.AddNew(string(key), ch.Tuple(int(i)))
 			}
 		}
 		if sel == nil {

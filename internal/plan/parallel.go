@@ -165,9 +165,12 @@ func runParallel(root pnode, db ra.DB, cfg EvalConfig, certainOnly bool, out *ta
 		runs = append(runs, br)
 	}
 
+	// The serial branches share one gather, finished after the parallel
+	// branches have merged their workers' results into out.
+	serial := gather{c: c0, out: out}
 	for _, br := range runs {
 		if br.scan == nil {
-			if err := materializeInto(br.root, c0, certainOnly, out); err != nil {
+			if err := serial.add(br.root, certainOnly); err != nil {
 				return err
 			}
 			continue
@@ -176,6 +179,7 @@ func runParallel(root pnode, db ra.DB, cfg EvalConfig, certainOnly bool, out *ta
 			return err
 		}
 	}
+	serial.finish()
 	return nil
 }
 
@@ -323,9 +327,13 @@ func runBranch(root pnode, scan *pscan, join *pjoin, rel *table.Relation, db ra.
 			locals[w] = local
 			c := newPctx(db, cfg, shared)
 			c.morselFor = scan
+			// One gather for all the worker's morsels: its set drops what
+			// they repeat, and local is built once, at the end.
+			g := gather{c: c, out: local}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= parts {
+					g.finish()
 					return
 				}
 				c.morsel = lp.Bucket(i)
@@ -338,7 +346,7 @@ func runBranch(root pnode, scan *pscan, join *pjoin, rel *table.Relation, db ra.
 						c.partCoded = rp.CodedIndex(i, c.dict)
 					}
 				}
-				if err := materializeInto(root, c, certainOnly, local); err != nil {
+				if err := g.add(root, certainOnly); err != nil {
 					errs[w] = err
 					return
 				}

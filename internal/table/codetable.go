@@ -1,0 +1,122 @@
+package table
+
+// CodeTable is the one hash table of the coded tier: a flat, open-addressed
+// map from 64-bit code hashes (value.HashCode folds) to 1-based int32
+// references, under the join build side and the diff/intersect membership
+// probe (CodedShard), the equality-selection lookup, and the code-tuple sets
+// of internal/plan.  A power-of-two slot array is probed linearly from the
+// hash's low bits (a CodedIndex picks the shard by the high ones); a slot is
+// twelve bytes, the full hash and the reference, so a probe compares whole
+// hashes and never has to follow the reference to reject a slot.
+//
+// What a reference means is the owner's business — a chain head, a row
+// number.  The table itself allows several slots to hold the same hash (an
+// owner that keeps distinct keys of one hash apart fills one slot for each,
+// see Find); an owner that wants one slot per hash overwrites the slot Find
+// stops at.
+//
+// value.HashCode over a single code is a bijection on uint64 — the code is
+// multiplied by odd constants and xor-shifted, each step invertible, then
+// xored into the seed and multiplied by the (odd) FNV prime — so for keys of
+// one column equal hashes mean equal keys: Get answers membership with one
+// slot load and no look at the stored codes, and a join probe needs no
+// MatchesKey.  TestHashCodeSingleCodeBijective pins the property; keys of
+// several columns can collide and are always verified.
+//
+// A CodeTable is not safe for concurrent writes; once its owner stops
+// writing, any number of goroutines may probe it.
+type CodeTable struct {
+	slots []codeSlot // the length is a power of two; at least one slot is always empty
+	n     int        // slots taken
+}
+
+// codeSlot is one table slot.  The hash is split in halves so that the slot
+// aligns to four bytes and takes twelve, not sixteen: at the load factors
+// below that is less than the Go map it replaces took.
+type codeSlot struct {
+	lo, hi uint32
+	ref    int32 // 0 marks an empty slot
+}
+
+func (s *codeSlot) hash() uint64 { return uint64(s.lo) | uint64(s.hi)<<32 }
+
+// codeTableMinSlots is the size of a table made with no hint: results of a
+// row or two are common (point queries), and their set must cost next to
+// nothing.  Tables double from there.
+const codeTableMinSlots = 8
+
+// MakeCodeTable returns an empty table that takes hint references before it
+// first grows.  The zero CodeTable is not usable.
+func MakeCodeTable(hint int) CodeTable {
+	slots := codeTableMinSlots
+	for slots*3 < hint*4 { // load factor at most 3/4
+		slots <<= 1
+	}
+	return CodeTable{slots: make([]codeSlot, slots)}
+}
+
+// Len returns the number of references held.
+func (t *CodeTable) Len() int { return t.n }
+
+// Get returns the reference of the first slot holding h, 0 when there is
+// none.
+func (t *CodeTable) Get(h uint64) int32 {
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.ref == 0 || s.hash() == h {
+			return s.ref
+		}
+	}
+}
+
+// Find walks h's probe sequence — from its home slot when prev is negative,
+// from the slot after prev otherwise — to the next slot that holds h or is
+// empty, and returns that slot's position and reference (0: empty, h is in
+// no further slot).
+func (t *CodeTable) Find(h uint64, prev int) (pos int, ref int32) {
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	if prev >= 0 {
+		i = uint64(prev+1) & mask
+	}
+	for ; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.ref == 0 || s.hash() == h {
+			return int(i), s.ref
+		}
+	}
+}
+
+// Set stores ref, which must not be 0, under h in the slot at pos: a
+// position Find(h, ·) returned since the last Set.  It either overwrites the
+// reference of a slot that holds h or takes the empty slot the walk ended
+// on.  Positions do not survive a Set.
+func (t *CodeTable) Set(pos int, h uint64, ref int32) {
+	s := &t.slots[pos]
+	taken := s.ref != 0
+	*s = codeSlot{lo: uint32(h), hi: uint32(h >> 32), ref: ref}
+	if taken {
+		return
+	}
+	if t.n++; t.n*4 > len(t.slots)*3 {
+		t.grow()
+	}
+}
+
+// grow rehashes every slot into an array of twice the length.
+func (t *CodeTable) grow() {
+	old := t.slots
+	t.slots = make([]codeSlot, 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.ref == 0 {
+			continue
+		}
+		i := s.hash() & mask
+		for t.slots[i].ref != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}

@@ -415,14 +415,22 @@ func (r *Relation) AdoptEncoding(dict *Dict, cols [][]uint64) {
 	r.encoding.Store(e)
 }
 
-// CodedIndex is an immutable hash index over raw u64 codes: tuples are
-// grouped by the HashCode-fold of their codes at a fixed list of key
-// positions, in the same chained-slice layout as Index, but rows are
-// stored as arity-strided code tuples instead of value tuples — probes
-// hash machine words and verify matches by u64 equality, with no binary
-// key encoding and no allocation.  Distinct keys may share a hash
-// bucket; callers verify candidates with MatchesKey.  Like Index it is a
-// set of immutable shards, here chosen by the high bits of the key hash.
+// CodedIndex is an immutable hash index over raw u64 codes: rows are stored
+// as arity-strided code tuples and grouped by the HashCode-fold of their
+// codes at a fixed list of key positions — probes hash machine words and
+// verify matches by u64 equality, with no binary key encoding and no
+// allocation.  Like Index it is a set of immutable shards, here chosen by
+// the high bits of the key hash.
+//
+// A shard is three flat arrays and no Go map.  heads, a CodeTable (12-byte
+// slots, at most 3/4 full, the hash's low bits pick the home slot), holds
+// one slot per distinct key hash: the 1-based number of the last row added
+// under it.  next threads the rows of one hash into a chain, and is not even
+// allocated while no two rows of the shard share a hash — a key column, the
+// usual build side of a join — so a hit there is one slot and the row's
+// codes.  codes holds the rows.  Distinct keys of several columns may share a
+// hash and so a chain; callers verify candidates with MatchesKey unless
+// HashIsKey says the hash is the key (see CodeTable).
 type CodedIndex struct {
 	positions []int
 	arity     int
@@ -437,15 +445,11 @@ type CodedIndex struct {
 type CodedShard struct {
 	positions []int
 	arity     int
-	heads     map[uint64]int32 // code hash → 1-based head into entries
-	entries   []codedEntry
-	codes     []uint64 // row-major, arity-strided code tuples
-	nulls     int      // rows holding a null code
-}
-
-type codedEntry struct {
-	row  int32 // row number into codes (×arity)
-	next int32 // 1-based index into entries; 0 terminates the chain
+	heads     CodeTable // key hash → 1-based row at the head of the hash's chain
+	next      []int32   // next[r] continues row r's chain (1-based, 0 ends it); nil while every chain is one row
+	codes     []uint64  // row-major, arity-strided code tuples
+	rows      int
+	nulls     int // rows holding a null code
 }
 
 // Positions returns the key positions the index hashes on.
@@ -457,19 +461,27 @@ func (ix *CodedIndex) AllComplete() bool { return ix.complete }
 // Len returns the number of indexed rows.
 func (ix *CodedIndex) Len() int { return ix.n }
 
+// HashIsKey reports whether a key hash identifies its key, so that every
+// row of the chain Lookup returns matches the probe and MatchesKey can be
+// skipped: true for keys of one column, over which value.HashCode is a
+// bijection (and trivially for the empty key).
+func (ix *CodedIndex) HashIsKey() bool { return len(ix.positions) <= 1 }
+
 // Lookup returns the shard of the given key-code hash (as folded by
 // value.HashCode over the key positions) and the head of the hash's chain
 // in it, 0 if none.
 func (ix *CodedIndex) Lookup(h uint64) (*CodedShard, int32) {
 	sh := ix.shards[h>>ix.shift]
-	return sh, sh.heads[h]
+	return sh, sh.heads.Get(h)
 }
 
 // At returns the row stored at chain slot i (1-based, as returned by
 // CodedIndex.Lookup) and the next slot of the chain (0 terminates).
 func (sh *CodedShard) At(i int32) (row int32, next int32) {
-	e := sh.entries[i-1]
-	return e.row, e.next
+	if sh.next == nil {
+		return i - 1, 0
+	}
+	return i - 1, sh.next[i-1]
 }
 
 // Row returns the full code tuple of a row.  It must not be mutated.
@@ -492,9 +504,13 @@ func (sh *CodedShard) MatchesKey(row int32, key []uint64) bool {
 
 // HasKey reports whether any indexed row matches the probe key with the
 // given hash — the coded counterpart of Relation.ContainsKey for
-// difference membership.
+// difference membership.  Over a single key column the slot of the hash is
+// the whole answer.
 func (ix *CodedIndex) HasKey(h uint64, key []uint64) bool {
 	sh, e := ix.Lookup(h)
+	if ix.HashIsKey() {
+		return e != 0
+	}
 	for e != 0 {
 		row, next := sh.At(e)
 		if sh.MatchesKey(row, key) {
@@ -545,22 +561,28 @@ func (e *Encoding) buildIndex(positions []int) *CodedIndex {
 	}
 	arity := len(e.consts)
 	ix := newCodedIndex(positions, arity, e.segs, shards, e.rows)
+	row := make([]uint64, arity)
 	for _, b := range e.blocks {
-		ix.addCols(b.cols, b.rows)
+		for i := 0; i < b.rows; i++ {
+			for j := range row {
+				row[j] = b.cols[j][i]
+			}
+			ix.add(row)
+		}
 	}
 	ix.seal()
 	return ix
 }
 
-// NewCodedIndexFromCols builds a coded hash index directly from
-// column-wise code vectors (row i across the vectors is one code tuple;
-// rows must already be distinct).  The coded join uses it to index a
-// derived build side straight off its coded stream, without ever
-// materializing the side as tuples.  The vectors are read once and not
-// retained.
-func NewCodedIndexFromCols(positions []int, cols [][]uint64, rows int) *CodedIndex {
-	ix := newCodedIndex(positions, len(cols), nil, 1, rows)
-	ix.addCols(cols, rows)
+// NewCodedIndexFromRows builds a coded hash index directly from row-major
+// code tuples (rows of them, arity codes each, already distinct).  The coded
+// join uses it to index a derived build side straight off its coded stream,
+// without ever materializing the side as tuples.  The codes are copied.
+func NewCodedIndexFromRows(positions []int, arity int, codes []uint64, rows int) *CodedIndex {
+	ix := newCodedIndex(positions, arity, nil, 1, rows)
+	for i := 0; i < rows; i++ {
+		ix.add(codes[i*arity : (i+1)*arity])
+	}
 	ix.seal()
 	return ix
 }
@@ -589,8 +611,7 @@ func (ix *CodedIndex) newShard(hashes, rows int) *CodedShard {
 	return &CodedShard{
 		positions: ix.positions,
 		arity:     ix.arity,
-		heads:     make(map[uint64]int32, hashes),
-		entries:   make([]codedEntry, 0, rows),
+		heads:     MakeCodeTable(hashes),
 		codes:     make([]uint64, 0, rows*ix.arity),
 	}
 }
@@ -604,28 +625,29 @@ func (ix *CodedIndex) keyHash(row []uint64) uint64 {
 	return h
 }
 
-// addCols indexes the rows of column-wise code vectors.
-func (ix *CodedIndex) addCols(cols [][]uint64, rows int) {
-	row := make([]uint64, ix.arity)
-	for i := 0; i < rows; i++ {
-		for j := range row {
-			row[j] = cols[j][i]
-		}
-		ix.add(row)
-	}
-}
-
 // add indexes one code tuple (copied).
 func (ix *CodedIndex) add(row []uint64) {
 	h := ix.keyHash(row)
 	ix.shards[h>>ix.shift].add(h, row)
 }
 
+// add puts the row at the head of its hash's chain.  The chain array is made
+// when a hash first repeats, with every earlier row ending its own chain.
 func (sh *CodedShard) add(h uint64, row []uint64) {
-	n := int32(len(sh.entries))
 	sh.codes = append(sh.codes, row...)
-	sh.entries = append(sh.entries, codedEntry{row: n, next: sh.heads[h]})
-	sh.heads[h] = n + 1
+	pos, head := sh.heads.Find(h, -1)
+	if head != 0 && sh.next == nil {
+		hint := sh.rows + 1
+		if sh.arity > 0 {
+			hint = max(hint, cap(sh.codes)/sh.arity)
+		}
+		sh.next = make([]int32, sh.rows, hint)
+	}
+	if sh.next != nil {
+		sh.next = append(sh.next, head)
+	}
+	sh.rows++
+	sh.heads.Set(pos, h, int32(sh.rows))
 	for _, c := range row {
 		if value.CodeIsNull(c) {
 			sh.nulls++
@@ -638,7 +660,7 @@ func (sh *CodedShard) add(h uint64, row []uint64) {
 func (ix *CodedIndex) seal() {
 	ix.n, ix.complete = 0, true
 	for _, sh := range ix.shards {
-		ix.n += len(sh.entries)
+		ix.n += sh.rows
 		if sh.nulls > 0 {
 			ix.complete = false
 		}
@@ -687,28 +709,22 @@ func (ix *CodedIndex) patched(cur []*segment, dict *Dict) (*CodedIndex, int) {
 // rebuiltShard returns the shard without the rows of del and with those
 // of ins.
 func (ix *CodedIndex) rebuiltShard(sh *CodedShard, ins, del [][]uint64) *CodedShard {
-	out := ix.newShard(len(sh.heads)+len(ins), len(sh.entries)+len(ins))
+	out := ix.newShard(sh.heads.Len()+len(ins), sh.rows+len(ins))
 	gone := make(map[uint64][][]uint64, len(del)) // by key hash
 	for _, row := range del {
 		h := ix.keyHash(row)
 		gone[h] = append(gone[h], row)
 	}
-	for h, e := range sh.heads {
-		dead := gone[h]
-	chain:
-		for e != 0 {
-			var r int32
-			r, e = sh.At(e)
-			row := sh.Row(r)
-			for _, d := range dead {
-				if slices.Equal(d, row) {
-					continue chain
-				}
+rows:
+	for r := int32(0); int(r) < sh.rows; r++ {
+		row := sh.Row(r)
+		h := ix.keyHash(row)
+		for _, d := range gone[h] {
+			if slices.Equal(d, row) {
+				continue rows
 			}
-			// Rows of one chain share the hash of the slot, not
-			// necessarily the key; the hash is all add needs.
-			out.add(h, row)
 		}
+		out.add(h, row)
 	}
 	for _, row := range ins {
 		out.add(ix.keyHash(row), row)

@@ -55,6 +55,68 @@ func TestDictEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDictEncodeInjective pins the invariant the two-phase gather rests on
+// (internal/plan): over any mix of values — integers inside and beyond the
+// directly coded range, strings that look like integers and like each other,
+// nulls — encoding is a function and its own inverse's inverse, so that a set
+// of distinct code tuples is a set of distinct tuples and the relation built
+// from it needs no second look for duplicates.  Every value is encoded
+// several times, in several orders, through Encode and Lookup.
+func TestDictEncodeInjective(t *testing.T) {
+	var vals []value.Value
+	for _, i := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 40),
+		1<<62 - 1, 1 << 62, 1<<62 + 1, -(1 << 62), -(1 << 62) - 1, // either side of the inline range
+		1<<63 - 1, -(1 << 63)} {
+		vals = append(vals, value.Int(i), value.String(fmt.Sprint(i)))
+		if i >= 0 && uint64(i) < value.CodePayloadLimit {
+			vals = append(vals, value.Null(uint64(i)))
+		}
+	}
+	for i := 0; i < 200; i++ {
+		vals = append(vals, value.String(fmt.Sprint("s", i)), value.String(fmt.Sprint("s", i, " ")), value.Int(int64(i)*7919))
+	}
+	vals = append(vals, value.String(""), value.String("\x00"), value.String("⊥1"))
+
+	d := NewDict()
+	byCode := map[uint64]value.Value{}
+	byValue := map[value.Value]uint64{}
+	for round := 0; round < 3; round++ {
+		order := vals
+		if round == 1 {
+			order = make([]value.Value, len(vals))
+			for i, v := range vals {
+				order[len(vals)-1-i] = v
+			}
+		}
+		for _, v := range order {
+			c, ok := d.Encode(v)
+			if !ok {
+				t.Fatalf("Encode(%v) not ok", v)
+			}
+			if prev, seen := byValue[v]; seen && prev != c {
+				t.Fatalf("%v has two codes: %#x and %#x", v, prev, c)
+			}
+			byValue[v] = c
+			if other, seen := byCode[c]; seen && other != v {
+				t.Fatalf("code %#x stands for both %v and %v", c, other, v)
+			}
+			byCode[c] = v
+			if got := d.Decode(c); got != v {
+				t.Fatalf("Decode(Encode(%v)) = %v", v, got)
+			}
+			if lc, ok := d.Lookup(v); !ok || lc != c {
+				t.Fatalf("Lookup(%v) = %#x, %v after Encode gave %#x", v, lc, ok, c)
+			}
+			if value.CodeIsNull(c) != v.IsNull() {
+				t.Fatalf("CodeIsNull(%#x) wrong for %v", c, v)
+			}
+		}
+	}
+	if len(byCode) != len(byValue) {
+		t.Fatalf("%d distinct values have %d distinct codes", len(byValue), len(byCode))
+	}
+}
+
 func TestEncodingBuildAndInvalidate(t *testing.T) {
 	d := NewDict()
 	r := rel2(t, "R", []string{"1", "x"}, []string{"2", "y"}, []string{"⊥1", "x"})

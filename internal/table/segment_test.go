@@ -128,6 +128,9 @@ func checkSidecars(t testing.TB, r *Relation, dict *Dict) {
 				var rn int32
 				rn, i = sh.At(i)
 				if !sh.MatchesKey(rn, key) {
+					if cx.HashIsKey() {
+						t.Fatalf("coded Index(%v): the hash is said to be the key, and the chain of %s holds another", pos, tp)
+					}
 					continue // another key of the same hash
 				}
 				for j, c := range sh.Row(rn) {
@@ -138,6 +141,26 @@ func checkSidecars(t testing.TB, r *Relation, dict *Dict) {
 			return true
 		})
 		sameBag(fmt.Sprintf("coded Index(%v)", pos), cgot)
+		if cx.HashIsKey() != (len(pos) <= 1) || fcx.HashIsKey() != cx.HashIsKey() {
+			t.Fatalf("coded Index(%v): HashIsKey = %v, from scratch %v", pos, cx.HashIsKey(), fcx.HashIsKey())
+		}
+		// A key no tuple holds is in neither index, by HasKey and by chain.
+		h := value.CodeHashSeed
+		for k := range key {
+			key[k], _ = dict.Encode(value.String(fmt.Sprint("no tuple holds this ", k)))
+			h = value.HashCode(h, key[k])
+		}
+		for _, ix := range []*CodedIndex{cx, fcx} {
+			hit := ix.HasKey(h, key)
+			for sh, i := ix.Lookup(h); i != 0 && !hit; {
+				var rn int32
+				rn, i = sh.At(i)
+				hit = ix.HashIsKey() || sh.MatchesKey(rn, key)
+			}
+			if hit && len(pos) > 0 {
+				t.Fatalf("coded Index(%v): a key no tuple holds is found", pos)
+			}
+		}
 	}
 
 	for _, pos := range [][]int{nil, {0}} {
@@ -399,12 +422,18 @@ func runStorageProgram(t testing.TB, prog []byte) {
 				found = h.rel.Contains(want)
 				break
 			}
-			key := []uint64{code}
-			for sh, i := ix.Lookup(value.HashCode(value.CodeHashSeed, code)); i != 0; {
+			// One key column: the slot of the hash is the whole answer, for a
+			// key that is there and for one that is not, and every row of the
+			// chain holds the key.
+			key, hash := []uint64{code}, value.HashCode(value.CodeHashSeed, code)
+			if !ix.HashIsKey() || ix.HasKey(hash, key) != h.model.m[x] {
+				t.Fatalf("%s: HashIsKey %v, HasKey of %d = %v, model: %v", h.what, ix.HashIsKey(), x, ix.HasKey(hash, key), h.model.m[x])
+			}
+			for sh, i := ix.Lookup(hash); i != 0; {
 				var rn int32
 				rn, i = sh.At(i)
 				if !sh.MatchesKey(rn, key) {
-					continue
+					t.Fatalf("%s: the chain of %d holds another key", h.what, x)
 				}
 				tp := make(Tuple, h.rel.Arity())
 				for j, c := range sh.Row(rn) {

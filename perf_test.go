@@ -225,3 +225,114 @@ func BenchmarkPointSelect(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCodedProbe times one probe of a coded hash index the way the
+// coded join and the diff/intersect membership test make it: "join-hit"
+// walks the chain of a key that is there and reads each matching row's
+// codes, "join-miss" looks up a key that is not, "haskey" is the membership
+// test over a mix of both.  The build sides are a 60k-row key column and a
+// 120k-row column holding every key twice; both were written after a
+// snapshot, so the index is sharded the way a live engine's is.
+func BenchmarkCodedProbe(b *testing.B) {
+	for _, bs := range []struct {
+		name         string
+		keys, perKey int
+	}{{"unique-60k", 60_000, 1}, {"2-per-key-120k", 60_000, 2}} {
+		db := table.NewDatabase(schema.MustNew(schema.NewRelation("R", "k", "v")))
+		ts := make([]table.Tuple, 0, bs.keys*bs.perKey)
+		for i := 0; i < bs.keys; i++ {
+			for d := 0; d < bs.perKey; d++ {
+				ts = append(ts, table.NewTuple(value.String(fmt.Sprint("key-", i)), value.Int(int64(d))))
+			}
+		}
+		db.Relation("R").MustAddBatch(ts)
+		db.Snapshot()
+		db.MustAdd("R", table.NewTuple(value.String("first-write"), value.Int(0))) // segments the storage
+		dict := db.Dict()
+		ix := db.Snapshot().Relation("R").Encoding(dict).Index([]int{0})
+		hashOf := func(s string) (uint64, []uint64) {
+			code, _ := dict.Encode(value.String(s))
+			return value.HashCode(value.CodeHashSeed, code), []uint64{code}
+		}
+		// Probe keys in an order unrelated to the build order.
+		const probes = 1 << 14
+		hits, misses := make([]uint64, probes), make([]uint64, probes)
+		keys := make([][]uint64, probes)
+		for i := range hits {
+			hits[i], keys[i] = hashOf(fmt.Sprint("key-", (i*7919)%bs.keys))
+			misses[i], _ = hashOf(fmt.Sprint("absent-", i))
+		}
+		var sink uint64
+		b.Run(bs.name+"/join-hit", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for sh, e := ix.Lookup(hits[i%probes]); e != 0; {
+					var row int32
+					row, e = sh.At(e)
+					sink += sh.Row(row)[1]
+				}
+			}
+		})
+		b.Run(bs.name+"/join-miss", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, e := ix.Lookup(misses[i%probes]); e != 0 {
+					b.Fatal("hit on an absent key")
+				}
+			}
+		})
+		b.Run(bs.name+"/haskey", func(b *testing.B) {
+			b.ReportAllocs()
+			found := 0
+			for i := 0; i < b.N; i++ {
+				h := hits[i%probes]
+				if i&1 == 1 {
+					h = misses[i%probes]
+				}
+				if ix.HasKey(h, keys[i%probes]) {
+					found++
+				}
+			}
+			if found != (b.N+1)/2 {
+				b.Fatalf("%d of %d probes found, want every other one", found, b.N)
+			}
+		})
+		_ = sink
+	}
+}
+
+// BenchmarkMaterializeDistinct times the gather at the root of a plan:
+// project(R; c) over eight times as many tuples as the result has rows
+// ("dup-heavy": the projection collapses eight tuples onto each row) or over
+// exactly the result's rows ("distinct": nothing to drop), for results of
+// one row, a thousand and fifty thousand.  Allocations are the point as much
+// as time: the result is built once at its final size.
+func BenchmarkMaterializeDistinct(b *testing.B) {
+	for _, rows := range []int{1, 1_000, 50_000} {
+		for _, shape := range []struct {
+			name string
+			dups int
+		}{{"dup-heavy", 8}, {"distinct", 1}} {
+			db := table.NewDatabase(schema.MustNew(schema.NewRelation("R", "id", "c")))
+			ts := make([]table.Tuple, 0, rows*shape.dups)
+			for i := 0; i < rows*shape.dups; i++ {
+				ts = append(ts, table.NewTuple(value.Int(int64(i)), value.String(fmt.Sprint("label-", i%rows))))
+			}
+			db.Relation("R").MustAddBatch(ts)
+			p, err := plan.Compile(ra.Project{Input: ra.Base("R"), Attrs: []string{"c"}}, db.Schema())
+			if err != nil {
+				b.Fatal(err)
+			}
+			snap := db.Snapshot()
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, shape.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ans, err := p.EvalCertain(snap)
+					if err != nil || ans.Len() != rows {
+						b.Fatalf("answer of %d rows, error %v; want %d rows", ans.Len(), err, rows)
+					}
+				}
+			})
+		}
+	}
+}
