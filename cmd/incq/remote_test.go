@@ -11,6 +11,7 @@ import (
 	"incdata/internal/engine"
 	"incdata/internal/schema"
 	"incdata/internal/server"
+	"incdata/internal/server/client"
 	"incdata/internal/table"
 )
 
@@ -56,6 +57,21 @@ func TestRemoteRunModes(t *testing.T) {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
 		}
+	}
+	// The three enumeration modes each ran one sweep on the planned path,
+	// and STATS says so; the difference's running intersection empties on
+	// the second world, so at least the certain-cwa sweep stopped early.
+	cl, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := st.Planned; p.Sweeps != 3 || p.WorldsEvaluated < 3 || p.SweepEarlyExits == 0 || st.Oracle.Sweeps != 0 {
+		t.Errorf("STATS after the mode runs: planned %+v, oracle %+v; want 3 planned sweeps, one cut short", p, st.Oracle)
 	}
 }
 

@@ -36,6 +36,9 @@ type Evaluator struct {
 	worldHits        atomic.Uint64
 	worldMisses      atomic.Uint64
 	worldEvictions   atomic.Uint64
+	sweeps           atomic.Uint64
+	worldsEvaluated  atomic.Uint64
+	sweepEarlyExits  atomic.Uint64
 }
 
 // NewEvaluator returns an evaluator with empty caches.  With planner set,
@@ -49,11 +52,16 @@ func NewEvaluator(planner bool) *Evaluator {
 // PlannerEnabled reports whether the evaluator uses the planner fast paths.
 func (ev *Evaluator) PlannerEnabled() bool { return ev.planner }
 
-// CacheStats counts plan-cache traffic.  A world "hit" means a factored
-// world plan — including its stable subplan results and their hash
-// indexes — was reused, possibly across database snapshots.  Evictions
-// count entries dropped by the caches' LRU cap under many distinct
-// queries.
+// CacheStats counts plan-cache traffic and world sweeps.  A world "hit"
+// means a factored world plan — including its stable subplan results and
+// their hash indexes — was reused, possibly across database snapshots.
+// Evictions count entries dropped by the caches' LRU cap under many
+// distinct queries.  Sweeps counts world enumerations (one per
+// ModeCertainCWA / certainO / Boolean evaluation), WorldsEvaluated the
+// worlds they evaluated the query on, and SweepEarlyExits those that
+// stopped before their last world because the answer was decided (or an
+// evaluation failed) — a Boolean query with a nonempty stable part is one
+// with zero worlds.
 type CacheStats struct {
 	OneShotHits      uint64
 	OneShotMisses    uint64
@@ -61,6 +69,9 @@ type CacheStats struct {
 	WorldHits        uint64
 	WorldMisses      uint64
 	WorldEvictions   uint64
+	Sweeps           uint64
+	WorldsEvaluated  uint64
+	SweepEarlyExits  uint64
 }
 
 // Stats returns a point-in-time copy of the cache counters.
@@ -72,6 +83,9 @@ func (ev *Evaluator) Stats() CacheStats {
 		WorldHits:        ev.worldHits.Load(),
 		WorldMisses:      ev.worldMisses.Load(),
 		WorldEvictions:   ev.worldEvictions.Load(),
+		Sweeps:           ev.sweeps.Load(),
+		WorldsEvaluated:  ev.worldsEvaluated.Load(),
+		SweepEarlyExits:  ev.sweepEarlyExits.Load(),
 	}
 }
 
@@ -223,10 +237,10 @@ func (ev *Evaluator) BoolCertainCWA(q ra.Expr, d *table.Database, opts Options) 
 		return false, err
 	}
 	if wp := ev.worldPlanFor(q, d); wp != nil {
-		return boolCertainPlanned(wp, d, dom, opts.Workers)
+		return ev.boolCertainPlanned(wp, dom, opts.Workers)
 	}
 	certain := true
-	err := forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
+	err := ev.forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
 		if ans.Len() == 0 {
 			certain = false
 			return false

@@ -81,10 +81,10 @@ func (w *worldView) ActiveDomain() map[value.Value]bool {
 // duplicate world is cheaper than detecting it, and the certain-answer
 // combinators (intersection, GLB after answer dedup) are insensitive to
 // multiplicity.
-func forEachWorldAnswer(q ra.Expr, d *table.Database, dom semantics.Domain, fn func(*table.Relation) bool) error {
+func (ev *Evaluator) forEachWorldAnswer(q ra.Expr, d *table.Database, dom semantics.Domain, fn func(*table.Relation) bool) error {
 	view := newWorldView(d)
 	var evalErr error
-	valuation.Enumerate(d.SortedNulls(), dom.Values(), func(v valuation.Valuation) bool {
+	ev.enumerate(d.SortedNulls(), dom, func(v valuation.Valuation) bool {
 		view.setValuation(v)
 		ans, err := ra.EvalDB(q, view)
 		if err != nil {
@@ -105,13 +105,13 @@ func forEachWorldAnswer(q ra.Expr, d *table.Database, dom semantics.Domain, fn f
 // expressions the planner rejects.
 func (ev *Evaluator) intersectWorldsCWA(q ra.Expr, d *table.Database, dom semantics.Domain, workers int) (*table.Relation, error) {
 	if wp := ev.worldPlanFor(q, d); wp != nil {
-		return intersectWorldsPlanned(wp, d, dom, workers)
+		return ev.intersectWorldsPlanned(wp, dom, workers)
 	}
 	if workers > 1 {
-		return parallelIntersectCWA(q, d, dom, workers)
+		return ev.poolIntersect(d.SortedNulls(), dom, workers, oracleWorker(q, d))
 	}
 	var running *table.Relation
-	err := forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
+	err := ev.forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
 		if running == nil {
 			running = ans.Clone()
 		} else {
@@ -134,14 +134,14 @@ func (ev *Evaluator) intersectWorldsCWA(q ra.Expr, d *table.Database, dom semant
 // under duplicates, so deduplication is purely an optimization.
 func (ev *Evaluator) collectAnswersCWA(q ra.Expr, d *table.Database, dom semantics.Domain, workers int) ([]*table.Relation, error) {
 	if wp := ev.worldPlanFor(q, d); wp != nil {
-		return collectAnswersPlanned(wp, d, dom, workers)
+		return ev.collectAnswersPlanned(wp, dom, workers)
 	}
 	if workers > 1 {
-		return parallelCollectAnswers(q, d, dom, workers)
+		return ev.poolCollect(d.SortedNulls(), dom, workers, oracleWorker(q, d), nil)
 	}
 	seen := map[string]bool{}
 	var answers []*table.Relation
-	err := forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
+	err := ev.forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
 		k := ans.CanonicalKey()
 		if !seen[k] {
 			seen[k] = true
@@ -155,13 +155,16 @@ func (ev *Evaluator) collectAnswersCWA(q ra.Expr, d *table.Database, dom semanti
 	return answers, nil
 }
 
-// valuationJobs feeds cloned valuations to workers, stopping early when the
-// flag is raised.  It closes jobs when enumeration ends.
-func valuationJobs(d *table.Database, dom semantics.Domain, stop *atomic.Bool) <-chan valuation.Valuation {
+// valuationJobs feeds cloned valuations of the given nulls to workers,
+// stopping early when the flag is raised.  It closes jobs when enumeration
+// ends.
+func valuationJobs(nulls []value.Value, dom semantics.Domain, stop *atomic.Bool) <-chan valuation.Valuation {
+	// 64: feeder and workers trade the processor once a batch, not once a
+	// world, when they have to share one.
 	jobs := make(chan valuation.Valuation, 64)
 	go func() {
 		defer close(jobs)
-		valuation.Enumerate(d.SortedNulls(), dom.Values(), func(v valuation.Valuation) bool {
+		valuation.Enumerate(nulls, dom.Values(), func(v valuation.Valuation) bool {
 			if stop.Load() {
 				return false
 			}
@@ -179,39 +182,60 @@ func workerCount(workers int) int {
 	return workers
 }
 
-// runWorldPool splits the valuation stream over a worker pool.  Each worker
-// owns a valuation view (scratch reused from world to world) and calls work
-// for every job; work returning false raises a global stop flag that makes
-// all workers drain the remaining jobs without evaluating them.  The errs
-// slice collects per-worker evaluation errors.
-func runWorldPool(q ra.Expr, d *table.Database, dom semantics.Domain, workers int, errs []error,
-	work func(w int, ans *table.Relation) bool) error {
+// worldWorker gives a pool worker its own evaluation state: eval computes
+// one world's result, valid until the worker's next call, and release hands
+// the state back when the worker is done.
+type worldWorker func() (eval func(valuation.Valuation) (*table.Relation, error), release func())
+
+// oracleWorker evaluates q through a valuation view of d whose scratch is
+// reused from world to world.
+func oracleWorker(q ra.Expr, d *table.Database) worldWorker {
+	return func() (func(valuation.Valuation) (*table.Relation, error), func()) {
+		view := newWorldView(d)
+		return func(v valuation.Valuation) (*table.Relation, error) {
+			view.setValuation(v)
+			return ra.EvalDB(q, view)
+		}, func() {}
+	}
+}
+
+// runPool splits the stream of valuations of nulls over a worker pool — the
+// one concurrent world loop, under the oracle and the planned sweeps alike.
+// Each worker calls work with every world's result, which work must clone
+// to retain; work returning false, or an evaluation error, raises a stop
+// flag that makes all workers drain the remaining jobs without evaluating
+// them.  The sweep is counted once, when the pool has drained.
+func (ev *Evaluator) runPool(nulls []value.Value, dom semantics.Domain, workers int, newWorker worldWorker,
+	work func(w int, rel *table.Relation) bool) error {
 	var stop atomic.Bool
-	jobs := valuationJobs(d, dom, &stop)
+	jobs := valuationJobs(nulls, dom, &stop)
+	errs := make([]error, workers)
+	var evaluated atomic.Int64 // worlds, added up as each worker finishes
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			view := newWorldView(d)
+			eval, release := newWorker()
+			defer release()
+			worlds := 0
 			for v := range jobs {
 				if stop.Load() {
 					continue // drain; the result is already decided
 				}
-				view.setValuation(v)
-				ans, err := ra.EvalDB(q, view)
-				if err != nil {
+				worlds++
+				if rel, err := eval(v); err != nil {
 					errs[w] = err
 					stop.Store(true)
-					continue
-				}
-				if !work(w, ans) {
+				} else if !work(w, rel) {
 					stop.Store(true)
 				}
 			}
+			evaluated.Add(int64(worlds))
 		}(w)
 	}
 	wg.Wait()
+	ev.noteSweep(int(evaluated.Load()), stop.Load())
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -220,19 +244,18 @@ func runWorldPool(q ra.Expr, d *table.Database, dom semantics.Domain, workers in
 	return nil
 }
 
-// parallelIntersectCWA splits the valuation stream over a worker pool; each
-// worker keeps a running local intersection (world evaluation reuses the
-// worker's valuation-view scratch), and the locals are intersected at the
-// end.  Any empty local intersection makes the global result empty, so it
-// raises the stop flag for early exit.
-func parallelIntersectCWA(q ra.Expr, d *table.Database, dom semantics.Domain, workers int) (*table.Relation, error) {
+// poolIntersect computes ⋂ of the worlds' results over a worker pool: each
+// worker keeps a running local intersection, and the locals are intersected
+// at the end.  Any empty local intersection makes the global result empty,
+// so it raises the stop flag for early exit.
+func (ev *Evaluator) poolIntersect(nulls []value.Value, dom semantics.Domain, workers int, newWorker worldWorker) (*table.Relation, error) {
 	workers = workerCount(workers)
 	locals := make([]*table.Relation, workers)
-	err := runWorldPool(q, d, dom, workers, make([]error, workers), func(w int, ans *table.Relation) bool {
+	err := ev.runPool(nulls, dom, workers, newWorker, func(w int, rel *table.Relation) bool {
 		if locals[w] == nil {
-			locals[w] = ans.Clone()
+			locals[w] = rel.Clone()
 		} else {
-			locals[w].Retain(ans.Contains)
+			locals[w].Retain(rel.Contains)
 		}
 		return locals[w].Len() > 0
 	})
@@ -250,7 +273,7 @@ func parallelIntersectCWA(q ra.Expr, d *table.Database, dom semantics.Domain, wo
 			running.Retain(local.Contains)
 		}
 		if running.Len() == 0 {
-			return running, nil
+			break
 		}
 	}
 	if running == nil {
@@ -259,23 +282,29 @@ func parallelIntersectCWA(q ra.Expr, d *table.Database, dom semantics.Domain, wo
 	return running, nil
 }
 
-// parallelCollectAnswers gathers the distinct answers over all worlds using
-// a worker pool with per-worker valuation-view scratch and local dedup.
-func parallelCollectAnswers(q ra.Expr, d *table.Database, dom semantics.Domain, workers int) ([]*table.Relation, error) {
+// poolCollect gathers the distinct results over all worlds using a worker
+// pool with local dedup by canonical key; normalize, when set, is applied
+// to a world's result before it is keyed.
+func (ev *Evaluator) poolCollect(nulls []value.Value, dom semantics.Domain, workers int, newWorker worldWorker,
+	normalize func(*table.Relation)) ([]*table.Relation, error) {
 	workers = workerCount(workers)
-	type local struct {
-		seen    map[string]bool
-		answers []*table.Relation
+	type keyed struct {
+		key string
+		rel *table.Relation
 	}
-	locals := make([]local, workers)
-	for w := range locals {
-		locals[w].seen = map[string]bool{}
+	locals := make([][]keyed, workers) // in the order found: the GLB's fold is sensitive to it
+	seenLocal := make([]map[string]bool, workers)
+	for w := range seenLocal {
+		seenLocal[w] = map[string]bool{}
 	}
-	err := runWorldPool(q, d, dom, workers, make([]error, workers), func(w int, ans *table.Relation) bool {
-		k := ans.CanonicalKey()
-		if !locals[w].seen[k] {
-			locals[w].seen[k] = true
-			locals[w].answers = append(locals[w].answers, ans.Clone())
+	err := ev.runPool(nulls, dom, workers, newWorker, func(w int, rel *table.Relation) bool {
+		if normalize != nil {
+			normalize(rel)
+		}
+		k := rel.CanonicalKey()
+		if !seenLocal[w][k] {
+			seenLocal[w][k] = true
+			locals[w] = append(locals[w], keyed{key: k, rel: rel.Clone()})
 		}
 		return true
 	})
@@ -285,11 +314,10 @@ func parallelCollectAnswers(q ra.Expr, d *table.Database, dom semantics.Domain, 
 	seen := map[string]bool{}
 	var answers []*table.Relation
 	for _, l := range locals {
-		for _, ans := range l.answers {
-			ck := ans.CanonicalKey()
-			if !seen[ck] {
-				seen[ck] = true
-				answers = append(answers, ans)
+		for _, kr := range l {
+			if !seen[kr.key] {
+				seen[kr.key] = true
+				answers = append(answers, kr.rel)
 			}
 		}
 	}

@@ -1,14 +1,12 @@
 package certain
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/semantics"
 	"incdata/internal/table"
 	"incdata/internal/valuation"
+	"incdata/internal/value"
 )
 
 // Planner-backed world enumeration.  plan.ForWorlds factors the query into
@@ -43,36 +41,61 @@ func (ev *Evaluator) worldPlanFor(q ra.Expr, d *table.Database) *plan.WorldPlan 
 	return wp
 }
 
+// enumerate calls fn with every valuation of nulls into dom until fn returns
+// false, records the sweep in the evaluator's counters (one update per
+// sweep) and returns the number of worlds fn saw.
+func (ev *Evaluator) enumerate(nulls []value.Value, dom semantics.Domain, fn func(valuation.Valuation) bool) int {
+	worlds := 0
+	all := valuation.Enumerate(nulls, dom.Values(), func(v valuation.Valuation) bool {
+		worlds++
+		return fn(v)
+	})
+	ev.noteSweep(worlds, !all)
+	return worlds
+}
+
+// noteSweep counts one world enumeration: how many worlds it evaluated, and
+// whether it stopped before the last one (the answer was already decided,
+// or an evaluation failed).
+func (ev *Evaluator) noteSweep(worlds int, early bool) {
+	ev.sweeps.Add(1)
+	ev.worldsEvaluated.Add(uint64(worlds))
+	if early {
+		ev.sweepEarlyExits.Add(1)
+	}
+}
+
 // intersectWorldsPlanned computes ⋂ { Q(v(D)) | v } through the factored
-// plan.
-func intersectWorldsPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.Domain, workers int) (*table.Relation, error) {
+// plan.  Every planned sweep ranges over wp.SortedNulls(), the nulls of the
+// relations the query reads: a valuation of any other null cannot change
+// the answer.
+func (ev *Evaluator) intersectWorldsPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) (*table.Relation, error) {
 	wp.SetWorkers(workers) // stable parts compute partition-parallel
 	if workers > 1 {
-		return parallelIntersectPlanned(wp, d, dom, workers)
+		return ev.parallelIntersectPlanned(wp, dom, workers)
 	}
 	sess := wp.AcquireSession()
 	defer wp.ReleaseSession(sess)
-	var running *table.Relation
-	saw := false
 	var evalErr error
 	if wp.Splittable() {
 		// Running intersection of the deltas as a slice of keyed tuples:
 		// per world only membership probes against the current delta, no
-		// map copying.  Stored tuples are immutable, so retaining them
-		// across scratch resets is safe.
+		// map copying.  A delta's tuples are immutable and freshly
+		// allocated, so keeping them across the session's next call is safe.
 		type cand struct {
 			key string
 			t   table.Tuple
 		}
 		var cands []cand
-		valuation.Enumerate(wp.SortedNulls(), dom.Values(), func(v valuation.Valuation) bool {
+		first := true
+		worlds := ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
 			delta, err := sess.Delta(v)
 			if err != nil {
 				evalErr = err
 				return false
 			}
-			if !saw {
-				saw = true
+			if first {
+				first = false
 				delta.EachKeyed(func(k string, t table.Tuple) bool {
 					cands = append(cands, cand{key: k, t: t})
 					return true
@@ -94,7 +117,7 @@ func intersectWorldsPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics
 		if evalErr != nil {
 			return nil, evalErr
 		}
-		if !saw {
+		if worlds == 0 {
 			return nil, errNoWorlds
 		}
 		stable, err := wp.Stable()
@@ -110,8 +133,8 @@ func intersectWorldsPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics
 		}
 		return out, nil
 	}
-	valuation.Enumerate(wp.SortedNulls(), dom.Values(), func(v valuation.Valuation) bool {
-		saw = true
+	var running *table.Relation
+	worlds := ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
 		ans, err := sess.Answer(v)
 		if err != nil {
 			evalErr = err
@@ -127,7 +150,7 @@ func intersectWorldsPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	if !saw {
+	if worlds == 0 {
 		return nil, errNoWorlds
 	}
 	return running.WithSchema(wp.OutSchema()), nil
@@ -149,9 +172,10 @@ func mergeStableDelta(wp *plan.WorldPlan, stable, delta *table.Relation) (*table
 }
 
 // boolCertainPlanned decides Boolean certainty through the factored plan.
-func boolCertainPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.Domain, workers int) (bool, error) {
+func (ev *Evaluator) boolCertainPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) (bool, error) {
 	wp.SetWorkers(workers) // stable parts compute partition-parallel
-	if wp.Splittable() {
+	split := wp.Splittable()
+	if split {
 		stable, err := wp.Stable()
 		if err != nil {
 			return false, err
@@ -159,57 +183,43 @@ func boolCertainPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.Dom
 		if stable.Len() > 0 {
 			// The stable part is contained in every world's answer: the
 			// query is certainly true with zero worlds evaluated.
+			ev.noteSweep(0, true)
 			return true, nil
 		}
-		sess := wp.AcquireSession()
-		defer wp.ReleaseSession(sess)
-		certain := true
-		var evalErr error
-		valuation.Enumerate(wp.SortedNulls(), dom.Values(), func(v valuation.Valuation) bool {
-			delta, err := sess.Delta(v)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if delta.Len() == 0 {
-				certain = false
-				return false
-			}
-			return true
-		})
-		if evalErr != nil {
-			return false, evalErr
-		}
-		return certain, nil
 	}
 	sess := wp.AcquireSession()
 	defer wp.ReleaseSession(sess)
 	certain := true
 	var evalErr error
-	valuation.Enumerate(wp.SortedNulls(), dom.Values(), func(v valuation.Valuation) bool {
-		ans, err := sess.Answer(v)
+	ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
+		// With an empty stable part the delta alone decides a world.
+		ans, err := worldResult(sess, split, v)
 		if err != nil {
 			evalErr = err
 			return false
 		}
-		if ans.Len() == 0 {
-			certain = false
-			return false
-		}
-		return true
+		certain = ans.Len() > 0
+		return certain
 	})
-	if evalErr != nil {
-		return false, evalErr
+	return certain && evalErr == nil, evalErr
+}
+
+// worldResult evaluates one world on a session: its delta when the plan is
+// splittable, its full answer otherwise.  The relation is the session's,
+// valid until the session's next call.
+func worldResult(sess *plan.Session, split bool, v valuation.Valuation) (*table.Relation, error) {
+	if split {
+		return sess.Delta(v)
 	}
-	return certain, nil
+	return sess.Answer(v)
 }
 
 // collectAnswersPlanned gathers the distinct per-world answers through the
 // factored plan (for the certainO GLB).
-func collectAnswersPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.Domain, workers int) ([]*table.Relation, error) {
+func (ev *Evaluator) collectAnswersPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) ([]*table.Relation, error) {
 	wp.SetWorkers(workers) // stable parts compute partition-parallel
 	if workers > 1 {
-		return parallelCollectPlanned(wp, d, dom, workers)
+		return ev.parallelCollectPlanned(wp, dom, workers)
 	}
 	sess := wp.AcquireSession()
 	defer wp.ReleaseSession(sess)
@@ -221,7 +231,7 @@ func collectAnswersPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.
 		if err != nil {
 			return nil, err
 		}
-		valuation.Enumerate(wp.SortedNulls(), dom.Values(), func(v valuation.Valuation) bool {
+		ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
 			delta, err := sess.Delta(v)
 			if err != nil {
 				evalErr = err
@@ -242,12 +252,9 @@ func collectAnswersPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.
 			}
 			return true
 		})
-		if evalErr != nil {
-			return nil, evalErr
-		}
-		return answers, nil
+		return answers, evalErr
 	}
-	valuation.Enumerate(wp.SortedNulls(), dom.Values(), func(v valuation.Valuation) bool {
+	ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
 		ans, err := sess.Answer(v)
 		if err != nil {
 			evalErr = err
@@ -260,99 +267,27 @@ func collectAnswersPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.
 		}
 		return true
 	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return answers, nil
+	return answers, evalErr
 }
 
-// runPlannedPool streams valuations to a pool of workers, each owning a
-// plan session.  work receives the session's scratch result for the world
-// (the delta when the plan is splittable, the full answer otherwise) and
-// must clone whatever it retains; returning false stops the enumeration.
-func runPlannedPool(wp *plan.WorldPlan, d *table.Database, dom semantics.Domain, workers int,
-	work func(w int, rel *table.Relation) bool) error {
+// plannedWorker is a pool worker's evaluation state over a world plan (see
+// runPool): a session of its own, handed back to the plan's pool at the end.
+func plannedWorker(wp *plan.WorldPlan) worldWorker {
 	split := wp.Splittable()
-	var stop atomic.Bool
-	jobs := valuationJobs(d, dom, &stop)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			sess := wp.AcquireSession()
-			defer wp.ReleaseSession(sess)
-			for v := range jobs {
-				if stop.Load() {
-					continue // drain; the result is already decided
-				}
-				var rel *table.Relation
-				var err error
-				if split {
-					rel, err = sess.Delta(v)
-				} else {
-					rel, err = sess.Answer(v)
-				}
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					continue
-				}
-				if !work(w, rel) {
-					stop.Store(true)
-				}
-			}
-		}(w)
+	return func() (func(valuation.Valuation) (*table.Relation, error), func()) {
+		sess := wp.AcquireSession()
+		return func(v valuation.Valuation) (*table.Relation, error) { return worldResult(sess, split, v) },
+			func() { wp.ReleaseSession(sess) }
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // parallelIntersectPlanned is intersectWorldsPlanned over a worker pool:
 // per-worker running intersections of the deltas (or full answers), merged
 // at the end.
-func parallelIntersectPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.Domain, workers int) (*table.Relation, error) {
-	workers = workerCount(workers)
-	locals := make([]*table.Relation, workers)
-	sawWorld := make([]bool, workers)
-	err := runPlannedPool(wp, d, dom, workers, func(w int, rel *table.Relation) bool {
-		sawWorld[w] = true
-		if locals[w] == nil {
-			locals[w] = rel.Clone()
-		} else {
-			locals[w].Retain(rel.Contains)
-		}
-		return locals[w].Len() > 0
-	})
+func (ev *Evaluator) parallelIntersectPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) (*table.Relation, error) {
+	running, err := ev.poolIntersect(wp.SortedNulls(), dom, workers, plannedWorker(wp))
 	if err != nil {
 		return nil, err
-	}
-	var running *table.Relation
-	saw := false
-	for w, local := range locals {
-		if sawWorld[w] {
-			saw = true
-		}
-		if local == nil {
-			continue
-		}
-		if running == nil || local.Len() == 0 {
-			running = local
-		} else {
-			running.Retain(local.Contains)
-		}
-		if running.Len() == 0 {
-			break
-		}
-	}
-	if !saw {
-		return nil, errNoWorlds
 	}
 	if wp.Splittable() {
 		stable, err := wp.Stable()
@@ -361,65 +296,32 @@ func parallelIntersectPlanned(wp *plan.WorldPlan, d *table.Database, dom semanti
 		}
 		return mergeStableDelta(wp, stable, running)
 	}
-	if running == nil {
-		return nil, errNoWorlds
-	}
 	return running.WithSchema(wp.OutSchema()), nil
 }
 
 // parallelCollectPlanned is collectAnswersPlanned over a worker pool with
 // local dedup; full answers are materialized once per globally distinct
 // answer.
-func parallelCollectPlanned(wp *plan.WorldPlan, d *table.Database, dom semantics.Domain, workers int) ([]*table.Relation, error) {
-	workers = workerCount(workers)
-	split := wp.Splittable()
+func (ev *Evaluator) parallelCollectPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) ([]*table.Relation, error) {
 	var stable *table.Relation
-	if split {
+	var normalize func(*table.Relation)
+	if wp.Splittable() {
 		var err error
 		if stable, err = wp.Stable(); err != nil {
 			return nil, err
 		}
-	}
-	type keyed struct {
-		key string
-		rel *table.Relation // delta clone (split) or full answer clone
-	}
-	locals := make([][]keyed, workers)
-	seenLocal := make([]map[string]bool, workers)
-	for w := range seenLocal {
-		seenLocal[w] = map[string]bool{}
-	}
-	err := runPlannedPool(wp, d, dom, workers, func(w int, rel *table.Relation) bool {
-		if split {
-			rel.Retain(func(t table.Tuple) bool { return !stable.Contains(t) })
+		// So that the delta's key identifies the full answer.
+		normalize = func(delta *table.Relation) {
+			delta.Retain(func(t table.Tuple) bool { return !stable.Contains(t) })
 		}
-		k := rel.CanonicalKey()
-		if !seenLocal[w][k] {
-			seenLocal[w][k] = true
-			locals[w] = append(locals[w], keyed{key: k, rel: rel.Clone()})
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
-	seen := map[string]bool{}
-	var answers []*table.Relation
-	for _, l := range locals {
-		for _, kr := range l {
-			if seen[kr.key] {
-				continue
-			}
-			seen[kr.key] = true
-			if split {
-				full, err := mergeStableDelta(wp, stable, kr.rel)
-				if err != nil {
-					return nil, err
-				}
-				answers = append(answers, full)
-			} else {
-				answers = append(answers, kr.rel)
-			}
+	answers, err := ev.poolCollect(wp.SortedNulls(), dom, workers, plannedWorker(wp), normalize)
+	if err != nil || stable == nil {
+		return answers, err
+	}
+	for i, delta := range answers {
+		if answers[i], err = mergeStableDelta(wp, stable, delta); err != nil {
+			return nil, err
 		}
 	}
 	return answers, nil

@@ -219,3 +219,103 @@ func TestPlannerDifferentialAfterMutation(t *testing.T) {
 		t.Fatalf("answer misses the tuple introduced by the mutation: %s", on)
 	}
 }
+
+// TestSweepRangesOverReadNullsOnly: a planned sweep enumerates the nulls of
+// the relations the query reads, not Null(D).  U carries three nulls no
+// query below can see; the answers must equal the oracle's (which ranges
+// over all five), and the worlds evaluated must be |dom|^(nulls read), at
+// one worker and over the pool, whose feeder takes the same list.
+func TestSweepRangesOverReadNullsOnly(t *testing.T) {
+	d := table.NewDatabase(schema.MustNew(
+		schema.NewRelation("R", "a", "b"),
+		schema.NewRelation("S", "b", "c"),
+		schema.NewRelation("U", "x", "y"),
+	))
+	d.MustAddRow("R", "1", "⊥1")
+	d.MustAddRow("R", "2", "3")
+	d.MustAddRow("S", "⊥2", "1")
+	d.MustAddRow("S", "3", "2")
+	d.MustAddRow("U", "⊥3", "⊥4")
+	d.MustAddRow("U", "⊥5", "1")
+	const dom = 4 // 1, 2, 3 and one fresh constant
+	pow := func(k int) uint64 {
+		n := uint64(1)
+		for ; k > 0; k-- {
+			n *= dom
+		}
+		return n
+	}
+	aOfR := ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}}
+	for _, c := range []struct {
+		name  string
+		q     ra.Expr
+		nulls int
+		early bool // the CWA sweep is decided before its last world
+	}{
+		// (1, ⊥1) puts a = 1 into every world's delta of π_a(R): a running
+		// intersection that holds it never empties.
+		{"one relation", aOfR, 1, false},
+		{"join", ra.Union{Left: ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a"}}, Right: aOfR}, 2, false},
+		{"whole database", ra.Union{
+			Left:  ra.Delta{Attr1: "a", Attr2: "b"},
+			Right: ra.Product{Left: aOfR, Right: ra.Rename{Input: aOfR, As: "R2", Attrs: []string{"b"}}},
+		}, 5, false},
+		// π_b(R) − π_b(S) is {3, v(⊥1)} − {3, v(⊥2)}: empty in the first world.
+		{"non-splittable", ra.Diff{Left: ra.Project{Input: ra.Base("R"), Attrs: []string{"b"}}, Right: ra.Project{Input: ra.Base("S"), Attrs: []string{"b"}}}, 2, true},
+	} {
+		for _, workers := range []int{1, 3} {
+			opts := Options{Workers: workers}
+			planned, oracle := NewEvaluator(true), NewEvaluator(false)
+			// The three sweeps, each against the oracle.
+			got, err := planned.ByWorldsCWA(c.q, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.ByWorldsCWA(c.q, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s workers=%d: CWA %s, oracle %s", c.name, workers, got, want)
+			}
+			st := planned.Stats()
+			if st.Sweeps != 1 || (!c.early && st.WorldsEvaluated != pow(c.nulls)) || (st.SweepEarlyExits == 1) != c.early {
+				t.Errorf("%s workers=%d: CWA sweep counters %+v, want %d worlds", c.name, workers, st, pow(c.nulls))
+			}
+			if os := oracle.Stats(); !c.early && os.WorldsEvaluated != pow(5) {
+				t.Errorf("%s workers=%d: the oracle evaluated %d worlds, want %d", c.name, workers, os.WorldsEvaluated, pow(5))
+			}
+
+			gotB, err := planned.BoolCertainCWA(c.q, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantB, err := oracle.BoolCertainCWA(c.q, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotB != wantB {
+				t.Errorf("%s: Bool %v, oracle %v", c.name, gotB, wantB)
+			}
+
+			if c.nulls == 5 {
+				continue // a thousand answers to fold: the differential suite covers Δ's certainO
+			}
+			before := planned.Stats().WorldsEvaluated
+			gotO, err := planned.CertainObjectCWA(c.q, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantO, err := oracle.CertainObjectCWA(c.q, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !gotO.Equal(wantO) {
+				t.Errorf("%s workers=%d: certainO %s, oracle %s", c.name, workers, gotO, wantO)
+			}
+			if n := planned.Stats().WorldsEvaluated - before; n != pow(c.nulls) {
+				t.Errorf("%s workers=%d: certainO evaluated %d worlds, want %d", c.name, workers, n, pow(c.nulls))
+			}
+		}
+	}
+}

@@ -30,8 +30,8 @@ import (
 //
 // A WorldPlan is shared (stable results and their hash indexes are built
 // once, under sync.Once, and only read afterwards); each enumeration
-// worker owns a Session holding per-node scratch relations that are
-// recycled from world to world.
+// worker owns a Session, whose per-node tuple buffers are recycled from
+// world to world (session.go).
 
 // WorldPlan is a query plan factored for world enumeration over a fixed
 // incomplete database.
@@ -40,7 +40,7 @@ type WorldPlan struct {
 	root  *wnode
 	out   schema.Relation
 	n     int           // number of nodes (scratch sizing)
-	nulls []value.Value // Null(D), sorted (shared by enumeration loops)
+	nulls []value.Value // the nulls the plan reads, sorted: a session's dense valuation is indexed like it
 
 	workers atomic.Int32 // worker budget for partition-parallel stable parts
 
@@ -67,7 +67,7 @@ func (wp *WorldPlan) SetWorkers(w int) {
 
 // AcquireSession returns a session from the plan's pool (or a fresh one).
 // Returning it with ReleaseSession lets the next certain-answer call reuse
-// the per-node scratch relations.
+// the per-node buffers.
 func (wp *WorldPlan) AcquireSession() *Session {
 	if s, ok := wp.sessions.Get().(*Session); ok && s != nil {
 		return s
@@ -75,13 +75,18 @@ func (wp *WorldPlan) AcquireSession() *Session {
 	return wp.NewSession()
 }
 
-// ReleaseSession returns a session to the plan's pool.  The session's
-// scratch results (including the last Delta/Answer return values) must no
-// longer be referenced by the caller.
+// ReleaseSession returns a session to the plan's pool.  The relations the
+// session's last Delta/Answer calls returned must no longer be used by the
+// caller (clones and tuples taken from them stay valid); the session keeps
+// no reference to a caller's valuation.
 func (wp *WorldPlan) ReleaseSession(s *Session) { wp.sessions.Put(s) }
 
-// SortedNulls returns Null(D) in the deterministic enumeration order,
-// computed once at plan time.  Callers must not mutate it.
+// SortedNulls returns, in the deterministic enumeration order, the nulls a
+// sweep has to range over: those of the relations the query reads (all of
+// Null(D) for a query over the whole database, Δ).  Valuations that differ
+// only on other nulls give the same answer, so enumerating Null(D) would
+// repeat every world |dom|^k times over.  Computed once at plan time;
+// callers must not mutate it.
 func (wp *WorldPlan) SortedNulls() []value.Value { return wp.nulls }
 
 // ForWorlds rewrites and factors q for world enumeration over d.
@@ -94,21 +99,29 @@ func ForWorlds(q ra.Expr, d *table.Database) (*WorldPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &worldBuilder{d: d}
+	reads, wholeDB := ra.BaseRelations(rw)
+	if wholeDB {
+		reads = d.RelationNames()
+	}
+	nulls := collectNulls(d, reads)
+	b := &worldBuilder{d: d, ord: make(map[value.Value]int32, len(nulls))}
+	for i, nl := range nulls {
+		b.ord[nl] = int32(i)
+	}
 	root, err := b.build(rw)
 	if err != nil {
 		return nil, err
 	}
-	return &WorldPlan{d: d, root: root, out: out, n: b.n, nulls: collectNulls(d)}, nil
+	return &WorldPlan{d: d, root: root, out: out, n: b.n, nulls: nulls}, nil
 }
 
-// collectNulls gathers Null(D) sorted, in a single pass over the stored
-// tuples (equivalent to d.SortedNulls() without the per-relation set
-// allocations).
-func collectNulls(d *table.Database) []value.Value {
+// collectNulls gathers the nulls of the named relations, sorted, in a
+// single pass over the stored tuples; names d does not have are skipped
+// (the build reports them).
+func collectNulls(d *table.Database, names []string) []value.Value {
 	seen := map[value.Value]bool{}
 	var out []value.Value
-	for _, name := range d.RelationNames() {
+	for _, name := range names {
 		d.Relation(name).Each(func(t table.Tuple) bool {
 			for _, v := range t {
 				if v.IsNull() && !seen[v] {
@@ -184,26 +197,42 @@ type wnode struct {
 	invariant  bool
 
 	// Kind-specific compiled data.
-	relName    string
-	nullTuples []table.Tuple // wRel: tuples mentioning nulls
-	pred       cpred         // wSelect
-	projIdx    []int         // wProject
-	lpos       []int         // wJoin: shared positions in the left input
-	rpos       []int         // wJoin: shared positions in the right input
-	extraIdx   []int         // wJoin: right positions appended to the output
-	divPos     []int         // wDivision
-	keepPos    []int         // wDivision
-	adomC      []value.Value // wDelta: constants of adom(D)
-	adomN      []value.Value // wDelta: nulls of adom(D)
+	relName  string
+	tmpl     []value.Value // wRel, wDelta: the tuples mentioning nulls, row-major
+	patch    []nullRef     // wRel, wDelta: where tmpl holds which null, ascending
+	pred     cpred         // wSelect
+	projIdx  []int         // wProject
+	lpos     []int         // wJoin: shared positions in the left input
+	rpos     []int         // wJoin: shared positions in the right input
+	extraIdx []int         // wJoin, wProduct: right positions appended to the output
+	divPos   []int         // wDivision
+	keepPos  []int         // wDivision
+	adomC    []value.Value // wDelta: constants of adom(D)
 
 	stableOnce sync.Once
 	stableRel  *table.Relation
 	stableErr  error
 }
 
+// nullRef says that position pos of a node's tuple template holds the
+// null with ordinal ord in WorldPlan.nulls: a world's tuples are the
+// template with every such position overwritten from the dense valuation.
+type nullRef struct{ pos, ord int32 }
+
 type worldBuilder struct {
-	d *table.Database
-	n int
+	d   *table.Database
+	n   int
+	ord map[value.Value]int32 // ordinal of each null the plan reads
+}
+
+// template appends t to the node's tuple template, noting its nulls.
+func (b *worldBuilder) template(n *wnode, t table.Tuple) {
+	for _, v := range t {
+		if v.IsNull() {
+			n.patch = append(n.patch, nullRef{pos: int32(len(n.tmpl)), ord: b.ord[v]})
+		}
+		n.tmpl = append(n.tmpl, v)
+	}
 }
 
 func (b *worldBuilder) node(kind wkind, rs schema.Relation) *wnode {
@@ -223,12 +252,12 @@ func (b *worldBuilder) build(e ra.Expr) (*wnode, error) {
 		n.relName = ex.Name
 		rel.Each(func(t table.Tuple) bool {
 			if t.HasNull() {
-				n.nullTuples = append(n.nullTuples, t)
+				b.template(n, t)
 			}
 			return true
 		})
 		n.splittable = true
-		n.invariant = len(n.nullTuples) == 0
+		n.invariant = len(n.tmpl) == 0
 		return n, nil
 
 	case ra.Select:
@@ -293,7 +322,7 @@ func (b *worldBuilder) build(e ra.Expr) (*wnode, error) {
 			return nil, err
 		}
 		n := b.node(wProduct, rs)
-		n.l, n.r = l, r
+		n.l, n.r, n.extraIdx = l, r, allPositions(r.rs.Arity())
 		n.splittable = l.splittable && r.splittable
 		n.invariant = l.invariant && r.invariant
 		return n, nil
@@ -377,11 +406,11 @@ func (b *worldBuilder) build(e ra.Expr) (*wnode, error) {
 			if v.IsConst() {
 				n.adomC = append(n.adomC, v)
 			} else {
-				n.adomN = append(n.adomN, v)
+				b.template(n, table.NewTuple(v, v))
 			}
 		}
 		n.splittable = true
-		n.invariant = len(n.adomN) == 0
+		n.invariant = len(n.tmpl) == 0
 		return n, nil
 
 	default:
@@ -432,9 +461,9 @@ func (b *worldBuilder) buildSelectProduct(preds []ra.Predicate, prod ra.Product)
 		kind = wProduct
 	}
 	n := b.node(kind, rs)
-	n.l, n.r = l, r
+	n.l, n.r, n.extraIdx = l, r, allPositions(r.rs.Arity())
 	if kind == wJoin {
-		n.lpos, n.rpos, n.extraIdx = lpos, rpos, allPositions(r.rs.Arity())
+		n.lpos, n.rpos = lpos, rpos
 		preds = residual
 	}
 	n.splittable = l.splittable && r.splittable

@@ -384,4 +384,22 @@ func TestStatsReport(t *testing.T) {
 	if vc.Updates == 0 {
 		t.Error("view update counter is zero after an update")
 	}
+
+	// World sweeps are counted per evaluation path.  The planned sweep of a
+	// query over R ranges over R's one null only (six constants: 6 worlds,
+	// none of which decides the answer early); the oracle's over both nulls.
+	for _, planner := range []string{"on", "off"} {
+		if _, err := cl.Query("project(R; a)", "certain-cwa", planner, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err = cl.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if p := st.Planned; p.Sweeps != 1 || p.WorldsEvaluated != 6 || p.SweepEarlyExits != 0 {
+		t.Errorf("planned sweep counters = %+v, want 1 sweep of 6 worlds", p)
+	}
+	if o := st.Oracle; o.Sweeps != 1 || o.WorldsEvaluated != 36 || o.SweepEarlyExits != 0 {
+		t.Errorf("oracle sweep counters = %+v, want 1 sweep of 36 worlds", o)
+	}
 }

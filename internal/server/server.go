@@ -323,6 +323,9 @@ func cacheCounters(cs certain.CacheStats) wire.CacheCounters {
 		WorldHits:        cs.WorldHits,
 		WorldMisses:      cs.WorldMisses,
 		WorldEvictions:   cs.WorldEvictions,
+		Sweeps:           cs.Sweeps,
+		WorldsEvaluated:  cs.WorldsEvaluated,
+		SweepEarlyExits:  cs.SweepEarlyExits,
 	}
 }
 

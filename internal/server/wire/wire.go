@@ -200,7 +200,9 @@ type Stats struct {
 	Relations map[string]RelationCounters `json:"relations,omitempty"`
 }
 
-// CacheCounters mirrors the engine's plan-cache statistics.
+// CacheCounters mirrors the engine's plan-cache and world-sweep
+// statistics: sweeps run, worlds they evaluated the query on, and sweeps
+// that stopped before their last world.
 type CacheCounters struct {
 	OneShotHits      uint64 `json:"one_shot_hits"`
 	OneShotMisses    uint64 `json:"one_shot_misses"`
@@ -208,6 +210,9 @@ type CacheCounters struct {
 	WorldHits        uint64 `json:"world_hits"`
 	WorldMisses      uint64 `json:"world_misses"`
 	WorldEvictions   uint64 `json:"world_evictions"`
+	Sweeps           uint64 `json:"sweeps"`
+	WorldsEvaluated  uint64 `json:"worlds_evaluated"`
+	SweepEarlyExits  uint64 `json:"sweep_early_exits"`
 }
 
 // RelationCounters mirrors the access-path counters of one relation:

@@ -604,16 +604,35 @@ func (r *Relation) Filter(pred func(Tuple) bool) *Relation {
 }
 
 // Retain removes, in place, every tuple for which pred is false.  It is the
-// allocation-free complement of Filter, used for running intersections.
+// allocation-free complement of Filter, used for running intersections.  A
+// call that removes nothing is a read: version, stamp and sidecars stay as
+// they are.  pred must be a pure function of the tuple; it is asked about a
+// tuple a second time in the one case where the first removal finds the
+// storage shared and due a rehash.
 func (r *Relation) Retain(pred func(Tuple) bool) {
-	r.mutable()
-	for i, s := range r.segs {
+	r.ensure()
+	r.checkWritable() // a mutator on a snapshot header is a bug whatever it would remove
+	owned := false    // mutable has run: the removals go to r's own segments
+scan:
+	for i := 0; i < len(r.segs); i++ {
 		// Deleting from the map being ranged over is fine; so is deleting
 		// from the copy writable made of it.
-		for k, t := range s.m {
-			if !pred(t) {
-				r.remove(i, k, t)
+		for k, t := range r.segs[i].m {
+			if pred(t) {
+				continue
 			}
+			if !owned {
+				owned = true
+				segs := len(r.segs)
+				r.mutable()
+				if len(r.segs) != segs {
+					// Rehashed into another segment count: nothing has been
+					// removed yet, start over on the new segments.
+					i = -1
+					continue scan
+				}
+			}
+			r.remove(i, k, t)
 		}
 	}
 }

@@ -217,6 +217,41 @@ func TestRelationAddAll(t *testing.T) {
 	}
 }
 
+// TestRetainNoopIsARead pins that a Retain which removes nothing leaves
+// the relation's stamp and sidecars alone (a running intersection calls it
+// once per world, and stamp-validated caches must survive that), while one
+// that removes a tuple still counts as a write — on an exclusive header, on
+// one that shares its storage, and on one whose first write after the share
+// rehashes it into more segments.
+func TestRetainNoopIsARead(t *testing.T) {
+	for _, c := range []struct {
+		n      int
+		shared bool
+	}{{50, false}, {50, true}, {5000, true}} {
+		r := NewRelationArity("R", 2)
+		for i := 0; i < c.n; i++ {
+			r.MustAdd(NewTuple(value.Int(int64(i)), value.Int(int64(i%5))))
+		}
+		var other *Relation
+		if c.shared {
+			other = r.Clone()
+		}
+		dict := NewDict()
+		stamp, enc, ix := r.Stamp(), r.Encoding(dict), r.Index([]int{1})
+		r.Retain(func(Tuple) bool { return true })
+		if r.Stamp() != stamp || r.Encoding(dict) != enc || r.Index([]int{1}) != ix {
+			t.Errorf("%+v: a Retain that removed nothing changed stamp or sidecars", c)
+		}
+		r.Retain(func(tp Tuple) bool { return tp[1] != value.Int(3) })
+		if r.Len() != c.n*4/5 || r.Stamp() == stamp || r.Index([]int{1}) == ix || r.Contains(NewTuple(value.Int(3), value.Int(3))) {
+			t.Errorf("%+v: a removing Retain: len %d, stamp %v (was %v)", c, r.Len(), r.Stamp(), stamp)
+		}
+		if c.shared && (other.Len() != c.n || other.Stamp() != stamp) {
+			t.Errorf("%+v: the removal leaked into the clone: len %d", c, other.Len())
+		}
+	}
+}
+
 func TestNilRelationAccessors(t *testing.T) {
 	var r *Relation
 	if r.Len() != 0 {

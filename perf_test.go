@@ -15,7 +15,9 @@ import (
 	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/schema"
+	"incdata/internal/semantics"
 	"incdata/internal/table"
+	"incdata/internal/valuation"
 	"incdata/internal/value"
 	"incdata/internal/workload"
 )
@@ -91,6 +93,99 @@ func BenchmarkWorldEnum(b *testing.B) {
 			}
 		}
 	})
+}
+
+// sweepDB is the shape of the repo benchmark's worlds-sweep databases: 40
+// complete tuples per relation over 16 constants from workload.Random, plus
+// nine tuples per relation that use three nulls (in the join column, in the
+// other column, and beside a constant nothing else has, so a sweep's running
+// intersection never empties): 20³ = 8000 worlds with one fresh constant.
+func sweepDB(seed int64) *table.Database {
+	const domain = 16
+	db := workload.Random(workload.RandomConfig{
+		Relations:         map[string]int{"R": 2, "S": 2},
+		TuplesPerRelation: 40, DomainSize: domain, Seed: seed,
+	})
+	c := func(salt, k int) value.Value { return value.Int(1 + (seed*7+int64(salt*5+k))%domain) }
+	null := func(k int) value.Value { return value.Null(uint64(1 + k%3)) }
+	for k := 0; k < 4; k++ {
+		db.MustAdd("R", table.NewTuple(c(1, k), null(k)))
+		db.MustAdd("S", table.NewTuple(null(k+1), c(2, k)))
+	}
+	for k := 0; k < 2; k++ {
+		db.MustAdd("R", table.NewTuple(null(k+2), c(3, k)))
+		db.MustAdd("S", table.NewTuple(c(4, k), null(k)))
+	}
+	db.MustAdd("R", table.NewTuple(value.Int(domain+1), value.Null(1)))
+	db.MustAdd("S", table.NewTuple(value.Null(2), value.Int(domain+2)))
+	db.MustAdd("R", table.NewTuple(value.Int(domain+3), value.Null(3)))
+	for v := int64(1); v <= domain; v++ {
+		if !db.Consts()[value.Int(v)] {
+			db.MustAdd("R", table.NewTuple(value.Int(v), value.Int(v)))
+		}
+	}
+	return db
+}
+
+// sweepQuery is π_a(R ⋈ S) ∪ π_a(R), the first of the benchmark's templates.
+var sweepQuery = ra.Union{
+	Left: ra.Project{
+		Input: ra.Join{
+			Left:  ra.Rename{Input: ra.Base("R"), As: "R1", Attrs: []string{"a", "b"}},
+			Right: ra.Rename{Input: ra.Base("S"), As: "S1", Attrs: []string{"b", "c"}},
+		},
+		Attrs: []string{"a"},
+	},
+	Right: ra.Project{Input: ra.Rename{Input: ra.Base("R"), As: "R2", Attrs: []string{"a", "d"}}, Attrs: []string{"a"}},
+}
+
+// BenchmarkWorldDelta is one Session.Delta: the per-world cost of a sweep
+// with enumeration and the running intersection left out.
+func BenchmarkWorldDelta(b *testing.B) {
+	d := sweepDB(3)
+	wp, err := plan.ForWorlds(sweepQuery, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var vals []valuation.Valuation
+	valuation.Enumerate(d.SortedNulls(), semantics.DomainOf(d, 1).Values(), func(v valuation.Valuation) bool {
+		vals = append(vals, v.Clone())
+		return true
+	})
+	if len(vals) != 8000 {
+		b.Fatalf("%d worlds, want 8000", len(vals))
+	}
+	sess := wp.NewSession()
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		delta, err := sess.Delta(vals[i%len(vals)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += delta.Len()
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/world")
+}
+
+// BenchmarkWorldSweep is a whole ByWorldsCWA call over the same 8000 worlds:
+// enumeration, one Delta per world, the running intersection and the merge
+// with the stable part, serial and over the world pool.
+func BenchmarkWorldSweep(b *testing.B) {
+	d := sweepDB(3)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			ev := certain.NewEvaluator(true)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ans, err := ev.ByWorldsCWA(sweepQuery, d, certain.Options{Workers: workers})
+				if err != nil || ans.Len() == 0 {
+					b.Fatalf("sweep: %v, %d rows", err, ans.Len())
+				}
+			}
+		})
+	}
 }
 
 // snapshottedRelation returns a database whose relation R(a, b) holds n
