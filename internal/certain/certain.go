@@ -18,49 +18,14 @@ package certain
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/semantics"
 	"incdata/internal/table"
+	"incdata/internal/valuation"
 	"incdata/internal/value"
 )
-
-// plannerEnabled gates the query-planner fast paths (planned one-shot
-// evaluation and world-invariant subplan hoisting) of the package-level
-// entry points.  It is on by default; the differential tests flip it to
-// compare the planner against the naïve-evaluation oracle, which remains
-// the reference implementation for every path.  Production callers go
-// through internal/engine, whose per-engine Evaluators carry their own
-// planner setting and plan caches — this switch only selects between the
-// two shared default evaluators below.
-var plannerEnabled atomic.Bool
-
-func init() { plannerEnabled.Store(true) }
-
-// EnablePlanner switches the planner fast paths on or off and returns the
-// previous setting.  The oracle paths compute identical results, only
-// slower; this exists for benchmarking and differential testing.
-func EnablePlanner(on bool) (previous bool) {
-	return plannerEnabled.Swap(on)
-}
-
-// The default evaluators behind the package-level entry points: one with
-// the planner, one oracle.  Their caches are shared process-wide, exactly
-// like the package-level plan caches they replace.
-var (
-	defaultPlanned = NewEvaluator(true)
-	defaultOracle  = NewEvaluator(false)
-)
-
-// defaultEvaluator picks the default instance for the current
-// EnablePlanner setting.
-func defaultEvaluator() *Evaluator {
-	if plannerEnabled.Load() {
-		return defaultPlanned
-	}
-	return defaultOracle
-}
 
 // Options controls world enumeration.
 type Options struct {
@@ -79,9 +44,10 @@ type Options struct {
 	ExtraConstants []value.Value
 	// Workers enables parallel evaluation of worlds when > 1.
 	Workers int
-	// MaxWorlds aborts enumeration when the number of valuations would
-	// exceed the bound (0 means no bound); this keeps experiment sweeps from
-	// running forever on instances with many nulls.
+	// MaxWorlds aborts enumeration when the number of valuations of the
+	// sweep that would run (see checkWorldBound) exceeds the bound (0
+	// means no bound); this keeps experiment sweeps from running forever
+	// on instances with many nulls.
 	MaxWorlds int
 }
 
@@ -174,24 +140,6 @@ func (o Options) withQueryConstants(q ra.Expr) Options {
 	return o
 }
 
-// NaiveRaw evaluates the query naïvely (nulls as values) without stripping
-// nulls from the answer.  It is the certainO representation of the answer
-// for monotone generic queries (equation (9)), and the input to the
-// null-stripping step.  With the planner enabled the expression is
-// compiled to a physical plan (pushdown, indexed joins); results are
-// bit-identical to ra.Eval.
-func NaiveRaw(q ra.Expr, d *table.Database) (*table.Relation, error) {
-	return defaultEvaluator().NaiveRaw(q, d)
-}
-
-// Naive computes certain answers by naïve evaluation followed by dropping
-// tuples with nulls (equation (4)): Q(D)_cmpl.  The paper's Section 6
-// results guarantee this equals the intersection-based certain answers for
-// positive queries (under OWA and CWA) and for RAcwa queries (under CWA).
-func Naive(q ra.Expr, d *table.Database) (*table.Relation, error) {
-	return defaultEvaluator().Naive(q, d)
-}
-
 // ErrTooManyWorlds is returned when world enumeration would exceed
 // Options.MaxWorlds.
 var ErrTooManyWorlds = fmt.Errorf("certain: world enumeration exceeds the configured bound")
@@ -201,9 +149,21 @@ var ErrTooManyWorlds = fmt.Errorf("certain: world enumeration exceeds the config
 // order).
 var errNoWorlds = fmt.Errorf("certain: no worlds to intersect (empty enumeration domain)")
 
-// checkWorldBound enforces Options.MaxWorlds before enumeration starts.
-func (o Options) checkWorldBound(d *table.Database, dom semantics.Domain) error {
-	if o.MaxWorlds > 0 && semantics.WorldCount(d, dom) > o.MaxWorlds {
+// checkWorldBound enforces Options.MaxWorlds before a sweep starts, against
+// the sweep that will run: a world plan ranges over the nulls of the
+// relations the query reads; without one (the oracle path, OWA worlds) the
+// enumeration ranges over all of Null(D).
+func (o Options) checkWorldBound(wp *plan.WorldPlan, d *table.Database, dom semantics.Domain) error {
+	if o.MaxWorlds <= 0 {
+		return nil
+	}
+	worlds := 0
+	if wp != nil {
+		worlds = valuation.Count(len(wp.SortedNulls()), len(dom))
+	} else {
+		worlds = semantics.WorldCount(d, dom)
+	}
+	if worlds > o.MaxWorlds {
 		return ErrTooManyWorlds
 	}
 	return nil
@@ -213,7 +173,7 @@ func (o Options) checkWorldBound(d *table.Database, dom semantics.Domain) error 
 // MaxExtraTuples additional tuples over the domain).
 func collectWorldsOWA(d *table.Database, opts Options) ([]*table.Database, error) {
 	dom := opts.domain(d)
-	if err := opts.checkWorldBound(d, dom); err != nil {
+	if err := opts.checkWorldBound(nil, d, dom); err != nil {
 		return nil, err
 	}
 	var worlds []*table.Database
@@ -222,45 +182,6 @@ func collectWorldsOWA(d *table.Database, opts Options) ([]*table.Database, error
 		return true
 	})
 	return worlds, nil
-}
-
-// ByWorldsCWA computes the intersection-based certain answers under CWA by
-// explicit world enumeration:  ⋂ { Q(v(D)) | v valuation into the finite
-// domain }.  For generic queries with enough fresh constants in the domain
-// this equals certain(Q,D) under [[·]]cwa.
-//
-// Worlds are never materialized: the query is evaluated under a valuation
-// view of the base database, a running intersection is maintained, and the
-// enumeration aborts as soon as the intersection is empty.
-func ByWorldsCWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
-	return defaultEvaluator().ByWorldsCWA(q, d, opts)
-}
-
-// ByWorldsOWA computes intersection-based certain answers under OWA over
-// the enumerated (bounded) world set.  With MaxExtraTuples = 0 the minimal
-// worlds are used, which gives the exact certain answers for monotone
-// queries; for non-monotone queries the result is an over-approximation of
-// the true OWA certain answers (which are undecidable in general), and
-// increasing MaxExtraTuples tightens it.
-func ByWorldsOWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
-	return defaultEvaluator().ByWorldsOWA(q, d, opts)
-}
-
-// CertainObjectCWA computes certainO(Q,D) under CWA: the greatest lower
-// bound, in the ⪯owa ordering on answers, of { Q(D') | D' ∈ [[D]]cwa } over
-// the enumerated worlds.  For monotone generic queries the theorem of
-// Section 6.1 says this equals Q(D) itself (naïve evaluation, nulls kept);
-// experiment E8/E11 verify the equality.
-func CertainObjectCWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
-	return defaultEvaluator().CertainObjectCWA(q, d, opts)
-}
-
-// BoolCertainCWA computes the certain answer of a Boolean query under CWA
-// by world enumeration: true iff the query is nonempty in every world.  It
-// evaluates through a valuation view (no world materialization) and stops
-// at the first counterexample world.
-func BoolCertainCWA(q ra.Expr, d *table.Database, opts Options) (bool, error) {
-	return defaultEvaluator().BoolCertainCWA(q, d, opts)
 }
 
 // Comparison is the outcome of comparing naïve-evaluation certain answers
@@ -274,12 +195,6 @@ type Comparison struct {
 	// SpuriousInNaive are tuples naïve evaluation returned that are not
 	// certain (false positives; the π(R−S) example produces one).
 	SpuriousInNaive []table.Tuple
-}
-
-// Compare checks naïve-evaluation certain answers against the
-// world-enumeration ground truth under CWA.
-func Compare(q ra.Expr, d *table.Database, opts Options) (Comparison, error) {
-	return defaultEvaluator().Compare(q, d, opts)
 }
 
 func diffRelations(naive, truth *table.Relation) Comparison {

@@ -34,6 +34,7 @@ func db2(t *testing.T, schemaDef map[string]int, rows map[string][][]string) *ta
 // returns {pid1} (the tautology holds under marked-null identity too,
 // because ⊥='oid1' ∨ ⊥≠'oid1' is a tautology of two-valued logic).
 func TestTautologyCertain(t *testing.T) {
+	ev := NewEvaluator(true)
 	d := db2(t,
 		map[string]int{"Pay": 3},
 		map[string][][]string{"Pay": {{"pid1", "⊥1", "100"}}})
@@ -48,14 +49,14 @@ func TestTautologyCertain(t *testing.T) {
 		},
 		Attrs: []string{"#1"},
 	}
-	truth, err := ByWorldsCWA(q, d, Options{})
+	truth, err := ev.ByWorldsCWA(q, d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if truth.Len() != 1 || !truth.Contains(table.MustParseTuple("pid1")) {
 		t.Fatalf("certain answer should be {pid1}, got %v", truth)
 	}
-	naive, err := Naive(q, d)
+	naive, err := ev.Naive(q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +71,7 @@ func TestTautologyCertain(t *testing.T) {
 // too, so no individual order is certain — but the Boolean query "is some
 // order unpaid" is certainly true.  This mirrors the paper's discussion.
 func TestUnpaidOrdersCertain(t *testing.T) {
+	ev := NewEvaluator(true)
 	d := db2(t,
 		map[string]int{"Order": 2, "Pay": 3},
 		map[string][][]string{
@@ -83,7 +85,7 @@ func TestUnpaidOrdersCertain(t *testing.T) {
 	}
 	// Tuple-level certain answers: no single order is certainly unpaid
 	// (the null could be either oid1 or oid2).
-	truth, err := ByWorldsCWA(unpaid, d, Options{ExtraFresh: 1})
+	truth, err := ev.ByWorldsCWA(unpaid, d, Options{ExtraFresh: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestUnpaidOrdersCertain(t *testing.T) {
 	}
 	// But the Boolean query "some order is unpaid" is certainly true, since
 	// |Order| = 2 > 1 = |Pay|.
-	someUnpaid, err := BoolCertainCWA(unpaid, d, Options{ExtraFresh: 1})
+	someUnpaid, err := ev.BoolCertainCWA(unpaid, d, Options{ExtraFresh: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,26 +115,27 @@ func TestUnpaidOrdersCertain(t *testing.T) {
 // Naïve evaluation fails for π_A(R−S): R = {(1,⊥)}, S = {(1,⊥')}.  Naïve
 // evaluation returns {1}; the certain answer is ∅.
 func TestNaiveFailsForProjectionOfDifference(t *testing.T) {
+	ev := NewEvaluator(true)
 	d := db2(t,
 		map[string]int{"R": 2, "S": 2},
 		map[string][][]string{"R": {{"1", "⊥1"}}, "S": {{"1", "⊥2"}}})
 	q := ra.Project{Input: ra.Diff{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"#1"}}
 
-	naive, err := Naive(q, d)
+	naive, err := ev.Naive(q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if naive.Len() != 1 || !naive.Contains(table.MustParseTuple("1")) {
 		t.Fatalf("naïve evaluation should return {1}, got %v", naive)
 	}
-	truth, err := ByWorldsCWA(q, d, Options{ExtraFresh: 2})
+	truth, err := ev.ByWorldsCWA(q, d, Options{ExtraFresh: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if truth.Len() != 0 {
 		t.Fatalf("certain answer should be empty, got %v", truth)
 	}
-	cmp, err := Compare(q, d, Options{ExtraFresh: 2})
+	cmp, err := ev.Compare(q, d, Options{ExtraFresh: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +151,7 @@ func TestNaiveFailsForProjectionOfDifference(t *testing.T) {
 // For positive queries naïve evaluation agrees with world enumeration under
 // CWA and OWA (equation (4)).
 func TestNaiveAgreesForPositiveQueries(t *testing.T) {
+	ev := NewEvaluator(true)
 	d := db2(t,
 		map[string]int{"R": 2, "S": 2},
 		map[string][][]string{
@@ -167,18 +171,18 @@ func TestNaiveAgreesForPositiveQueries(t *testing.T) {
 		if !ra.IsPositive(q) {
 			t.Fatalf("%s should be positive", q)
 		}
-		naive, err := Naive(q, d)
+		naive, err := ev.Naive(q, d)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		cwa, err := ByWorldsCWA(q, d, Options{ExtraFresh: 2, Workers: 2})
+		cwa, err := ev.ByWorldsCWA(q, d, Options{ExtraFresh: 2, Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		if !naive.Equal(cwa) {
 			t.Errorf("%s: naïve %v != CWA truth %v", q, naive, cwa)
 		}
-		owa, err := ByWorldsOWA(q, d, Options{ExtraFresh: 2, MaxExtraTuples: 1})
+		owa, err := ev.ByWorldsOWA(q, d, Options{ExtraFresh: 2, MaxExtraTuples: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -190,6 +194,7 @@ func TestNaiveAgreesForPositiveQueries(t *testing.T) {
 
 // Division under CWA: cwa-naïve evaluation works for RAcwa (Section 6.2).
 func TestDivisionUnderCWA(t *testing.T) {
+	ev := NewEvaluator(true)
 	d := db2(t,
 		map[string]int{"Enroll": 2, "Course": 1},
 		map[string][][]string{
@@ -204,11 +209,11 @@ func TestDivisionUnderCWA(t *testing.T) {
 	if !ra.IsRAcwa(q) {
 		t.Fatal("division by base relation should be RAcwa")
 	}
-	naive, err := Naive(q, d)
+	naive, err := ev.Naive(q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := ByWorldsCWA(q, d, Options{ExtraFresh: 1})
+	truth, err := ev.ByWorldsCWA(q, d, Options{ExtraFresh: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,15 +228,16 @@ func TestDivisionUnderCWA(t *testing.T) {
 // certainO(Q,D) = Q(D) for monotone generic queries (equation (9)): the GLB
 // of the answers over all worlds is hom-equivalent to the naïve answer.
 func TestCertainObjectEqualsNaiveForMonotone(t *testing.T) {
+	ev := NewEvaluator(true)
 	d := db2(t,
 		map[string]int{"R": 2},
 		map[string][][]string{"R": {{"1", "2"}, {"2", "⊥1"}}})
 	q := ra.Base("R")
-	glb, err := CertainObjectCWA(q, d, Options{ExtraFresh: 1})
+	glb, err := ev.CertainObjectCWA(q, d, Options{ExtraFresh: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveRaw, err := NaiveRaw(q, d)
+	naiveRaw, err := ev.NaiveRaw(q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +260,7 @@ func TestCertainObjectEqualsNaiveForMonotone(t *testing.T) {
 		t.Errorf("certainO should keep (2,⊥): %v", glb)
 	}
 	// Contrast with the intersection-based certain answer {(1,2)}.
-	inter, err := ByWorldsCWA(q, d, Options{ExtraFresh: 1})
+	inter, err := ev.ByWorldsCWA(q, d, Options{ExtraFresh: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,42 +270,43 @@ func TestCertainObjectEqualsNaiveForMonotone(t *testing.T) {
 }
 
 func TestOptionsAndErrors(t *testing.T) {
+	ev := NewEvaluator(true)
 	d := db2(t, map[string]int{"R": 1}, map[string][][]string{"R": {{"⊥1"}, {"⊥2"}, {"⊥3"}}})
 	q := ra.Base("R")
 	// MaxWorlds bound.
-	if _, err := ByWorldsCWA(q, d, Options{ExtraFresh: 3, MaxWorlds: 5}); !errors.Is(err, ErrTooManyWorlds) {
+	if _, err := ev.ByWorldsCWA(q, d, Options{ExtraFresh: 3, MaxWorlds: 5}); !errors.Is(err, ErrTooManyWorlds) {
 		t.Errorf("expected ErrTooManyWorlds, got %v", err)
 	}
-	if _, err := ByWorldsOWA(q, d, Options{ExtraFresh: 3, MaxWorlds: 5}); !errors.Is(err, ErrTooManyWorlds) {
+	if _, err := ev.ByWorldsOWA(q, d, Options{ExtraFresh: 3, MaxWorlds: 5}); !errors.Is(err, ErrTooManyWorlds) {
 		t.Errorf("expected ErrTooManyWorlds, got %v", err)
 	}
-	if _, err := CertainObjectCWA(q, d, Options{ExtraFresh: 3, MaxWorlds: 5}); !errors.Is(err, ErrTooManyWorlds) {
+	if _, err := ev.CertainObjectCWA(q, d, Options{ExtraFresh: 3, MaxWorlds: 5}); !errors.Is(err, ErrTooManyWorlds) {
 		t.Errorf("expected ErrTooManyWorlds, got %v", err)
 	}
-	if _, err := BoolCertainCWA(q, d, Options{ExtraFresh: 3, MaxWorlds: 5}); !errors.Is(err, ErrTooManyWorlds) {
+	if _, err := ev.BoolCertainCWA(q, d, Options{ExtraFresh: 3, MaxWorlds: 5}); !errors.Is(err, ErrTooManyWorlds) {
 		t.Errorf("expected ErrTooManyWorlds, got %v", err)
 	}
 	// Bad queries propagate errors everywhere.
 	bad := ra.Base("Nope")
-	if _, err := Naive(bad, d); err == nil {
+	if _, err := ev.Naive(bad, d); err == nil {
 		t.Error("Naive should propagate errors")
 	}
-	if _, err := ByWorldsCWA(bad, d, Options{}); err == nil {
+	if _, err := ev.ByWorldsCWA(bad, d, Options{}); err == nil {
 		t.Error("ByWorldsCWA should propagate errors")
 	}
-	if _, err := ByWorldsOWA(bad, d, Options{}); err == nil {
+	if _, err := ev.ByWorldsOWA(bad, d, Options{}); err == nil {
 		t.Error("ByWorldsOWA should propagate errors")
 	}
-	if _, err := CertainObjectCWA(bad, d, Options{}); err == nil {
+	if _, err := ev.CertainObjectCWA(bad, d, Options{}); err == nil {
 		t.Error("CertainObjectCWA should propagate errors")
 	}
-	if _, err := BoolCertainCWA(bad, d, Options{}); err == nil {
+	if _, err := ev.BoolCertainCWA(bad, d, Options{}); err == nil {
 		t.Error("BoolCertainCWA should propagate errors")
 	}
-	if _, err := Compare(bad, d, Options{}); err == nil {
+	if _, err := ev.Compare(bad, d, Options{}); err == nil {
 		t.Error("Compare should propagate errors")
 	}
-	if _, err := Compare(ra.Diff{Left: ra.Base("R"), Right: ra.Base("Nope")}, d, Options{}); err == nil {
+	if _, err := ev.Compare(ra.Diff{Left: ra.Base("R"), Right: ra.Base("Nope")}, d, Options{}); err == nil {
 		t.Error("Compare should propagate errors from the ground-truth side")
 	}
 	// Parallel evaluation error propagation.
@@ -317,11 +324,12 @@ func TestOptionsAndErrors(t *testing.T) {
 }
 
 func TestQueryConstantsEnterDomain(t *testing.T) {
+	ev := NewEvaluator(true)
 	// A selection constant not present in the database must be considered a
 	// possible value of the null, otherwise certain answers are wrong.
 	d := db2(t, map[string]int{"R": 1}, map[string][][]string{"R": {{"⊥1"}}})
 	q := ra.Select{Input: ra.Base("R"), Pred: ra.Neq(ra.Attr("#1"), ra.LitInt(7))}
-	truth, err := ByWorldsCWA(q, d, Options{ExtraFresh: 1})
+	truth, err := ev.ByWorldsCWA(q, d, Options{ExtraFresh: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +364,9 @@ func TestQueryConstantsEnterDomain(t *testing.T) {
 }
 
 func TestCompareAgreesForPositive(t *testing.T) {
+	ev := NewEvaluator(true)
 	d := db2(t, map[string]int{"R": 2}, map[string][][]string{"R": {{"1", "⊥1"}, {"2", "3"}}})
-	cmp, err := Compare(ra.Project{Input: ra.Base("R"), Attrs: []string{"#1"}}, d, Options{})
+	cmp, err := ev.Compare(ra.Project{Input: ra.Base("R"), Attrs: []string{"#1"}}, d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,16 +7,15 @@ import (
 	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/schema"
+	"incdata/internal/semantics"
 	"incdata/internal/table"
 )
 
 // Evaluator is an instance of the certain-answer machinery with its own
 // plan caches and planner setting.  The engine facade (internal/engine)
 // owns one Evaluator per planner setting, which is what gives every engine
-// its own plan cache and session pool instead of the process-wide globals
-// this package used to keep; the package-level functions below remain as
-// thin wrappers over shared default instances and serve as the reference
-// oracle for differential tests.
+// its own plan cache and session pool; NewEvaluator(false) is the reference
+// oracle of the differential tests.
 //
 // An Evaluator is safe for concurrent use: the caches are mutex-guarded,
 // compiled one-shot plans are stateless with respect to the data, and
@@ -102,13 +101,19 @@ func (ev *Evaluator) Explain(q ra.Expr, sc *schema.Schema) (string, error) {
 }
 
 // NaiveRaw evaluates the query naïvely (nulls as values) without stripping
-// nulls from the answer; see the package-level NaiveRaw.
+// nulls from the answer.  It is the certainO representation of the answer
+// for monotone generic queries (equation (9)), and the input to the
+// null-stripping step.  With the planner enabled the expression is
+// compiled to a physical plan (pushdown, indexed joins); results are
+// bit-identical to ra.Eval.
 func (ev *Evaluator) NaiveRaw(q ra.Expr, d *table.Database) (*table.Relation, error) {
 	return ev.evalMaybePlanned(q, d)
 }
 
 // Naive computes certain answers by naïve evaluation followed by dropping
-// tuples with nulls; see the package-level Naive.
+// tuples with nulls (equation (4)): Q(D)_cmpl.  The paper's Section 6
+// results guarantee this equals the intersection-based certain answers for
+// positive queries (under OWA and CWA) and for RAcwa queries (under CWA).
 func (ev *Evaluator) Naive(q ra.Expr, d *table.Database) (*table.Relation, error) {
 	if ev.planner {
 		if p, err := ev.cachedCompile(q, d.Schema()); err == nil {
@@ -122,17 +127,10 @@ func (ev *Evaluator) Naive(q ra.Expr, d *table.Database) (*table.Relation, error
 	return ra.StripNulls(r), nil
 }
 
-// NaiveWorkers is Naive with a worker budget: with the planner on, the
-// compiled plan is evaluated morsel-parallel across the pool (partitioned
-// hash joins, see plan.EvalCertainWorkers), producing a result bit-identical
-// to Naive's.  workers <= 1 and the oracle path are exactly Naive.
-func (ev *Evaluator) NaiveWorkers(q ra.Expr, d *table.Database, workers int) (*table.Relation, error) {
-	return ev.NaiveWith(q, d, plan.EvalConfig{Workers: workers, Columnar: true, Coded: true})
-}
-
 // NaiveWith is Naive with an explicit plan execution configuration
 // (worker budget and columnar/row path selection).  With the planner on
-// the compiled plan evaluates under cfg; the oracle path ignores cfg.
+// the compiled plan evaluates under cfg, morsel-parallel across a worker
+// pool when cfg.Workers > 1; the oracle path ignores cfg.
 // The result is bit-identical to Naive's for every configuration.
 func (ev *Evaluator) NaiveWith(q ra.Expr, d *table.Database, cfg plan.EvalConfig) (*table.Relation, error) {
 	if ev.planner {
@@ -145,12 +143,6 @@ func (ev *Evaluator) NaiveWith(q ra.Expr, d *table.Database, cfg plan.EvalConfig
 		return nil, err
 	}
 	return ra.StripNulls(r), nil
-}
-
-// NaiveRawWorkers is NaiveRaw with a worker budget, the raw (nulls kept)
-// counterpart of NaiveWorkers; the result is bit-identical to NaiveRaw's.
-func (ev *Evaluator) NaiveRawWorkers(q ra.Expr, d *table.Database, workers int) (*table.Relation, error) {
-	return ev.NaiveRawWith(q, d, plan.EvalConfig{Workers: workers, Columnar: true, Coded: true})
 }
 
 // NaiveRawWith is NaiveRaw with an explicit plan execution configuration,
@@ -178,30 +170,46 @@ func (ev *Evaluator) evalMaybePlanned(q ra.Expr, d *table.Database) (*table.Rela
 	return ra.Eval(q, d)
 }
 
-// ByWorldsCWA computes the intersection-based certain answers under CWA;
-// see the package-level ByWorldsCWA.
-func (ev *Evaluator) ByWorldsCWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
+// sweepPlan prepares a CWA sweep of q over d: the enumeration domain, and
+// the world plan the sweep runs on — nil under planner off or when the
+// planner rejects q, which is the oracle path.  It fails when the sweep
+// would exceed Options.MaxWorlds.
+func (ev *Evaluator) sweepPlan(q ra.Expr, d *table.Database, opts Options) (*plan.WorldPlan, semantics.Domain, error) {
 	opts = opts.withDefaults(d).withQueryConstants(q)
 	dom := opts.domain(d)
-	if err := opts.checkWorldBound(d, dom); err != nil {
+	wp := ev.worldPlanFor(q, d)
+	return wp, dom, opts.checkWorldBound(wp, d, dom)
+}
+
+// ByWorldsCWA computes the intersection-based certain answers under CWA by
+// explicit world enumeration:  ⋂ { Q(v(D)) | v valuation into the finite
+// domain }.  For generic queries with enough fresh constants in the domain
+// this equals certain(Q,D) under [[·]]cwa.
+//
+// Worlds are never materialized: the query is evaluated under a valuation
+// view of the base database, a running intersection is maintained, and the
+// enumeration aborts as soon as the intersection is empty.
+func (ev *Evaluator) ByWorldsCWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
+	wp, dom, err := ev.sweepPlan(q, d, opts)
+	if err != nil {
 		return nil, err
 	}
-	return ev.intersectWorldsCWA(q, d, dom, opts.Workers)
+	return ev.intersectWorldsCWA(wp, q, d, dom, opts.Workers)
 }
 
 // ByWorldsOWA computes intersection-based certain answers under OWA over
-// the enumerated (bounded) world set; see the package-level ByWorldsOWA.
+// the enumerated (bounded) world set.  With MaxExtraTuples = 0 the minimal
+// worlds are used, which gives the exact certain answers for monotone
+// queries; for non-monotone queries the result is an over-approximation of
+// the true OWA certain answers (which are undecidable in general), and
+// increasing MaxExtraTuples tightens it.
 func (ev *Evaluator) ByWorldsOWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
-	opts = opts.withDefaults(d).withQueryConstants(q)
 	if opts.MaxExtraTuples <= 0 {
 		// The minimal OWA worlds are exactly the CWA worlds; use the
 		// streaming valuation-view path.
-		dom := opts.domain(d)
-		if err := opts.checkWorldBound(d, dom); err != nil {
-			return nil, err
-		}
-		return ev.intersectWorldsCWA(q, d, dom, opts.Workers)
+		return ev.ByWorldsCWA(q, d, opts)
 	}
+	opts = opts.withDefaults(d).withQueryConstants(q)
 	worlds, err := collectWorldsOWA(d, opts)
 	if err != nil {
 		return nil, err
@@ -213,34 +221,37 @@ func (ev *Evaluator) ByWorldsOWA(q ra.Expr, d *table.Database, opts Options) (*t
 	return order.IntersectionRelations(answers)
 }
 
-// CertainObjectCWA computes certainO(Q,D) under CWA; see the package-level
-// CertainObjectCWA.
+// CertainObjectCWA computes certainO(Q,D) under CWA: the greatest lower
+// bound, in the ⪯owa ordering on answers, of { Q(D') | D' ∈ [[D]]cwa } over
+// the enumerated worlds.  For monotone generic queries the theorem of
+// Section 6.1 says this equals Q(D) itself (naïve evaluation, nulls kept);
+// experiment E8/E11 verify the equality.
 func (ev *Evaluator) CertainObjectCWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
-	opts = opts.withDefaults(d).withQueryConstants(q)
-	dom := opts.domain(d)
-	if err := opts.checkWorldBound(d, dom); err != nil {
+	wp, dom, err := ev.sweepPlan(q, d, opts)
+	if err != nil {
 		return nil, err
 	}
-	answers, err := ev.collectAnswersCWA(q, d, dom, opts.Workers)
+	answers, err := ev.collectAnswersCWA(wp, q, d, dom, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	return order.GLBRelationsOWA(answers)
 }
 
-// BoolCertainCWA computes the certain answer of a Boolean query under CWA;
-// see the package-level BoolCertainCWA.
+// BoolCertainCWA computes the certain answer of a Boolean query under CWA
+// by world enumeration: true iff the query is nonempty in every world.  It
+// evaluates through a valuation view (no world materialization) and stops
+// at the first counterexample world.
 func (ev *Evaluator) BoolCertainCWA(q ra.Expr, d *table.Database, opts Options) (bool, error) {
-	opts = opts.withDefaults(d).withQueryConstants(q)
-	dom := opts.domain(d)
-	if err := opts.checkWorldBound(d, dom); err != nil {
+	wp, dom, err := ev.sweepPlan(q, d, opts)
+	if err != nil {
 		return false, err
 	}
-	if wp := ev.worldPlanFor(q, d); wp != nil {
+	if wp != nil {
 		return ev.boolCertainPlanned(wp, dom, opts.Workers)
 	}
 	certain := true
-	err := ev.forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
+	err = ev.forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
 		if ans.Len() == 0 {
 			certain = false
 			return false
@@ -254,7 +265,7 @@ func (ev *Evaluator) BoolCertainCWA(q ra.Expr, d *table.Database, opts Options) 
 }
 
 // Compare checks naïve-evaluation certain answers against the
-// world-enumeration ground truth under CWA; see the package-level Compare.
+// world-enumeration ground truth under CWA.
 func (ev *Evaluator) Compare(q ra.Expr, d *table.Database, opts Options) (Comparison, error) {
 	naive, err := ev.Naive(q, d)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 // write into the caller's backing array, so a reused Options value could
 // carry one query's constants into the next call.
 func TestExtraConstantsNotAliased(t *testing.T) {
+	ev := NewEvaluator(true)
 	s := schema.MustNew(schema.WithArity("R", 1))
 	d := table.NewDatabase(s)
 	d.MustAddRow("R", "⊥1")
@@ -25,7 +26,7 @@ func TestExtraConstantsNotAliased(t *testing.T) {
 	opts := Options{ExtraConstants: backing[:1]}
 
 	q1 := ra.Select{Input: ra.Base("R"), Pred: ra.Eq(ra.Attr("#1"), ra.LitString("qconst1"))}
-	if _, err := ByWorldsCWA(q1, d, opts); err != nil {
+	if _, err := ev.ByWorldsCWA(q1, d, opts); err != nil {
 		t.Fatal(err)
 	}
 	// The caller's slice and its spare capacity must be untouched.
@@ -44,7 +45,7 @@ func TestExtraConstantsNotAliased(t *testing.T) {
 	// qconst1, so the certain answer for a σ[#1=qconst1] query is empty
 	// while σ[#1=qconst2] keeps its counterexample world.
 	q2 := ra.Select{Input: ra.Base("R"), Pred: ra.Eq(ra.Attr("#1"), ra.LitString("qconst2"))}
-	certain2, err := BoolCertainCWA(q2, d, opts)
+	certain2, err := ev.BoolCertainCWA(q2, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +61,20 @@ func TestExtraConstantsNotAliased(t *testing.T) {
 // many-null instance whose world count saturates at math.MaxInt must still
 // trip MaxWorlds instead of wrapping to a small (or negative) count.
 func TestMaxWorldsTripsOnSaturatedCount(t *testing.T) {
+	ev := NewEvaluator(true)
 	s := schema.MustNew(schema.WithArity("R", 2))
 	d := table.NewDatabase(s)
 	for i := 0; i < 48; i++ {
 		d.MustAdd("R", table.NewTuple(value.Int(int64(i%24)), value.Null(uint64(i+1))))
 	}
 	opts := Options{MaxWorlds: math.MaxInt - 1}
-	if _, err := ByWorldsCWA(ra.Base("R"), d, opts); err != ErrTooManyWorlds {
+	if _, err := ev.ByWorldsCWA(ra.Base("R"), d, opts); err != ErrTooManyWorlds {
 		t.Fatalf("ByWorldsCWA error = %v, want ErrTooManyWorlds", err)
 	}
-	if _, err := CertainObjectCWA(ra.Base("R"), d, opts); err != ErrTooManyWorlds {
+	if _, err := ev.CertainObjectCWA(ra.Base("R"), d, opts); err != ErrTooManyWorlds {
 		t.Fatalf("CertainObjectCWA error = %v, want ErrTooManyWorlds", err)
 	}
-	if _, err := BoolCertainCWA(ra.Base("R"), d, opts); err != ErrTooManyWorlds {
+	if _, err := ev.BoolCertainCWA(ra.Base("R"), d, opts); err != ErrTooManyWorlds {
 		t.Fatalf("BoolCertainCWA error = %v, want ErrTooManyWorlds", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/schema"
 	"incdata/internal/semantics"
@@ -99,12 +100,13 @@ func (ev *Evaluator) forEachWorldAnswer(q ra.Expr, d *table.Database, dom semant
 // intersectWorldsCWA computes ⋂ { Q(v(D)) | v } over dom, maintaining a
 // running intersection and aborting the enumeration as soon as it is empty
 // (sound for any query: intersecting further worlds cannot grow it).  With
-// the planner enabled the query is factored into a world-invariant stable
-// part and per-valuation deltas, and only the deltas are intersected (see
-// planned.go); this oracle path remains for planner-off runs and for
-// expressions the planner rejects.
-func (ev *Evaluator) intersectWorldsCWA(q ra.Expr, d *table.Database, dom semantics.Domain, workers int) (*table.Relation, error) {
-	if wp := ev.worldPlanFor(q, d); wp != nil {
+// a world plan (wp, from sweepPlan) the query is factored into a
+// world-invariant stable part and per-valuation deltas, and only the
+// deltas are intersected (see planned.go); a nil wp takes the oracle path,
+// which remains for planner-off runs and for expressions the planner
+// rejects.
+func (ev *Evaluator) intersectWorldsCWA(wp *plan.WorldPlan, q ra.Expr, d *table.Database, dom semantics.Domain, workers int) (*table.Relation, error) {
+	if wp != nil {
 		return ev.intersectWorldsPlanned(wp, dom, workers)
 	}
 	if workers > 1 {
@@ -132,8 +134,8 @@ func (ev *Evaluator) intersectWorldsCWA(q ra.Expr, d *table.Database, dom semant
 // distinct answers (deduplicated by canonical key; duplicate worlds and
 // worlds with equal answers collapse).  The GLB construction is invariant
 // under duplicates, so deduplication is purely an optimization.
-func (ev *Evaluator) collectAnswersCWA(q ra.Expr, d *table.Database, dom semantics.Domain, workers int) ([]*table.Relation, error) {
-	if wp := ev.worldPlanFor(q, d); wp != nil {
+func (ev *Evaluator) collectAnswersCWA(wp *plan.WorldPlan, q ra.Expr, d *table.Database, dom semantics.Domain, workers int) ([]*table.Relation, error) {
+	if wp != nil {
 		return ev.collectAnswersPlanned(wp, dom, workers)
 	}
 	if workers > 1 {

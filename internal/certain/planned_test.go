@@ -1,9 +1,11 @@
 package certain
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"incdata/internal/ra"
@@ -73,13 +75,6 @@ func differentialQueries() map[string]ra.Expr {
 	}
 }
 
-func withPlanner(t *testing.T, on bool, f func()) {
-	t.Helper()
-	prev := EnablePlanner(on)
-	defer EnablePlanner(prev)
-	f()
-}
-
 func relFingerprint(r *table.Relation) string {
 	if r == nil {
 		return "<nil>"
@@ -96,6 +91,7 @@ func TestPlannerDifferentialCertainPaths(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
+	planned, oracle := NewEvaluator(true), NewEvaluator(false)
 	for name, q := range differentialQueries() {
 		for _, seed := range seeds {
 			for _, workers := range []int{0, 4} {
@@ -121,28 +117,31 @@ func TestPlannerDifferentialCertainPaths(t *testing.T) {
 					boolCertain                    bool
 					errs                           [6]error
 				}
-				run := func() outcome {
+				run := func(ev *Evaluator) outcome {
 					var o outcome
-					r1, err := ByWorldsCWA(q, d, opts)
+					r1, err := ev.ByWorldsCWA(q, d, opts)
 					o.errs[0] = err
 					o.byWorlds = relFingerprint(r1)
 					if checkCertainO {
-						r2, err := CertainObjectCWA(q, d, opts)
+						r2, err := ev.CertainObjectCWA(q, d, opts)
 						o.errs[1] = err
 						o.certainO = relFingerprint(r2)
 					}
-					b, err := BoolCertainCWA(q, d, opts)
+					b, err := ev.BoolCertainCWA(q, d, opts)
 					o.errs[2] = err
 					o.boolCertain = b
-					r3, err := Naive(q, d)
+					r3, err := ev.Naive(q, d)
 					o.errs[3] = err
 					o.naive = relFingerprint(r3)
-					r4, err := ByWorldsOWA(q, d, opts)
+					r4, err := ev.ByWorldsOWA(q, d, opts)
 					o.errs[4] = err
 					o.owa = relFingerprint(r4)
 					// The distinct per-world answer set (certainO's input).
-					collectOpts := opts.withDefaults(d).withQueryConstants(q)
-					answers, err := defaultEvaluator().collectAnswersCWA(q, d, collectOpts.domain(d), workers)
+					wp, dom, err := ev.sweepPlan(q, d, opts)
+					var answers []*table.Relation
+					if err == nil {
+						answers, err = ev.collectAnswersCWA(wp, q, d, dom, workers)
+					}
 					o.errs[5] = err
 					for _, a := range answers {
 						o.answers = append(o.answers, relFingerprint(a))
@@ -151,9 +150,7 @@ func TestPlannerDifferentialCertainPaths(t *testing.T) {
 					return o
 				}
 
-				var on, off outcome
-				withPlanner(t, true, func() { on = run() })
-				withPlanner(t, false, func() { off = run() })
+				on, off := run(planned), run(oracle)
 
 				for i := range on.errs {
 					if (on.errs[i] == nil) != (off.errs[i] == nil) {
@@ -194,21 +191,20 @@ func TestPlannerDifferentialAfterMutation(t *testing.T) {
 	d := diffDB(11)
 	q := ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "c"}}
 	opts := Options{ExtraFresh: 1}
+	planned := NewEvaluator(true)
 
-	if _, err := ByWorldsCWA(q, d, opts); err != nil {
+	if _, err := planned.ByWorldsCWA(q, d, opts); err != nil {
 		t.Fatal(err)
 	}
 	// Mutate a base relation in place and re-ask.
 	d.MustAdd("R", table.NewTuple(value.Int(9), value.Int(9)))
 	d.MustAdd("S", table.NewTuple(value.Int(9), value.Int(7)))
 
-	var on, off *table.Relation
-	var err error
-	withPlanner(t, true, func() { on, err = ByWorldsCWA(q, d, opts) })
+	on, err := planned.ByWorldsCWA(q, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPlanner(t, false, func() { off, err = ByWorldsCWA(q, d, opts) })
+	off, err := NewEvaluator(false).ByWorldsCWA(q, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +216,9 @@ func TestPlannerDifferentialAfterMutation(t *testing.T) {
 	}
 }
 
-// TestSweepRangesOverReadNullsOnly: a planned sweep enumerates the nulls of
-// the relations the query reads, not Null(D).  U carries three nulls no
-// query below can see; the answers must equal the oracle's (which ranges
-// over all five), and the worlds evaluated must be |dom|^(nulls read), at
-// one worker and over the pool, whose feeder takes the same list.
-func TestSweepRangesOverReadNullsOnly(t *testing.T) {
+// unreadNullsDB has one null in R, one in S and three in U, over the
+// constants 1, 2, 3.
+func unreadNullsDB() *table.Database {
 	d := table.NewDatabase(schema.MustNew(
 		schema.NewRelation("R", "a", "b"),
 		schema.NewRelation("S", "b", "c"),
@@ -237,6 +230,16 @@ func TestSweepRangesOverReadNullsOnly(t *testing.T) {
 	d.MustAddRow("S", "3", "2")
 	d.MustAddRow("U", "⊥3", "⊥4")
 	d.MustAddRow("U", "⊥5", "1")
+	return d
+}
+
+// TestSweepRangesOverReadNullsOnly: a planned sweep enumerates the nulls of
+// the relations the query reads, not Null(D).  U carries three nulls no
+// query below can see; the answers must equal the oracle's (which ranges
+// over all five), and the worlds evaluated must be |dom|^(nulls read), at
+// one worker and over the pool, whose feeder takes the same list.
+func TestSweepRangesOverReadNullsOnly(t *testing.T) {
+	d := unreadNullsDB()
 	const dom = 4 // 1, 2, 3 and one fresh constant
 	pow := func(k int) uint64 {
 		n := uint64(1)
@@ -316,6 +319,54 @@ func TestSweepRangesOverReadNullsOnly(t *testing.T) {
 			if n := planned.Stats().WorldsEvaluated - before; n != pow(c.nulls) {
 				t.Errorf("%s workers=%d: certainO evaluated %d worlds, want %d", c.name, workers, n, pow(c.nulls))
 			}
+		}
+	}
+}
+
+// TestMaxWorldsBoundsTheSweepThatRuns: MaxWorlds is checked against the
+// sweep that will run.  π_a(R) reads one null, so the planner sweeps 4
+// worlds and answers as the unbounded oracle does, although U's nulls put
+// |dom|^|Null(D)| = 4^5 over the bound; with the planner off the sweep
+// ranges over Null(D) and is refused.
+func TestMaxWorldsBoundsTheSweepThatRuns(t *testing.T) {
+	d := unreadNullsDB()
+	q := ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}}
+	const maxWorlds = 4
+	for name, sweep := range map[string]func(*Evaluator, Options) (string, error){
+		"ByWorldsCWA": func(ev *Evaluator, o Options) (string, error) {
+			r, err := ev.ByWorldsCWA(q, d, o)
+			return relFingerprint(r), err
+		},
+		"ByWorldsOWA": func(ev *Evaluator, o Options) (string, error) {
+			r, err := ev.ByWorldsOWA(q, d, o)
+			return relFingerprint(r), err
+		},
+		"CertainObjectCWA": func(ev *Evaluator, o Options) (string, error) {
+			r, err := ev.CertainObjectCWA(q, d, o)
+			return relFingerprint(r), err
+		},
+		"BoolCertainCWA": func(ev *Evaluator, o Options) (string, error) {
+			b, err := ev.BoolCertainCWA(q, d, o)
+			return strconv.FormatBool(b), err
+		},
+	} {
+		planned := NewEvaluator(true)
+		got, err := sweep(planned, Options{MaxWorlds: maxWorlds})
+		if err != nil {
+			t.Fatalf("%s: planned sweep under MaxWorlds=%d: %v", name, maxWorlds, err)
+		}
+		want, err := sweep(NewEvaluator(false), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: bounded planned answer %q, unbounded oracle %q", name, got, want)
+		}
+		if n := planned.Stats().WorldsEvaluated; n > maxWorlds {
+			t.Errorf("%s: %d worlds evaluated under MaxWorlds=%d", name, n, maxWorlds)
+		}
+		if _, err := sweep(NewEvaluator(false), Options{MaxWorlds: maxWorlds}); !errors.Is(err, ErrTooManyWorlds) {
+			t.Errorf("%s: planner off under MaxWorlds=%d: %v, want ErrTooManyWorlds", name, maxWorlds, err)
 		}
 	}
 }

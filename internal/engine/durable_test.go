@@ -52,7 +52,8 @@ func commitSteps(t *testing.T, eng *Engine, stream []histStep, rng *rand.Rand, l
 // subsystem: a database written with Persist (historical backfill) plus
 // live durable commits, branches and a merge, reopened with Open, yields
 // bit-identical AsOf states at every commit and bit-identical certain
-// answers at the head across modes × planner settings × worker counts.
+// answers at the head across modes × planner settings × worker counts,
+// and under a memory budget that makes every join spill.
 func TestDurablePersistOpenDifferential(t *testing.T) {
 	for _, checkpointEvery := range []int{-1, 2, 16} {
 		checkpointEvery := checkpointEvery
@@ -161,6 +162,13 @@ func TestDurablePersistOpenDifferential(t *testing.T) {
 									qname, mode, planner, workers)
 							}
 						}
+					}
+					// A spill join on the recovered head (a budget below any
+					// build side) against the writing engine's resident join.
+					want, werr := eng.Eval(q, Options{Mode: mode})
+					got, gerr := re.Eval(q, Options{Mode: mode, MemBudget: 64})
+					if (gerr == nil) != (werr == nil) || (gerr == nil && fp(got) != fp(want)) {
+						t.Fatalf("%s mode=%v: budgeted answer differs after reopen (%v / %v)", qname, mode, gerr, werr)
 					}
 				}
 				// World enumeration spot check (exponential: small queries only).

@@ -7,6 +7,7 @@ import (
 	"incdata/internal/certain"
 	"incdata/internal/ra"
 	"incdata/internal/schema"
+	"incdata/internal/sqlx"
 	"incdata/internal/table"
 	"incdata/internal/value"
 )
@@ -65,13 +66,6 @@ func fp(r *table.Relation) string {
 	return r.CanonicalKey()
 }
 
-func withPlanner(t *testing.T, on bool, f func()) {
-	t.Helper()
-	prev := certain.EnablePlanner(on)
-	defer certain.EnablePlanner(prev)
-	f()
-}
-
 // TestEngineDifferential requires every engine mode to be bit-identical to
 // the direct certain/ra.Eval calls it replaced, with the planner on and
 // off — the facade must be a pure re-routing, never a change in results.
@@ -87,16 +81,17 @@ func TestEngineDifferential(t *testing.T) {
 				d := testDB(seed)
 				eng := New(d)
 				opts := Options{Planner: planner, ExtraFresh: 1, MaxWorlds: 1 << 18}
+				ref := certain.NewEvaluator(planner != PlannerOff)
 
 				type step struct {
 					mode   Mode
 					direct func() (*table.Relation, error)
 				}
 				steps := []step{
-					{ModeNaive, func() (*table.Relation, error) { return certain.NaiveRaw(q, d) }},
-					{ModeCertain, func() (*table.Relation, error) { return certain.Naive(q, d) }},
-					{ModeCertainCWA, func() (*table.Relation, error) { return certain.ByWorldsCWA(q, d, copts) }},
-					{ModeCertainOWA, func() (*table.Relation, error) { return certain.ByWorldsOWA(q, d, copts) }},
+					{ModeNaive, func() (*table.Relation, error) { return ref.NaiveRaw(q, d) }},
+					{ModeCertain, func() (*table.Relation, error) { return ref.Naive(q, d) }},
+					{ModeCertainCWA, func() (*table.Relation, error) { return ref.ByWorldsCWA(q, d, copts) }},
+					{ModeCertainOWA, func() (*table.Relation, error) { return ref.ByWorldsOWA(q, d, copts) }},
 				}
 				// certainO's GLB is a direct-product construction whose cost
 				// explodes with the number of distinct per-world answers, so —
@@ -104,15 +99,13 @@ func TestEngineDifferential(t *testing.T) {
 				// tiny-answer queries only.
 				if name == "base" || name == "select" || name == "delta" {
 					steps = append(steps, step{ModeCertainObject,
-						func() (*table.Relation, error) { return certain.CertainObjectCWA(q, d, copts) }})
+						func() (*table.Relation, error) { return ref.CertainObjectCWA(q, d, copts) }})
 				}
 				for _, st := range steps {
 					opts := opts
 					opts.Mode = st.mode
 					got, gotErr := eng.Eval(q, opts)
-					var want *table.Relation
-					var wantErr error
-					withPlanner(t, planner != PlannerOff, func() { want, wantErr = st.direct() })
+					want, wantErr := st.direct()
 					if (gotErr == nil) != (wantErr == nil) {
 						t.Fatalf("%s seed=%d planner=%d mode=%v: error mismatch: %v vs %v",
 							name, seed, planner, st.mode, gotErr, wantErr)
@@ -125,9 +118,7 @@ func TestEngineDifferential(t *testing.T) {
 
 				// Boolean certainty.
 				gotB, gotErr := eng.EvalBool(q, opts)
-				var wantB bool
-				var wantErr error
-				withPlanner(t, planner != PlannerOff, func() { wantB, wantErr = certain.BoolCertainCWA(q, d, copts) })
+				wantB, wantErr := ref.BoolCertainCWA(q, d, copts)
 				if (gotErr == nil) != (wantErr == nil) || gotB != wantB {
 					t.Errorf("%s seed=%d planner=%d: EvalBool mismatch: (%v,%v) vs (%v,%v)",
 						name, seed, planner, gotB, gotErr, wantB, wantErr)
@@ -149,7 +140,7 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineCompareMatchesCertain pins Engine.Compare to certain.Compare.
+// TestEngineCompareMatchesCertain pins Engine.Compare to Evaluator.Compare.
 func TestEngineCompareMatchesCertain(t *testing.T) {
 	d := testDB(7)
 	eng := New(d)
@@ -158,7 +149,7 @@ func TestEngineCompareMatchesCertain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := certain.Compare(q, d, certain.Options{ExtraFresh: 1})
+	want, err := certain.NewEvaluator(true).Compare(q, d, certain.Options{ExtraFresh: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +270,9 @@ func TestWorldPlanCacheAcrossSnapshots(t *testing.T) {
 }
 
 // TestServeBatch checks the concurrent batch API: responses arrive in
-// request order, parallel and serial runs agree, and malformed requests
-// fail without poisoning the batch.
+// request order, parallel and serial sweeps of one snapshot agree although
+// a write commits between them, an SQL request takes the SQL route, and
+// malformed requests fail without poisoning the batch.
 func TestServeBatch(t *testing.T) {
 	d := testDB(11)
 	eng := New(d)
@@ -290,10 +282,29 @@ func TestServeBatch(t *testing.T) {
 		reqs = append(reqs, Request{Query: q, Opts: Options{Mode: ModeCertain}})
 		reqs = append(reqs, Request{Query: q, Opts: Options{Mode: ModeCertainCWA, ExtraFresh: 1}})
 	}
+	notIn := sqlx.Query{
+		Select: []string{"a"},
+		From:   "R",
+		Where:  sqlx.In{Term: sqlx.Col("a"), Sub: sqlx.Subquery{Select: "a", From: "T"}, Negate: true},
+	}
+	wantSQL, err := sqlx.Eval(notIn, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs = append(reqs, Request{SQL: &notIn})
 	reqs = append(reqs, Request{}) // malformed: neither Query nor SQL
 
-	serial := eng.Serve(reqs, 1)
-	parallel := eng.Serve(reqs, 8)
+	snap := eng.Snapshot()
+	serial := snap.Serve(reqs, 1)
+	if err := eng.Update(func(db *table.Database) error {
+		return db.Add("R", table.MustParseTuple("99", "99"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	parallel := snap.Serve(reqs, 8)
+	if sql := serial[len(reqs)-2]; sql.Err != nil || fp(sql.Rel) != fp(wantSQL) {
+		t.Fatalf("SQL request: %v, %v; sqlx.Eval gives %v", sql.Rel, sql.Err, wantSQL)
+	}
 	if len(serial) != len(reqs) || len(parallel) != len(reqs) {
 		t.Fatalf("response count: %d and %d, want %d", len(serial), len(parallel), len(reqs))
 	}

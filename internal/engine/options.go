@@ -203,8 +203,10 @@ type Options struct {
 	// additionally parallelizes across the queries of a batch.)
 	Workers int
 
-	// MaxWorlds aborts world enumeration when more valuations would be
-	// needed (0 means no bound).
+	// MaxWorlds aborts world enumeration when the sweep that would run
+	// needs more valuations (0 means no bound): |dom|^(nulls of the
+	// relations the query reads) under the planner, |dom|^|Null(D)| with
+	// PlannerOff.
 	MaxWorlds int
 
 	// MemBudget, when positive, bounds (approximately, in bytes) the

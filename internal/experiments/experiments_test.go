@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"incdata/internal/engine"
 )
 
 func cell(t *testing.T, r Result, row int, col string) string {
@@ -29,7 +27,7 @@ func atoiCell(t *testing.T, r Result, row int, col string) int {
 }
 
 func TestE1ShapeMatchesPaper(t *testing.T) {
-	r := Harness{}.E1UnpaidOrders([]int{200}, []float64{0, 0.4})
+	r := E1UnpaidOrders([]int{200}, []float64{0, 0.4})
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -57,7 +55,7 @@ func TestE1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestE2Shape(t *testing.T) {
-	r := Harness{}.E2Difference([]int{10, 100})
+	r := E2Difference([]int{10, 100})
 	for i := range r.Rows {
 		if atoiCell(t, r, i, "sqlAnswer") != 0 {
 			t.Error("SQL answer must be empty whenever S contains a null")
@@ -69,14 +67,14 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	r := Harness{}.E3Tautology()
+	r := E3Tautology()
 	if cell(t, r, 0, "contains pid1") != "false" || cell(t, r, 1, "contains pid1") != "true" {
 		t.Errorf("tautology experiment wrong: %v", r.Rows)
 	}
 }
 
 func TestE4Shape(t *testing.T) {
-	r := Harness{}.E4CTables([]int{2, 4})
+	r := E4CTables([]int{2, 4})
 	for i := range r.Rows {
 		if cell(t, r, i, "matchesDirect") != "true" {
 			t.Error("c-table worlds must match direct evaluation")
@@ -89,7 +87,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	r := Harness{}.E5NaiveUCQ(5, []int{1, 2})
+	r := E5NaiveUCQ(5, []int{1, 2})
 	for i := range r.Rows {
 		if atoiCell(t, r, i, "ucqDisagree") != 0 {
 			t.Error("naïve evaluation must agree with certain answers for UCQs")
@@ -98,7 +96,7 @@ func TestE5Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	r := Harness{}.E7Duality([]int{2, 3}, 3)
+	r := E7Duality([]int{2, 3}, 3)
 	for i := range r.Rows {
 		if cell(t, r, i, "allAgree") != "true" {
 			t.Error("the three routes to CQ certain answers must agree")
@@ -107,7 +105,7 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8Shape(t *testing.T) {
-	r := Harness{}.E8CertainO()
+	r := E8CertainO()
 	if cell(t, r, 0, "⪯cwa lower bound") != "false" {
 		t.Error("intersection must not be a ⪯cwa lower bound (the paper's point)")
 	}
@@ -120,7 +118,7 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	r := Harness{}.E9Division([]int{30}, []float64{0, 0.05})
+	r := E9Division([]int{30}, []float64{0, 0.05})
 	for i := range r.Rows {
 		if got := cell(t, r, i, "agreesWithWorlds"); got != "true" && got != "skipped" {
 			t.Errorf("division naïve evaluation must agree with world enumeration, got %q", got)
@@ -129,7 +127,7 @@ func TestE9Shape(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	r := Harness{}.E10Exchange([]int{50})
+	r := E10Exchange([]int{50})
 	if atoiCell(t, r, 0, "targetTuples") != 100 {
 		t.Errorf("chase of 50 orders should create 100 target tuples, got %s", cell(t, r, 0, "targetTuples"))
 	}
@@ -142,18 +140,18 @@ func TestE10Shape(t *testing.T) {
 }
 
 func TestE11Shape(t *testing.T) {
-	r := Harness{}.E11Theorem(10)
+	r := E11Theorem(10)
 	if atoiCell(t, r, 0, "certainO = Q(D)") != atoiCell(t, r, 0, "instances") {
 		t.Error("the theorem must hold on every instance for the monotone query")
 	}
 }
 
 func TestE12AndE6Smoke(t *testing.T) {
-	r := Harness{}.E12Orderings([]int{3}, 3)
+	r := E12Orderings([]int{3}, 3)
 	if len(r.Rows) != 1 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	r6 := Harness{}.E6Complexity([]int{10}, []int{1, 2})
+	r6 := E6Complexity([]int{10}, []int{1, 2})
 	if len(r6.Rows) != 2 {
 		t.Fatalf("E6 rows = %d", len(r6.Rows))
 	}
@@ -178,17 +176,10 @@ func TestConfigsAndAll(t *testing.T) {
 		E9Students: []int{10}, E9NullRates: []float64{0},
 		E10Orders: []int{10}, E11Instances: 3,
 		E12Sizes: []int{3}, E12Pairs: 2,
-		E13Queries: 16, E13Workers: []int{1, 2},
-		E14Orders: []int{30}, E14Updates: 20,
-		E15Commits: 6, E15Batch: 2, E15Checkpoints: []int{2}, E15AsOf: 10,
-		E16Rows: 200, E16Workers: []int{1, 2},
-		E17Items: 200, E17Workers: []int{1, 2},
-		E18Orders: 40, E18Clients: []int{2}, E18Requests: 20,
-		E19Commits: 6, E19Batch: 2, E19Checkpoints: []int{2}, E19AsOf: 10, E19Budget: 1 << 10,
 	}
 	results := All(tiny)
-	if len(results) != 19 {
-		t.Fatalf("All should run 19 experiments, got %d", len(results))
+	if len(results) != 12 {
+		t.Fatalf("All should run 12 experiments, got %d", len(results))
 	}
 	ids := map[string]bool{}
 	for _, r := range results {
@@ -200,61 +191,9 @@ func TestConfigsAndAll(t *testing.T) {
 			t.Errorf("String of %s malformed", r.ID)
 		}
 	}
-	for i := 1; i <= 19; i++ {
+	for i := 1; i <= 12; i++ {
 		if !ids["E"+strconv.Itoa(i)] {
 			t.Errorf("missing experiment E%d", i)
-		}
-	}
-}
-
-// TestE19DurableSmoke pins the durable-store experiment end to end: every
-// checkpoint interval must recover bit-identically (agree) and the spill
-// join must match the resident path (spill).
-func TestE19DurableSmoke(t *testing.T) {
-	r := Harness{}.E19DurableStore(8, 2, []int{1, 4}, 10, 1<<10)
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for i := range r.Rows {
-		if got := cell(t, r, i, "agree"); got != "true" {
-			t.Errorf("row %d: recovered history disagreed with the writing engine", i)
-		}
-		if got := cell(t, r, i, "spill"); got != "true" {
-			t.Errorf("row %d: spill join disagreed with the resident join", i)
-		}
-	}
-}
-
-// TestE13BatchAgreesAcrossWorkerCounts pins the engine batch experiment:
-// parallel sweeps must agree with the serial baseline, and both worker
-// counts must produce rows.
-func TestE13BatchAgreesAcrossWorkerCounts(t *testing.T) {
-	r := Harness{}.E13EngineBatch(24, []int{1, 4})
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for i := range r.Rows {
-		if got := cell(t, r, i, "agree"); got != "true" {
-			t.Errorf("row %d: parallel batch disagreed with serial baseline", i)
-		}
-	}
-}
-
-// TestPlannerSettingsAgree runs a representative experiment under both
-// engine paths and requires identical result tables.  E2's naiveCertain
-// column comes from eng.Eval(ModeCertain), which actually dispatches on
-// the planner setting, and its table has no timing columns.
-func TestPlannerSettingsAgree(t *testing.T) {
-	on := Harness{Planner: engine.PlannerOn}.E2Difference([]int{10, 100})
-	off := Harness{Planner: engine.PlannerOff}.E2Difference([]int{10, 100})
-	if len(on.Rows) != len(off.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(on.Rows), len(off.Rows))
-	}
-	for i := range on.Rows {
-		for j := range on.Rows[i] {
-			if on.Rows[i][j] != off.Rows[i][j] {
-				t.Errorf("row %d col %d: planner-on %q vs planner-off %q", i, j, on.Rows[i][j], off.Rows[i][j])
-			}
 		}
 	}
 }

@@ -58,22 +58,6 @@ type sharedEval struct {
 	codedContains map[*pdiff]codedContains
 }
 
-// EvalWorkers evaluates the plan on a pool of workers (on the columnar
-// path) and returns a result bit-identical to Eval's.  workers <= 1,
-// plans without a parallelizable shape (no driving scan: division or Δ
-// roots), and driving relations smaller than the parallel cutoff all
-// fall back to the serial path.
-func (p *Plan) EvalWorkers(db ra.DB, workers int) (*table.Relation, error) {
-	return p.EvalWith(db, EvalConfig{Workers: workers, Columnar: true, Coded: true})
-}
-
-// EvalCertainWorkers is EvalWorkers with the null-stripping of
-// certain-answer extraction fused into each worker's materialization; the
-// result is bit-identical to EvalCertain's.
-func (p *Plan) EvalCertainWorkers(db ra.DB, workers int) (*table.Relation, error) {
-	return p.EvalCertainWith(db, EvalConfig{Workers: workers, Columnar: true, Coded: true})
-}
-
 // parallelizable reports whether any union branch of the plan has a
 // driving scan over a relation big enough to warrant the worker pool.
 func parallelizable(n pnode, db ra.DB) bool {

@@ -20,8 +20,8 @@ func withParallelCutoff(t *testing.T, cutoff int) {
 	t.Cleanup(func() { parallelCutoff = prev })
 }
 
-// mustSameParallel asserts EvalWorkers and EvalCertainWorkers are
-// bit-identical to their serial counterparts (and hence, via the planner's
+// mustSameParallel asserts EvalWith and EvalCertainWith on a worker pool
+// are bit-identical to their serial counterparts (and hence, via the planner's
 // own differential, to the ra.Eval oracle).
 func mustSameParallel(t *testing.T, q ra.Expr, d *table.Database, workers int, label string) {
 	t.Helper()
@@ -29,22 +29,23 @@ func mustSameParallel(t *testing.T, q ra.Expr, d *table.Database, workers int, l
 	if err != nil {
 		return // compile rejections are covered by the serial differential
 	}
+	cfg := EvalConfig{Workers: workers, Columnar: true, Coded: true}
 	want, serr := p.Eval(d)
-	got, perr := p.EvalWorkers(d, workers)
+	got, perr := p.EvalWith(d, cfg)
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("%s: error mismatch for %s: serial %v, workers=%d %v", label, q, serr, workers, perr)
 	}
 	if serr == nil && got.CanonicalKey() != want.CanonicalKey() {
-		t.Fatalf("%s: EvalWorkers(%d) differs for %s\nparallel: %s\nserial:   %s\nplan:\n%s",
+		t.Fatalf("%s: EvalWith(workers=%d) differs for %s\nparallel: %s\nserial:   %s\nplan:\n%s",
 			label, workers, q, got, want, p.Describe())
 	}
 	wantC, serr := p.EvalCertain(d)
-	gotC, perr := p.EvalCertainWorkers(d, workers)
+	gotC, perr := p.EvalCertainWith(d, cfg)
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("%s: certain error mismatch for %s: serial %v, workers=%d %v", label, q, serr, workers, perr)
 	}
 	if serr == nil && gotC.CanonicalKey() != wantC.CanonicalKey() {
-		t.Fatalf("%s: EvalCertainWorkers(%d) differs for %s", label, workers, q)
+		t.Fatalf("%s: EvalCertainWith(workers=%d) differs for %s", label, workers, q)
 	}
 }
 

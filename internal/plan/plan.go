@@ -126,7 +126,9 @@ func (p *Plan) Eval(db ra.DB) (*table.Relation, error) {
 
 // EvalWith evaluates the plan with the given execution configuration.
 // The result is bit-identical across all configurations and never
-// aliases mutable state of the database.
+// aliases mutable state of the database.  cfg.Workers <= 1, plans without
+// a parallelizable shape (no driving scan: division or Δ roots) and
+// driving relations smaller than the parallel cutoff evaluate serially.
 func (p *Plan) EvalWith(db ra.DB, cfg EvalConfig) (*table.Relation, error) {
 	cfg = cfg.normalized()
 	if cfg.Workers > 1 && parallelizable(p.root, db) {

@@ -77,10 +77,11 @@ func BenchmarkWorldEnum(b *testing.B) {
 		},
 		Attrs: []string{"a", "c"},
 	}
+	ev := certain.NewEvaluator(true)
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := certain.ByWorldsCWA(q, d, certain.Options{ExtraFresh: 1}); err != nil {
+			if _, err := ev.ByWorldsCWA(q, d, certain.Options{ExtraFresh: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -88,7 +89,7 @@ func BenchmarkWorldEnum(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := certain.ByWorldsCWA(q, d, certain.Options{ExtraFresh: 1, Workers: 4}); err != nil {
+			if _, err := ev.ByWorldsCWA(q, d, certain.Options{ExtraFresh: 1, Workers: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
