@@ -445,7 +445,7 @@ func TestEngineMemBudgetBitIdentical(t *testing.T) {
 
 // TestStatsEncodingPatchVsBuild pins the sidecar counters of Stats: the
 // first coded evaluation over a relation builds its encoding, and after a
-// small write the next one re-encodes only the segment the write touched —
+// small write the next one patches only the segment the write touched —
 // Patched grows, Builds does not, and nothing is ever declined.
 func TestStatsEncodingPatchVsBuild(t *testing.T) {
 	db := testDB(9)

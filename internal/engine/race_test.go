@@ -115,44 +115,74 @@ func TestConcurrentSnapshotReadersWithWriter(t *testing.T) {
 // TestConcurrentServeWithWriter drives the batch API while a writer
 // mutates: each batch must be internally consistent (all requests see one
 // snapshot), which is checked by pairing each query with itself and
-// requiring identical answers within the batch.
+// requiring identical answers within the batch.  The second input mixes
+// point queries with a scan of 6000 rows, so that Serve's workers (and a
+// parallel scan's) hand each other pooled set arrays of every size: a point
+// query, whose keys the writer never touches, must answer what it answered
+// before the writer started.
 func TestConcurrentServeWithWriter(t *testing.T) {
 	s := schema.MustNew(schema.NewRelation("R", "a", "b"))
-	d := table.NewDatabase(s)
-	d.MustAddRow("R", "1", "2")
-	d.MustAddRow("R", "2", "⊥1")
-	eng := New(d)
-
-	q := ra.Base("R")
-	reqs := []Request{
-		{Query: q, Opts: Options{Mode: ModeNaive}},
-		{Query: q, Opts: Options{Mode: ModeNaive}},
-		{Query: q, Opts: Options{Mode: ModeCertain}},
-		{Query: q, Opts: Options{Mode: ModeCertain}},
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			_ = eng.Update(func(db *table.Database) error {
-				return db.Add("R", table.NewTuple(value.Int(int64(10+i)), value.Int(int64(i))))
-			})
+	small := table.NewDatabase(s)
+	small.MustAddRow("R", "1", "2")
+	small.MustAddRow("R", "2", "⊥1")
+	big := table.NewDatabase(s)
+	for i := 0; i < 6000; i++ {
+		b := value.String(fmt.Sprint("b", i%4000))
+		if i%10 == 0 {
+			b = value.Null(uint64(i%3 + 1))
 		}
-	}()
+		big.MustAdd("R", table.NewTuple(value.Int(int64(i)), b))
+	}
+	point := func(k int64) ra.Expr {
+		return ra.Project{Input: ra.Select{Input: ra.Base("R"), Pred: ra.Eq(ra.Attr("a"), ra.LitInt(k))}, Attrs: []string{"b"}}
+	}
+	scan := ra.Project{Input: ra.Base("R"), Attrs: []string{"b"}}
+	naive, certain := Options{Mode: ModeNaive}, Options{Mode: ModeCertain}
 
-	for i := 0; i < 50; i++ {
-		resp := eng.Serve(reqs, 4)
-		for j := 0; j < len(resp); j += 2 {
-			if resp[j].Err != nil || resp[j+1].Err != nil {
-				t.Fatalf("batch errors: %v, %v", resp[j].Err, resp[j+1].Err)
+	for _, in := range []struct {
+		name   string
+		db     *table.Database
+		scans  []Request
+		points []Request // answers the writer does not change
+	}{
+		{"base", small, []Request{{Query: ra.Base("R"), Opts: naive}, {Query: ra.Base("R"), Opts: certain}}, nil},
+		{"points and a scan", big, []Request{{Query: scan, Opts: certain}, {Query: scan, Opts: naive}}, []Request{
+			{Query: point(7), Opts: certain}, {Query: point(20), Opts: naive}, {Query: point(4011), Opts: certain}, {Query: point(30), Opts: certain},
+		}},
+	} {
+		eng := New(in.db)
+		var reqs []Request
+		for _, r := range append(in.scans, in.points...) {
+			reqs = append(reqs, r, r)
+		}
+		before := eng.Serve(reqs, 1)
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 100; i++ {
+				_ = eng.Update(func(db *table.Database) error {
+					return db.Add("R", table.NewTuple(value.Int(int64(10000+i)), value.Int(int64(i))))
+				})
 			}
-			if resp[j].Rel.CanonicalKey() != resp[j+1].Rel.CanonicalKey() {
-				t.Fatal("one batch saw two different database states")
+		}()
+
+		for i := 0; i < 50; i++ {
+			resp := eng.Serve(reqs, 4)
+			for j := 0; j < len(resp); j += 2 {
+				if resp[j].Err != nil || resp[j+1].Err != nil {
+					t.Fatalf("%s: batch errors: %v, %v", in.name, resp[j].Err, resp[j+1].Err)
+				}
+				if resp[j].Rel.CanonicalKey() != resp[j+1].Rel.CanonicalKey() {
+					t.Fatalf("%s: one batch saw two different database states", in.name)
+				}
+				if j >= 2*len(in.scans) && resp[j].Rel.CanonicalKey() != before[j].Rel.CanonicalKey() {
+					t.Fatalf("%s: %s answers %s, and %s before the writes", in.name, reqs[j].Query, resp[j].Rel, before[j].Rel)
+				}
 			}
 		}
+		<-done
 	}
-	<-done
 }
 
 // TestConcurrentViewReadersWithWriter stresses maintained views under

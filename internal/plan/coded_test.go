@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"incdata/internal/ra"
@@ -13,7 +14,9 @@ import (
 
 // mustSameCoded asserts the coded path is bit-identical to both of its
 // oracles — the columnar path and the per-tuple row path — for raw and
-// certain evaluation under the given worker budget.
+// certain evaluation under the given worker budget.  Each coded evaluation
+// runs right after pollutePools, so the sets it builds start from arrays
+// that a set of another width and a larger result left behind.
 func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, label string) {
 	t.Helper()
 	p, err := Compile(q, d.Schema())
@@ -36,10 +39,16 @@ func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, labe
 	raw := make([]outcome, len(configs))
 	cert := make([]outcome, len(configs))
 	for i, c := range configs {
+		if c.cfg.Coded {
+			pollutePools(t, p.root.out().Arity(), workers)
+		}
 		if r, err := p.EvalWith(d, c.cfg); err != nil {
 			raw[i] = outcome{err: err}
 		} else {
 			raw[i] = outcome{key: r.CanonicalKey(), str: r.String()}
+		}
+		if c.cfg.Coded {
+			pollutePools(t, p.root.out().Arity(), workers)
 		}
 		if r, err := p.EvalCertainWith(d, c.cfg); err != nil {
 			cert[i] = outcome{err: err}
@@ -64,6 +73,44 @@ func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, labe
 			t.Fatalf("%s: EvalCertainWith %s differs for %s (workers=%d)\n%s: %s\nrow: %s\nplan:\n%s",
 				label, configs[i].name, q, workers, configs[i].name, cert[i].str, cert[0].str, p.Describe())
 		}
+	}
+}
+
+// polluters are coded evaluations with results of 200 to 1600 rows, over
+// gatherDB(400), of widths 1, 2 and 3 (plans[w%3] has another width than w),
+// that fill the set pools: plans[1] (width 1) builds a gather set and a
+// diff's derived right side, plans[2] (width 2) and plans[0] (width 3) a
+// gather set and a join's derived build side.
+var polluters = sync.OnceValue(func() (pp struct {
+	db    *table.Database
+	plans [3]*Plan
+}) {
+	pp.db = gatherDB(400)
+	for w, q := range map[int]ra.Expr{
+		1: ra.Diff{
+			Left:  ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}},
+			Right: ra.Project{Input: ra.Select{Input: ra.Base("T"), Pred: ra.Neq(ra.Attr("b"), ra.LitString("label-3"))}, Attrs: []string{"a"}}},
+		2: ra.Project{
+			Input: ra.Join{Left: ra.Base("R"), Right: ra.Project{Input: ra.Select{Input: ra.Base("S"), Pred: ra.Lt(ra.Attr("c"), ra.LitInt(30))}, Attrs: []string{"b", "c"}}},
+			Attrs: []string{"a", "c"}},
+		3: ra.Join{Left: ra.Base("R"), Right: ra.Select{Input: ra.Base("S"), Pred: ra.Lt(ra.Attr("c"), ra.LitInt(20))}},
+	} {
+		p, err := Compile(q, pp.db.Schema())
+		if err != nil || p.root.out().Arity() != w {
+			panic(fmt.Sprintf("polluter of width %d: %v", w, err))
+		}
+		pp.plans[w%3] = p
+	}
+	return pp
+})
+
+// pollutePools runs the polluter of another width than arity, coded, with
+// the given workers.
+func pollutePools(t *testing.T, arity, workers int) {
+	t.Helper()
+	pp := polluters()
+	if _, err := pp.plans[arity%3].EvalWith(pp.db, EvalConfig{Workers: workers, Columnar: true, Coded: true}); err != nil {
+		t.Fatalf("polluter: %v", err)
 	}
 }
 

@@ -299,8 +299,9 @@ func (n *pjoin) codedIndex(c *pctx) (*table.CodedIndex, error) {
 	// Derived build side with no shared copy: index it straight off its
 	// coded stream — codes never decode into tuples just to be hashed
 	// again.  The dedup set supplies the set semantics a materialization
-	// would have enforced, and its rows are the index's.
+	// would have enforced, and its rows are the index's, which copies them.
 	seen := newCodedSet(n.r.out().Arity())
+	defer seen.release()
 	if err := seen.addStream(n.r, c, false, nil, nil); err != nil {
 		return nil, err
 	}
@@ -412,17 +413,40 @@ func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 // tuples row-major in codes, and a table.CodeTable from a tuple's hash to
 // its 1-based row.  Distinct tuples of one hash take a slot each; a tuple of
 // width one is identified by its hash (see table.CodeTable), so its slot is
-// never checked against codes.  The set starts at a few slots and doubles:
-// most sets hold the answer of a point query or a few thousand rows, and it
-// is made per evaluation.
+// never checked against codes.
+//
+// A set lives for one evaluation, and its two arrays are recycled across
+// evaluations: the slots come from table.PooledCodeTable and the codes from
+// codesPool, both by power-of-two length.  The set starts at the smallest
+// length — most sets hold the answer of a point query or a few thousand
+// rows — and doubles by trading each array for one of the next length, so a
+// warm query of any size finds its arrays in the pools instead of allocating
+// its way up.  Its owner calls release once nothing reads the set any more.
 type codedSet struct {
 	width int
 	slots table.CodeTable
-	codes []uint64 // row-major, width-strided
+	codes []uint64  // row-major, width-strided; rows past size() hold garbage
+	box   *[]uint64 // codes' box in codesPool; nil until the first row
 }
 
+// codesPool recycles the code arrays of codedSets (see codedSet).
+var codesPool table.ClassPool[uint64]
+
+// minSetCodes is the length of a set's first code array.
+const minSetCodes = 16
+
 func newCodedSet(width int) *codedSet {
-	return &codedSet{width: width, slots: table.MakeCodeTable(0)}
+	return &codedSet{width: width, slots: table.PooledCodeTable(0)}
+}
+
+// release hands the set's arrays back to their pools; the set, and anything
+// that probes it, must not be used again.
+func (s *codedSet) release() {
+	s.slots.Release()
+	if s.box != nil {
+		codesPool.Put(s.box)
+	}
+	s.codes, s.box = nil, nil
 }
 
 // row returns the code tuple of a row (0-based).
@@ -456,13 +480,17 @@ func (s *codedSet) insert(h uint64, key []uint64) bool {
 	if found {
 		return false
 	}
-	if len(s.codes)+s.width > cap(s.codes) {
-		// Double: append's own growth of a large slice is a quarter at a
-		// time, which copies the codes four times over on the way up.
-		s.codes = slices.Grow(s.codes, max(len(s.codes), s.width))
+	n := s.size()
+	if end := (n + 1) * s.width; end > len(s.codes) {
+		box := codesPool.Get(max(end, 2*len(s.codes), minSetCodes))
+		copy(*box, s.codes[:n*s.width])
+		if s.box != nil {
+			codesPool.Put(s.box)
+		}
+		s.codes, s.box = *box, box
 	}
-	s.codes = append(s.codes, key...)
-	s.slots.Set(pos, h, int32(s.size()+1))
+	copy(s.codes[n*s.width:], key)
+	s.slots.Set(pos, h, int32(n+1))
 	return true
 }
 
@@ -524,49 +552,50 @@ func (s *codedSet) addStream(n pnode, c *pctx, certainOnly bool, pred kpred, pro
 // the coded right-side membership probe of a diff/intersect.  nil with
 // no error means the right side has no coded form — the caller bridges.
 // The returned function only reads immutable state and is safe for
-// concurrent probes.
-func (n *pdiff) codedContainsFn(c *pctx) (codedContains, error) {
+// concurrent probes.  When it probes a set built here, the set is returned
+// too, and the caller releases it once it stops probing.
+func (n *pdiff) codedContainsFn(c *pctx) (codedContains, *codedSet, error) {
 	if c.shared != nil {
 		if f, ok := c.shared.codedContains[n]; ok {
-			return f, nil
+			return f, nil, nil
 		}
 	}
 	if sc, ok := n.r.(*pscan); ok && n.rpred == nil {
 		rrel := c.db.Relation(sc.name)
 		if rrel == nil {
-			return nil, relationErr(sc.name)
+			return nil, nil, relationErr(sc.name)
 		}
 		enc := rrel.Encoding(c.dict)
 		if !enc.Ok() {
-			return nil, nil
+			return nil, nil, nil
 		}
 		pos := n.rproj
 		if pos == nil {
 			pos = allPositions(rrel.Arity())
 		}
 		ix := enc.Index(pos)
-		return ix.HasKey, nil
+		return ix.HasKey, nil, nil
 	}
 	// Derived right side (or a base scan with a fused filter): stream it
 	// coded once — the right side is a pipeline breaker either way — with
 	// the fused filter narrowing the selection, into the set of the
 	// (projected) keys' code tuples.
 	if n.rpred != nil && n.rkpred == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	width := n.r.out().Arity()
 	if n.rproj != nil {
 		width = len(n.rproj)
 	}
 	set := newCodedSet(width)
-	err := set.addStream(n.r, c, false, n.rkpred, n.rproj)
-	if errors.Is(err, errCodedOverflow) {
-		return nil, nil // a value outside the code space: the caller bridges
+	if err := set.addStream(n.r, c, false, n.rkpred, n.rproj); err != nil {
+		set.release()
+		if errors.Is(err, errCodedOverflow) {
+			return nil, nil, nil // a value outside the code space: the caller bridges
+		}
+		return nil, nil, err
 	}
-	if err != nil {
-		return nil, err
-	}
-	return set.contains, nil
+	return set.contains, set, nil
 }
 
 // streamCoded on a diff/intersect narrows the selection with the fused
@@ -576,12 +605,15 @@ func (n *pdiff) streamCoded(c *pctx, emit codedEmit) error {
 	if n.lpred != nil && n.lkpred == nil {
 		return bridgeCoded(n, c, emit)
 	}
-	contains, err := n.codedContainsFn(c)
+	contains, set, err := n.codedContainsFn(c)
 	if err != nil {
 		return err
 	}
 	if contains == nil {
 		return bridgeCoded(n, c, emit)
+	}
+	if set != nil {
+		defer set.release()
 	}
 	var view col.Coded
 	if n.lproj != nil {
@@ -777,10 +809,15 @@ func (g *gather) add(n pnode, certainOnly bool) error {
 // size and no row is looked up.  When out already holds tuples the set never
 // saw — a union branch that did not run coded, an earlier materialization
 // into the same relation — each row's key is looked up first, and only new
-// rows keep their place in the slab.
+// rows keep their place in the slab.  The set is released at the end.
 func (g *gather) finish() {
 	s := g.set
-	if s == nil || s.size() == 0 {
+	if s == nil {
+		return
+	}
+	g.set = nil
+	defer s.release()
+	if s.size() == 0 {
 		return
 	}
 	c, n, arity := g.c, s.size(), s.width

@@ -54,8 +54,10 @@ type sharedEval struct {
 	mats     map[pnode]*table.Relation
 	contains map[*pdiff]func([]byte) bool
 	// codedContains holds the coded twins of contains, built during
-	// prepare for diffs whose right side has a coded form.
+	// prepare for diffs whose right side has a coded form; sets holds the
+	// ones that probe a set, released when the evaluation ends.
 	codedContains map[*pdiff]codedContains
+	sets          []*codedSet
 }
 
 // parallelizable reports whether any union branch of the plan has a
@@ -122,6 +124,12 @@ func runParallel(root pnode, db ra.DB, cfg EvalConfig, certainOnly bool, out *ta
 		contains:      make(map[*pdiff]func([]byte) bool),
 		codedContains: make(map[*pdiff]codedContains),
 	}
+	// Every worker has joined by the time runParallel returns.
+	defer func() {
+		for _, s := range shared.sets {
+			s.release()
+		}
+	}()
 	c0 := newPctx(db, cfg, shared)
 
 	branches := unionBranches(root, nil)
@@ -236,12 +244,15 @@ func prepareShared(n pnode, c *pctx, partJoin *pjoin) error {
 		}
 		c.shared.contains[x] = f
 		if c.coded {
-			cf, err := x.codedContainsFn(c)
+			cf, set, err := x.codedContainsFn(c)
 			if err != nil {
 				return err
 			}
 			if cf != nil {
 				c.shared.codedContains[x] = cf
+			}
+			if set != nil {
+				c.shared.sets = append(c.shared.sets, set)
 			}
 		}
 		return nil

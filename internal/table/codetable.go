@@ -1,5 +1,10 @@
 package table
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // CodeTable is the one hash table of the coded tier: a flat, open-addressed
 // map from 64-bit code hashes (value.HashCode folds) to 1-based int32
 // references, under the join build side and the diff/intersect membership
@@ -26,8 +31,9 @@ package table
 // A CodeTable is not safe for concurrent writes; once its owner stops
 // writing, any number of goroutines may probe it.
 type CodeTable struct {
-	slots []codeSlot // the length is a power of two; at least one slot is always empty
-	n     int        // slots taken
+	slots []codeSlot  // the length is a power of two; at least one slot is always empty
+	n     int         // slots taken
+	box   *[]codeSlot // slots' box in slotPool; nil for a table of MakeCodeTable
 }
 
 // codeSlot is one table slot.  The hash is split in halves so that the slot
@@ -48,11 +54,49 @@ const codeTableMinSlots = 8
 // MakeCodeTable returns an empty table that takes hint references before it
 // first grows.  The zero CodeTable is not usable.
 func MakeCodeTable(hint int) CodeTable {
+	return CodeTable{slots: make([]codeSlot, slotsFor(hint))}
+}
+
+// PooledCodeTable is MakeCodeTable for a table that lives no longer than one
+// evaluation: its slot arrays come from slotPool and go back there — the
+// array it outgrows at each doubling at once, the last one on Release.
+func PooledCodeTable(hint int) CodeTable {
+	var t CodeTable
+	t.slots, t.box = pooledSlots(slotsFor(hint))
+	return t
+}
+
+// slotsFor returns the number of slots a table needs to take hint references
+// at a load factor of at most 3/4.
+func slotsFor(hint int) int {
 	slots := codeTableMinSlots
-	for slots*3 < hint*4 { // load factor at most 3/4
+	for slots*3 < hint*4 {
 		slots <<= 1
 	}
-	return CodeTable{slots: make([]codeSlot, slots)}
+	return slots
+}
+
+// slotPool recycles the slot arrays of pooled tables.  Arrays are kept apart
+// by length, and a table takes and clears only an array of the length it
+// needs, so the set of a one-row point query never pays to clear the array a
+// scan's set left behind.
+var slotPool ClassPool[codeSlot]
+
+// pooledSlots returns n empty slots (n a power of two) and their box.
+func pooledSlots(n int) ([]codeSlot, *[]codeSlot) {
+	b := slotPool.Get(n)
+	clear(*b)
+	return *b, b
+}
+
+// Release hands a pooled table's slot array back to its pool and leaves the
+// table like the zero CodeTable: it must not be probed again, and nothing it
+// returned may be used.  A table of MakeCodeTable just drops its array.
+func (t *CodeTable) Release() {
+	if t.box != nil {
+		slotPool.Put(t.box)
+	}
+	*t = CodeTable{}
 }
 
 // Len returns the number of references held.
@@ -104,10 +148,15 @@ func (t *CodeTable) Set(pos int, h uint64, ref int32) {
 	}
 }
 
-// grow rehashes every slot into an array of twice the length.
+// grow rehashes every slot into an array of twice the length; a pooled
+// table trades its array for one of the next class.
 func (t *CodeTable) grow() {
-	old := t.slots
-	t.slots = make([]codeSlot, 2*len(old))
+	old, oldBox := t.slots, t.box
+	if oldBox == nil {
+		t.slots = make([]codeSlot, 2*len(old))
+	} else {
+		t.slots, t.box = pooledSlots(2 * len(old))
+	}
 	mask := uint64(len(t.slots) - 1)
 	for _, s := range old {
 		if s.ref == 0 {
@@ -118,5 +167,44 @@ func (t *CodeTable) grow() {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = s
+	}
+	if oldBox != nil {
+		slotPool.Put(oldBox)
+	}
+}
+
+// ClassPool recycles the scratch arrays of an evaluation — a CodeTable's
+// slots, the codes of a set of code tuples — across evaluations, by length:
+// Get(n) returns an array of the smallest power-of-two length ≥ n, taken
+// from the pool of that length when it holds one, and Put hands it back
+// there.  An array travels in the box Get returns, so a Put allocates
+// nothing; its contents are whatever its last user left.  Like the
+// sync.Pools under it, a ClassPool is safe for concurrent use and lets the
+// collector have what it holds.
+type ClassPool[T any] struct {
+	pools [classPoolClasses]sync.Pool
+}
+
+// classPoolClasses bounds the lengths kept: larger arrays are left to the
+// collector.
+const classPoolClasses = 32
+
+// Get returns a boxed array of at least n elements.
+func (p *ClassPool[T]) Get(n int) *[]T {
+	k := bits.Len(uint(max(n, 1) - 1))
+	if k < classPoolClasses {
+		if b, _ := p.pools[k].Get().(*[]T); b != nil {
+			return b
+		}
+	}
+	a := make([]T, 1<<k)
+	return &a
+}
+
+// Put hands back an array Get returned; the caller must not use it again.
+func (p *ClassPool[T]) Put(b *[]T) {
+	n := len(*b)
+	if k := bits.Len(uint(n - 1)); k < classPoolClasses && n == 1<<k {
+		p.pools[k].Put(b)
 	}
 }

@@ -62,7 +62,10 @@ func checkCodeTable(t *testing.T, ct *CodeTable, model codeTableModel, probes []
 // model: each step takes a hash (from a small pool, so that hashes repeat,
 // with the low bits of half of them forced equal, so that they share home
 // slots at every table size) and either adds a slot for it, overwrites the
-// reference of its first slot, or probes.
+// reference of its first slot, probes, or recycles the table: Release, then
+// a PooledCodeTable whose array may be one a table of this program left
+// behind (every grow of a pooled table hands one back), which must hold none
+// of the hashes probed so far.
 func runCodeTableProgram(t *testing.T, data []byte) {
 	ct := MakeCodeTable(0)
 	model := codeTableModel{}
@@ -76,7 +79,7 @@ func runCodeTableProgram(t *testing.T, data []byte) {
 			h = uint64(a)<<56 | uint64(b)<<32 | 0x5 // same home slot, whatever the size
 		}
 		probes = append(probes, h, h+1, h^(1<<63))
-		switch op % 4 {
+		switch op % 5 {
 		case 0, 1: // one more slot under h
 			pos, r := ct.Find(h, -1)
 			for r != 0 {
@@ -96,9 +99,15 @@ func runCodeTableProgram(t *testing.T, data []byte) {
 			}
 		case 3:
 			checkCodeTable(t, &ct, model, probes)
+		case 4: // recycle, presized for up to 255 references
+			ct.Release()
+			ct = PooledCodeTable(int(b))
+			model = codeTableModel{}
+			checkCodeTable(t, &ct, model, probes)
 		}
 	}
 	checkCodeTable(t, &ct, model, probes)
+	ct.Release()
 }
 
 func FuzzCodeTable(f *testing.F) {

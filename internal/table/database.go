@@ -177,7 +177,7 @@ func (d *Database) Snapshot() *Database {
 //
 // A relation that did change gets a fresh header, and that header takes
 // over prev's encoding and indexes as candidates: the first query that
-// asks for one re-encodes or rebuilds only the pieces whose segment
+// asks for one patches or rebuilds only the pieces whose segment
 // changed in between (Relation.Encoding, Relation.Index).  So a small
 // write costs the next reader a small amount of sidecar work.  prev may be
 // nil (plain Snapshot).

@@ -17,7 +17,7 @@ package table
 //
 // Encodings are built lazily by Relation.Encoding and CAS-published on
 // the relation: one block of code vectors per segment, so the encoding of
-// a later state of the relation re-encodes only the blocks whose segment
+// a later state of the relation patches only the blocks whose segment
 // changed and shares the rest (see segment.go).  Any mutation drops the
 // header's cached sidecar (invalidateDerived).  A relation containing a
 // value outside the code space (only null ids ≥ 2^62 qualify) yields an
@@ -275,7 +275,7 @@ func (r *Relation) EncodingStats() EncodingStats {
 // dictionary, building it on first use and caching it on the relation.
 // When the header inherited the encoding of an earlier state of the
 // relation (Database.SnapshotReusing), only the blocks whose segment
-// changed are re-encoded.  Concurrent callers are safe as long as the
+// changed are patched.  Concurrent callers are safe as long as the
 // relation is not being mutated — which the engine guarantees by evaluating
 // over snapshot headers only; nothing here detects a writer.  Any mutation
 // drops the cache.  Check Ok on the result: a relation holding a value
@@ -306,7 +306,8 @@ func (r *Relation) Encoding(dict *Dict) *Encoding {
 
 // buildEncoding encodes r block by block, taking over from prev (an
 // encoding of an earlier state with as many segments, or nil) the blocks
-// of segments that did not change, and its coded indexes as candidates.
+// of segments that did not change, patching those of segments that did,
+// and taking its coded indexes as candidates.
 func (r *Relation) buildEncoding(dict *Dict, prev *Encoding) *Encoding {
 	arity := r.schema.Arity()
 	e := &Encoding{
@@ -317,12 +318,15 @@ func (r *Relation) buildEncoding(dict *Dict, prev *Encoding) *Encoding {
 	}
 	kept := 0
 	for i, s := range r.segs {
-		if prev != nil && prev.segs[i] == s {
+		switch {
+		case prev != nil && prev.segs[i] == s:
 			e.blocks[i] = prev.blocks[i]
 			kept++
-			continue
+		case prev != nil && prev.blocks[i].ok:
+			e.blocks[i] = patchedBlock(prev.blocks[i], prev.segs[i], s, arity, dict)
+		default:
+			e.blocks[i] = encodeSegment(s, arity, dict)
 		}
-		e.blocks[i] = encodeSegment(s, arity, dict)
 	}
 	if prev == nil {
 		r.encStats.noteBuild()
@@ -338,21 +342,101 @@ func (r *Relation) buildEncoding(dict *Dict, prev *Encoding) *Encoding {
 // space the block is left partial with ok false.
 func encodeSegment(s *segment, arity int, dict *Dict) *EncBlock {
 	b := newEncBlock(arity, len(s.m))
+	row := make([]uint64, arity)
 	for _, t := range s.m {
-		for j, v := range t {
-			c, ok := dict.Encode(v)
-			if !ok {
-				b.ok = false
-				return b
-			}
-			b.cols[j] = append(b.cols[j], c)
-			if b.consts[j] && value.CodeIsNull(c) {
-				b.consts[j] = false
-			}
+		if !b.appendTuple(t, row, dict) {
+			break
 		}
-		b.rows++
 	}
 	return b
+}
+
+// patchedBlock returns the block of segment cur built from old, the block of
+// its predecessor prev: old's code rows less those of the tuples gone from
+// the segment, then the rows of the tuples added.  Only the diff's tuples are
+// looked up in the dictionary; the rows of the tuples that stayed are copied
+// as codes.  Row order is free, since every reader takes a block whole.
+func patchedBlock(old *EncBlock, prev, cur *segment, arity int, dict *Dict) *EncBlock {
+	ins, del := diffSeg(prev, cur, nil, nil)
+	b := newEncBlock(arity, len(cur.m))
+	row := make([]uint64, arity)
+	if len(del) == 0 {
+		for j := range b.cols {
+			b.cols[j] = append(b.cols[j], old.cols[j]...)
+			b.consts[j] = old.consts[j]
+		}
+		b.rows = old.rows
+	} else {
+		// The rows to drop, in a table by the hash of their codes.
+		gone := MakeCodeTable(len(del))
+		goneCodes := make([]uint64, len(del)*arity)
+		for i, t := range del {
+			g := goneCodes[i*arity : (i+1)*arity]
+			for j, v := range t {
+				g[j], _ = dict.Encode(v) // a value of old: it has its code
+			}
+			h := rowHash(g)
+			pos, ref := gone.Find(h, -1)
+			for ref != 0 {
+				pos, ref = gone.Find(h, pos)
+			}
+			gone.Set(pos, h, int32(i+1))
+		}
+	rows:
+		for i := 0; i < old.rows; i++ {
+			for j := range row {
+				row[j] = old.cols[j][i]
+			}
+			h := rowHash(row)
+			for pos, ref := gone.Find(h, -1); ref != 0; pos, ref = gone.Find(h, pos) {
+				if a := int(ref-1) * arity; slices.Equal(goneCodes[a:a+arity], row) {
+					continue rows
+				}
+			}
+			b.appendRow(row)
+		}
+	}
+	for _, t := range ins {
+		if !b.appendTuple(t, row, dict) {
+			break
+		}
+	}
+	return b
+}
+
+// rowHash folds a code tuple the way every coded hash table does.
+func rowHash(row []uint64) uint64 {
+	h := value.CodeHashSeed
+	for _, c := range row {
+		h = value.HashCode(h, c)
+	}
+	return h
+}
+
+// appendTuple interns t, through the scratch row, into the block; on a value
+// outside the code space it marks the block failed and reports false.
+func (b *EncBlock) appendTuple(t Tuple, row []uint64, dict *Dict) bool {
+	for j, v := range t {
+		c, ok := dict.Encode(v)
+		if !ok {
+			b.ok = false
+			return false
+		}
+		row[j] = c
+	}
+	b.appendRow(row)
+	return true
+}
+
+// appendRow adds one code tuple to the block.
+func (b *EncBlock) appendRow(row []uint64) {
+	for j, c := range row {
+		b.cols[j] = append(b.cols[j], c)
+		if b.consts[j] && value.CodeIsNull(c) {
+			b.consts[j] = false
+		}
+	}
+	b.rows++
 }
 
 // newEncBlock returns an empty block whose vectors share one allocation

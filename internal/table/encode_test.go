@@ -2,6 +2,9 @@ package table
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,6 +218,91 @@ func TestCodedIndexLookup(t *testing.T) {
 	}
 	if got := probe(value.Int(9)); got != 0 {
 		t.Errorf("absent key matched %d rows, want 0", got)
+	}
+}
+
+// TestPatchedBlockMatchesEncodeSegment holds the blocks an encoding patches
+// from its predecessor's (patchedBlock) to the interning of their segment
+// from scratch: after random inserts and deletes — nulls, strings and ints,
+// tuples removed and added again — across SnapshotReusing, every block whose
+// segment changed holds the same multiset of code rows, with the same
+// all-constant flags, as encodeSegment of its segment, and a write the
+// predecessor can be patched across builds nothing from scratch.
+func TestPatchedBlockMatchesEncodeSegment(t *testing.T) {
+	db := NewDatabase(schema.MustNew(schema.NewRelation("R", "a", "b")))
+	live, dict := db.Relation("R"), db.Dict()
+	rnd := rand.New(rand.NewSource(11))
+	val := func() value.Value {
+		switch rnd.Intn(4) {
+		case 0:
+			return value.Null(uint64(rnd.Intn(4) + 1))
+		case 1:
+			return value.String(fmt.Sprint("s", rnd.Intn(40)))
+		default:
+			return value.Int(int64(rnd.Intn(4000)))
+		}
+	}
+	var held []Tuple // what was added, some of it since removed
+	add := func() {
+		tu := NewTuple(val(), val())
+		live.MustAdd(tu)
+		held = append(held, tu)
+	}
+	for live.Len() < 8*segMax {
+		add()
+	}
+	rowsOf := func(b *EncBlock) map[[2]uint64]int {
+		m := map[[2]uint64]int{}
+		for i := 0; i < b.rows; i++ {
+			m[[2]uint64{b.cols[0][i], b.cols[1][i]}]++
+		}
+		return m
+	}
+	var prev *Database
+	patchedRounds := 0
+	for round := 0; round < 200; round++ {
+		for k := rnd.Intn(4); k >= 0; k-- {
+			if rnd.Intn(2) == 0 {
+				add()
+			} else {
+				i := rnd.Intn(len(held))
+				live.Remove(held[i])
+				if rnd.Intn(3) == 0 {
+					live.MustAdd(held[i]) // back again, into a segment already copied
+				}
+			}
+		}
+		snap := db.SnapshotReusing(prev)
+		r := snap.Relation("R")
+		var old []*segment
+		if prev != nil {
+			old = prev.Relation("R").segs
+		}
+		builds := r.EncodingStats().Builds
+		e := r.Encoding(dict)
+		if !e.Ok() || e.Rows() != r.Len() {
+			t.Fatalf("round %d: Ok=%v, %d rows for %d tuples", round, e.Ok(), e.Rows(), r.Len())
+		}
+		if patchable(old, r.segs) {
+			patchedRounds++
+			if got := r.EncodingStats().Builds; got != builds {
+				t.Fatalf("round %d: a patchable write built the encoding from scratch (%d → %d builds)", round, builds, got)
+			}
+		}
+		for i, s := range r.segs {
+			if len(old) == len(r.segs) && old[i] == s {
+				continue // carried: checked when it was made
+			}
+			got, want := e.Block(i), encodeSegment(s, 2, dict)
+			if !maps.Equal(rowsOf(got), rowsOf(want)) || !slices.Equal(got.consts, want.consts) || got.rows != want.rows {
+				t.Fatalf("round %d, block %d: %d rows, consts %v; its segment encodes to %d rows, consts %v",
+					round, i, got.rows, got.consts, want.rows, want.consts)
+			}
+		}
+		prev = snap
+	}
+	if patchedRounds < 150 {
+		t.Fatalf("only %d of 200 rounds could patch: the property went untested", patchedRounds)
 	}
 }
 

@@ -210,27 +210,32 @@ func patchable(old, cur []*segment) bool {
 // differs.  The arrays must have equal length.
 func diffSegs(old, cur []*segment) (ins, del []Tuple) {
 	for i := range old {
-		o, c := old[i], cur[i]
-		if o == c {
-			continue
+		if old[i] != cur[i] {
+			ins, del = diffSeg(old[i], cur[i], ins, del)
 		}
-		before := len(ins)
-		for k, t := range c.m {
-			if _, ok := o.m[k]; !ok {
-				ins = append(ins, t)
-			}
+	}
+	return ins, del
+}
+
+// diffSeg appends to ins the tuples stored in c but not in o, and to del
+// those stored in o but not in c.
+func diffSeg(o, c *segment, ins, del []Tuple) ([]Tuple, []Tuple) {
+	before := len(ins)
+	for k, t := range c.m {
+		if _, ok := o.m[k]; !ok {
+			ins = append(ins, t)
 		}
-		// The sizes say how many tuples of o are gone: none after a pure
-		// insert, and the search stops at the last one otherwise.
-		gone := len(o.m) + len(ins) - before - len(c.m)
-		for k, t := range o.m {
-			if gone == 0 {
-				break
-			}
-			if _, ok := c.m[k]; !ok {
-				del = append(del, t)
-				gone--
-			}
+	}
+	// The sizes say how many tuples of o are gone: none after a pure
+	// insert, and the search stops at the last one otherwise.
+	gone := len(o.m) + len(ins) - before - len(c.m)
+	for k, t := range o.m {
+		if gone == 0 {
+			break
+		}
+		if _, ok := c.m[k]; !ok {
+			del = append(del, t)
+			gone--
 		}
 	}
 	return ins, del
