@@ -78,15 +78,11 @@ func (ev *Evaluator) intersectWorldsPlanned(wp *plan.WorldPlan, dom semantics.Do
 	defer wp.ReleaseSession(sess)
 	var evalErr error
 	if wp.Splittable() {
-		// Running intersection of the deltas as a slice of keyed tuples:
-		// per world only membership probes against the current delta, no
-		// map copying.  A delta's tuples are immutable and freshly
-		// allocated, so keeping them across the session's next call is safe.
-		type cand struct {
-			key string
-			t   table.Tuple
-		}
-		var cands []cand
+		// Running intersection of the deltas as a slice of tuples: per world
+		// only membership probes against the current delta, no map copying.
+		// A delta's tuples are immutable and freshly allocated, so keeping
+		// them across the session's next call is safe.
+		var cands []table.Tuple
 		first := true
 		worlds := ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
 			delta, err := sess.Delta(v)
@@ -96,15 +92,15 @@ func (ev *Evaluator) intersectWorldsPlanned(wp *plan.WorldPlan, dom semantics.Do
 			}
 			if first {
 				first = false
-				delta.EachKeyed(func(k string, t table.Tuple) bool {
-					cands = append(cands, cand{key: k, t: t})
+				delta.Each(func(t table.Tuple) bool {
+					cands = append(cands, t)
 					return true
 				})
 			} else {
 				w := 0
-				for _, c := range cands {
-					if delta.ContainsKeyString(c.key) {
-						cands[w] = c
+				for _, t := range cands {
+					if delta.Contains(t) {
+						cands[w] = t
 						w++
 					}
 				}
@@ -128,8 +124,8 @@ func (ev *Evaluator) intersectWorldsPlanned(wp *plan.WorldPlan, dom semantics.Do
 		if err := out.AddAll(stable); err != nil {
 			return nil, err
 		}
-		for _, c := range cands {
-			out.MustAdd(c.t)
+		for _, t := range cands {
+			out.MustAdd(t)
 		}
 		return out, nil
 	}

@@ -114,11 +114,18 @@ func (c *Chunk) AppendTuples(dst []table.Tuple, sel []int32) []table.Tuple {
 	return dst
 }
 
-// AppendRowKey appends the binary key of row i (all columns, in order) to
-// dst — identical to table.Tuple.AppendKey on the gathered row.
-func (c *Chunk) AppendRowKey(dst []byte, i int) []byte {
-	for _, col := range c.Cols {
-		dst = col[i].AppendKey(dst)
+// AppendRow appends the values of row i at the given column positions
+// (every column, in order, when positions is nil) to dst: the row gathered
+// into a caller's scratch tuple, for a probe by value.
+func (c *Chunk) AppendRow(dst table.Tuple, positions []int, i int) table.Tuple {
+	if positions == nil {
+		for _, col := range c.Cols {
+			dst = append(dst, col[i])
+		}
+		return dst
+	}
+	for _, p := range positions {
+		dst = append(dst, c.Cols[p][i])
 	}
 	return dst
 }

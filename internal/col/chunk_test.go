@@ -119,17 +119,21 @@ func TestCompleteSel(t *testing.T) {
 	}
 }
 
-// TestRowKeys pins the column-wise key encodings identical to the
-// per-tuple ones the hash structures are built with.
+// TestRowKeys pins the column-wise key encoding identical to the per-tuple
+// one the hash structures are built with, and the gathered rows identical
+// to the tuples and their projections.
 func TestRowKeys(t *testing.T) {
 	ts := sampleTuples()
 	c := New(2, 4)
 	c.FromTuples(ts, 2)
 	for i, tp := range ts {
-		if got, want := c.AppendRowKey(nil, i), tp.AppendKey(nil); !bytes.Equal(got, want) {
-			t.Fatalf("AppendRowKey(%d) = %x, want %x", i, got, want)
-		}
 		pos := []int{1, 0}
+		if got := c.AppendRow(nil, nil, i); !got.Equal(tp) {
+			t.Fatalf("AppendRow(%d) = %v, want %v", i, got, tp)
+		}
+		if got := c.AppendRow(table.Tuple{tp[0]}, pos, i); !got.Equal(table.Tuple{tp[0], tp[1], tp[0]}) {
+			t.Fatalf("AppendRow(%d) at %v after one value = %v", i, pos, got)
+		}
 		want := tp[1].AppendKey(nil)
 		want = tp[0].AppendKey(want)
 		if got := c.AppendPosKey(nil, pos, i); !bytes.Equal(got, want) {

@@ -198,10 +198,8 @@ func TestAccessPathAcrossUpdatesAndReopen(t *testing.T) {
 // projection, which goes through the coded gather; a one-row result must pay
 // nothing for machinery sized for large ones.  The third is the unpaid-orders
 // difference, whose result has 2199 rows: a warm evaluation may allocate its
-// result — per row a value, a piece of the key string and the map entry — and
-// a fixed slack, but nothing for the gather's set, which comes from the pools
-// (before it did, the set doubled its way up on every evaluation: 210 bytes a
-// row).
+// result — per row a value, a row header and its share of the slots — and a
+// fixed slack, but nothing for the gather's set, which comes from the pools.
 func TestPointQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -223,7 +221,7 @@ func TestPointQueryAllocs(t *testing.T) {
 	}{
 		{"select", sel, true, 16, 1008 + 64, 0}, // the runtime's own allocations add up to 40 bytes a run to either reading
 		{"project", ra.Project{Input: sel, Attrs: []string{"product"}}, true, 31, 3554 + 64, 0},
-		{"unpaid", unpaid, false, 61, 16 << 10, 150}, // 145 bytes a row measured
+		{"unpaid", unpaid, false, 40, 16 << 10, 110}, // 34 allocations and 85 bytes a row measured
 	} {
 		rows := -1
 		eval := func() {

@@ -365,6 +365,50 @@ func TestDurableFlush(t *testing.T) {
 	}
 }
 
+// TestDurableStringNULLStaysAConstant: the string constants "NULL" and
+// "null" come back from the commit log as themselves, not as the fresh nulls
+// value.Parse reads from the bare words.  Checkpoints are off, so the reopened
+// head is the root plus the logged commit replayed from its text form.
+func TestDurableStringNULLStaysAConstant(t *testing.T) {
+	eng := New(table.NewDatabase(testSchema()))
+	if _, err := eng.EnableHistory(HistoryOptions{CheckpointEvery: -1}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := eng.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := []table.Tuple{
+		table.NewTuple(value.String("NULL"), value.Int(1)),
+		table.NewTuple(value.String("null"), value.Int(2)),
+	}
+	if err := eng.Update(func(d *table.Database) error {
+		return d.Relation("R").AddBatch(want)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Commit("string constants spelled like a null"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	r := re.Snapshot().Database().Relation("R")
+	if r.Len() != len(want) || !r.IsComplete() {
+		t.Fatalf("reopened R = %s; want the constant tuples %v", r, want)
+	}
+	for _, tp := range want {
+		if !r.Contains(tp) {
+			t.Fatalf("reopened R = %s lacks %s", r, tp)
+		}
+	}
+}
+
 // TestPersistWithoutHistory: Persist on a plain engine enables history
 // implicitly and the state survives a reopen.
 func TestPersistWithoutHistory(t *testing.T) {

@@ -73,13 +73,13 @@ type searcher struct {
 	obligations [][]tupleObligation // obligations[i]: tuples checkable once null i is assigned
 	immediate   []tupleObligation   // null-free source tuples (checked up front)
 	assigned    []value.Value       // current image per null (parallel to nulls)
-	keyBuf      []byte              // scratch for image keys (no per-check allocation)
+	image       table.Tuple         // scratch for the image of a source tuple (no per-check allocation)
 
 	// Forbidden image, used by Core: when set, no source tuple may map
 	// onto this tuple of forbidRel — searching src → dst∖{t} without
 	// materializing the smaller database.
-	forbidRel *table.Relation
-	forbidKey []byte
+	forbidRel   *table.Relation
+	forbidTuple table.Tuple
 }
 
 func newSearcher(src, dst *table.Database) *searcher {
@@ -158,25 +158,24 @@ func collectSorted(d *table.Database, keep func(value.Value) bool) []value.Value
 }
 
 // checkTuple reports whether the image of the obligation's tuple under m is
-// present in dst.  The image's key is built in a scratch buffer; the image
-// tuple itself is never materialized.
+// present in dst.  The image is built in a scratch tuple, never allocated.
 func (s *searcher) checkTuple(ob tupleObligation) bool {
 	if ob.dstRel == nil {
 		return false
 	}
-	buf := s.keyBuf[:0]
+	img := s.image[:0]
 	for _, f := range ob.fields {
 		if f.nullIdx >= 0 {
-			buf = s.assigned[f.nullIdx].AppendKey(buf)
+			img = append(img, s.assigned[f.nullIdx])
 		} else {
-			buf = f.val.AppendKey(buf)
+			img = append(img, f.val)
 		}
 	}
-	s.keyBuf = buf
-	if !ob.dstRel.ContainsKey(buf) {
+	s.image = img
+	if !ob.dstRel.Contains(img) {
 		return false
 	}
-	if s.forbidRel == ob.dstRel && string(buf) == string(s.forbidKey) {
+	if s.forbidRel == ob.dstRel && img.Equal(s.forbidTuple) {
 		return false
 	}
 	return true
@@ -188,7 +187,7 @@ func (s *searcher) checkTuple(ob tupleObligation) bool {
 // without cloning the database per attempt.
 func (s *searcher) existsAvoiding(rel *table.Relation, t table.Tuple) bool {
 	s.forbidRel = rel
-	s.forbidKey = t.AppendKey(s.forbidKey[:0])
+	s.forbidTuple = t
 	found := s.search(func(Mapping) bool { return false })
 	s.forbidRel = nil
 	return found

@@ -163,8 +163,8 @@ func New(name string, q ra.Expr, db *table.Database, cfg Config) (*View, error) 
 	for _, dep := range v.deps {
 		rel := db.Relation(dep)
 		chs := make([]change, 0, rel.Len())
-		rel.EachKeyed(func(k string, t table.Tuple) bool {
-			chs = append(chs, change{key: k, t: t, add: true})
+		rel.Each(func(t table.Tuple) bool {
+			chs = append(chs, change{key: t.Key(), t: t, add: true})
 			return true
 		})
 		base[dep] = chs
@@ -231,15 +231,15 @@ func (v *View) Apply(cs *table.ChangeSet, db *table.Database) error {
 		v.out = out.Clone()
 		// Recomputation replaces the answer wholesale; recover the net
 		// change by diffing so TakeDelta stays exact on this path too.
-		v.out.EachKeyed(func(k string, t table.Tuple) bool {
-			if !old.ContainsKeyString(k) {
-				v.noteAnswer(k, t, true)
+		v.out.Each(func(t table.Tuple) bool {
+			if !old.Contains(t) {
+				v.noteAnswer(t.Key(), t, true)
 			}
 			return true
 		})
-		old.EachKeyed(func(k string, t table.Tuple) bool {
-			if !v.out.ContainsKeyString(k) {
-				v.noteAnswer(k, t, false)
+		old.Each(func(t table.Tuple) bool {
+			if !v.out.Contains(t) {
+				v.noteAnswer(t.Key(), t, false)
 			}
 			return true
 		})

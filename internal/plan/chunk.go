@@ -243,9 +243,7 @@ func (n *pdiff) streamChunks(c *pctx, emit func([]table.Tuple) bool) error {
 			if n.lpred != nil && !n.lpred(t) {
 				continue
 			}
-			k := sideKey(c.keyBuf[:0], t, n.lproj)
-			c.keyBuf = k
-			if contains(k) == n.negate {
+			if contains(c.sideRow(t, n.lproj)) == n.negate {
 				continue
 			}
 			if n.lproj != nil {

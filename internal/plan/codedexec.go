@@ -734,10 +734,9 @@ func scansEncodable(n pnode, c *pctx) bool {
 	}
 }
 
-// gatherSlabRows bounds the slabs the gather carves tuples and keys from: one
-// allocation of values and one key string serve up to this many result rows,
-// so a result tuple that outlives the rest of its relation pins at most one
-// slab of each.
+// gatherSlabRows bounds the slabs the gather carves tuples from: one
+// allocation of values serves up to this many result rows, so a result tuple
+// that outlives the rest of its relation pins at most one slab.
 const gatherSlabRows = 512
 
 // gather materializes operator output into one relation in two phases.
@@ -746,9 +745,9 @@ const gatherSlabRows = 512
 // set is the authority on duplicates, since one value has one code in a
 // dictionary (TestDictEncodeInjective) — while branches with no coded form
 // insert into out directly, the way they always did.  Phase two (finish)
-// builds the relation from the set once, at its final size: one map made for
-// all rows, no lookup per row, tuples and keys cut from slabs.  Values are
-// decoded only there, once per distinct row.
+// builds the relation from the set once, at its final size: one slot table
+// and one row slice made for all rows, no lookup per row, tuples cut from
+// slabs.  Values are decoded only there, once per distinct row.
 type gather struct {
 	c     *pctx
 	out   *table.Relation
@@ -806,10 +805,11 @@ func (g *gather) add(n pnode, certainOnly bool) error {
 
 // finish moves the set's rows into out.  When out is empty every tuple comes
 // from the set, which holds each once: the relation is reserved at its final
-// size and no row is looked up.  When out already holds tuples the set never
-// saw — a union branch that did not run coded, an earlier materialization
-// into the same relation — each row's key is looked up first, and only new
-// rows keep their place in the slab.  The set is released at the end.
+// size, and each decoded row is hashed and appended with no look at the
+// others.  When out already holds tuples the set never saw — a union branch
+// that did not run coded, an earlier materialization into the same relation
+// — each row is probed first, and only new rows keep their place in the
+// slab.  The set is released at the end.
 func (g *gather) finish() {
 	s := g.set
 	if s == nil {
@@ -826,32 +826,21 @@ func (g *gather) finish() {
 	if fresh {
 		ins.Reserve(n)
 	}
-	ends := make([]int32, 0, min(n, gatherSlabRows)) // where each key of a slab ends in the key buffer
 	for lo := 0; lo < n; lo += gatherSlabRows {
 		hi := min(lo+gatherSlabRows, n)
 		slab := make([]value.Value, (hi-lo)*arity)
-		keys := c.keyBuf[:0]
-		ends = ends[:0]
+		k := 0 // rows kept so far: the next tuple's place in the slab
 		for r := lo; r < hi; r++ {
-			k := len(ends) // rows kept so far: the next tuple's place in the slab
 			t := table.Tuple(slab[k*arity : (k+1)*arity : (k+1)*arity])
 			for j, code := range s.row(r) {
 				t[j] = c.decode(code)
 			}
-			start := len(keys)
-			keys = t.AppendKey(keys)
-			if !fresh && ins.Has(keys[start:]) {
-				keys = keys[:start]
+			if fresh {
+				ins.AddNew(t)
+			} else if !ins.Add(t) {
 				continue
 			}
-			ends = append(ends, int32(len(keys)))
-		}
-		c.keyBuf = keys
-		// One string for the slab's keys; each tuple's key is a piece of it.
-		ks, start := string(keys), int32(0)
-		for k, end := range ends {
-			ins.AddNew(ks[start:end], table.Tuple(slab[k*arity:(k+1)*arity:(k+1)*arity]))
-			start = end
+			k++
 		}
 	}
 	if g.adopt && fresh {

@@ -283,10 +283,10 @@ func (n *pjoin) streamCols(c *pctx, emit colEmit) error {
 }
 
 // streamCols on a diff/intersect narrows the selection with the fused
-// vectorized pre-filter, computes the membership key of each surviving
-// row column-wise, and emits the survivors — through a projection view
-// when a projection was fused, so projected tuples never materialize
-// inside the operator.
+// vectorized pre-filter, gathers the comparison row of each surviving row
+// into the context's scratch tuple, and emits the survivors — through a
+// projection view when a projection was fused, so projected tuples never
+// materialize inside the operator.
 func (n *pdiff) streamCols(c *pctx, emit colEmit) error {
 	if n.lpred != nil && n.lvpred == nil {
 		return bridgeCols(n, c, emit)
@@ -308,14 +308,8 @@ func (n *pdiff) streamCols(c *pctx, emit colEmit) error {
 		}
 		out := c.getSel()[:0]
 		keep := func(i int32) {
-			k := c.keyBuf[:0]
-			if n.lproj == nil {
-				k = ch.AppendRowKey(k, int(i))
-			} else {
-				k = ch.AppendPosKey(k, n.lproj, int(i))
-			}
-			c.keyBuf = k
-			if contains(k) != n.negate {
+			c.row = ch.AppendRow(c.row[:0], n.lproj, int(i))
+			if contains(c.row) != n.negate {
 				out = append(out, i)
 			}
 		}
@@ -380,7 +374,7 @@ func colEligible(n pnode) bool {
 // materializeIntoCol streams n column-wise into out.  Certain-only
 // extraction narrows the selection with the sidecar-aware CompleteSel
 // (all-constant chunks skip the null scan entirely), and each surviving
-// row's key is computed column-wise before the row is gathered, so
+// row is probed from the context's scratch tuple before it is gathered, so
 // duplicate rows are dropped without allocating a tuple.
 func materializeIntoCol(n pnode, c *pctx, certainOnly bool, out *table.Relation) error {
 	ins := out.BeginInsert()
@@ -396,10 +390,9 @@ func materializeIntoCol(n pnode, c *pctx, certainOnly bool, out *table.Relation)
 			}
 		}
 		gather := func(i int32) {
-			key := ch.AppendRowKey(c.keyBuf[:0], int(i))
-			c.keyBuf = key
-			if !ins.Has(key) {
-				ins.AddNew(string(key), ch.Tuple(int(i)))
+			c.row = ch.AppendRow(c.row[:0], nil, int(i))
+			if !out.Contains(c.row) {
+				ins.AddNew(ch.Tuple(int(i)))
 			}
 		}
 		if sel == nil {

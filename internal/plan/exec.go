@@ -24,6 +24,7 @@ import (
 type pctx struct {
 	db     ra.DB
 	keyBuf []byte
+	row    table.Tuple // scratch comparison row of a diff probe (sideRow)
 
 	columnar bool      // use the vectorized path where eligible (colexec.go)
 	selPool  [][]int32 // recycled selection vectors for vectorized kernels
@@ -326,10 +327,10 @@ func (n *punion) stream(c *pctx, emit func(table.Tuple) bool) error {
 
 // pdiff streams left tuples absent from (−) or present in (∩) the right
 // side.  The right side collapses to a key set (or, for a base scan, the
-// relation's own hash map) — its tuples are never stored.  Pure
-// projections directly below either side are fused: keys are computed
-// from the pre-projection tuple's columns, and the projected tuple is
-// materialized only for tuples that reach the output.
+// relation itself) — its tuples are never stored.  Pure
+// projections directly below either side are fused: keys and comparison
+// rows are taken from the pre-projection tuple's columns, and the projected
+// tuple is materialized only for tuples that reach the output.
 type pdiff struct {
 	l      pnode
 	lproj  []int // nil: compare l's tuples whole
@@ -356,12 +357,32 @@ func sideKey(buf []byte, t table.Tuple, proj []int) []byte {
 	return buf
 }
 
+// sideRow returns the row a diff compares for the left tuple t: t itself,
+// or its fused projection gathered into the context's scratch tuple, valid
+// until the next call.
+func (c *pctx) sideRow(t table.Tuple, proj []int) table.Tuple {
+	if proj == nil {
+		return t
+	}
+	row := c.row[:0]
+	for _, p := range proj {
+		row = append(row, t[p])
+	}
+	c.row = row
+	return row
+}
+
+// probeKeySize is the stack buffer a membership probe builds a row's key in;
+// a longer key spills to the heap but stays correct.
+const probeKeySize = 96
+
 func (n *pdiff) out() schema.Relation { return n.rs }
 
 // containsFn builds (or, on the parallel path, fetches the prepare phase's
-// shared copy of) the right-side membership probe.  The returned function
-// only reads immutable state and is safe for concurrent probes.
-func (n *pdiff) containsFn(c *pctx) (func(key []byte) bool, error) {
+// shared copy of) the right-side membership probe, which takes the
+// comparison row of a left tuple (sideRow).  The returned function only reads
+// immutable state and is safe for concurrent probes.
+func (n *pdiff) containsFn(c *pctx) (func(row table.Tuple) bool, error) {
 	if c.shared != nil {
 		if f, ok := c.shared.contains[n]; ok {
 			return f, nil
@@ -373,15 +394,18 @@ func (n *pdiff) containsFn(c *pctx) (func(key []byte) bool, error) {
 			return nil, relationErr(sc.name)
 		}
 		if n.rproj == nil {
-			// Whole-tuple comparison: the relation's own hash map is the
-			// key set.
-			return rrel.ContainsKey, nil
+			// Whole-tuple comparison: the relation's own table is the key
+			// set.
+			return rrel.Contains, nil
 		}
 		// Projected comparison: the relation's cached hash index on the
 		// projected columns is the key set — built once, reused across
 		// evaluations.
 		ix := rrel.Index(n.rproj)
-		return ix.Has, nil
+		return func(row table.Tuple) bool {
+			var buf [probeKeySize]byte
+			return ix.Has(row.AppendKey(buf[:0]))
+		}, nil
 	}
 	// A base scan gets here only under a fused filter, which keeps an unknown
 	// share of it: the set grows with the survivors.
@@ -400,8 +424,9 @@ func (n *pdiff) containsFn(c *pctx) (func(key []byte) bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(key []byte) bool {
-		_, ok := keys[string(key)]
+	return func(row table.Tuple) bool {
+		var buf [probeKeySize]byte
+		_, ok := keys[string(row.AppendKey(buf[:0]))]
 		return ok
 	}, nil
 }
@@ -415,9 +440,7 @@ func (n *pdiff) stream(c *pctx, emit func(table.Tuple) bool) error {
 		if n.lpred != nil && !n.lpred(t) {
 			return true
 		}
-		k := sideKey(c.keyBuf[:0], t, n.lproj)
-		c.keyBuf = k
-		if contains(k) == n.negate {
+		if contains(c.sideRow(t, n.lproj)) == n.negate {
 			// − drops tuples present on the right; ∩ drops absent ones.
 			return true
 		}

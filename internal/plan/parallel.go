@@ -52,7 +52,7 @@ const morselFanout = 4
 // by operator identity.
 type sharedEval struct {
 	mats     map[pnode]*table.Relation
-	contains map[*pdiff]func([]byte) bool
+	contains map[*pdiff]func(table.Tuple) bool
 	// codedContains holds the coded twins of contains, built during
 	// prepare for diffs whose right side has a coded form; sets holds the
 	// ones that probe a set, released when the evaluation ends.
@@ -121,7 +121,7 @@ func drivingChain(root pnode) (scan *pscan, partJoin *pjoin) {
 func runParallel(root pnode, db ra.DB, cfg EvalConfig, certainOnly bool, out *table.Relation) error {
 	shared := &sharedEval{
 		mats:          make(map[pnode]*table.Relation),
-		contains:      make(map[*pdiff]func([]byte) bool),
+		contains:      make(map[*pdiff]func(table.Tuple) bool),
 		codedContains: make(map[*pdiff]codedContains),
 	}
 	// Every worker has joined by the time runParallel returns.

@@ -188,14 +188,8 @@ func hashRow(t table.Tuple) uint64 {
 	return h
 }
 
-// key returns t's binary key in the session's buffer, for a probe of a
-// stable relation; keyAt the key of the given positions of t, for a probe
-// of an index.
-func (s *Session) key(t table.Tuple) []byte {
-	s.keyBuf = t.AppendKey(s.keyBuf[:0])
-	return s.keyBuf
-}
-
+// keyAt returns the key of the given positions of t in the session's
+// buffer, for a probe of an index.
 func (s *Session) keyAt(t table.Tuple, pos []int) []byte {
 	key := s.keyBuf[:0]
 	for _, p := range pos {
@@ -253,7 +247,7 @@ func (s *Session) delta(n *wnode) (*rows, error) {
 			}
 			// Keep the delta minimal: a valuation can map a null tuple onto
 			// a tuple the complete part already holds.
-			if st.Len() == 0 || !st.ContainsKey(s.key(t)) {
+			if !st.Contains(t) {
 				out.commit()
 			}
 		}
@@ -281,12 +275,12 @@ func (s *Session) delta(n *wnode) (*rows, error) {
 	case wIntersect:
 		// (fullL ∩ dR) ∪ (dL ∩ sR), iterating only the deltas.
 		for i := 0; i < dr.n; i++ {
-			if t := dr.row(i); dl.has(t) || sl.ContainsKey(s.key(t)) {
+			if t := dr.row(i); dl.has(t) || sl.Contains(t) {
 				out.add(t)
 			}
 		}
 		for i := 0; i < dl.n; i++ {
-			if t := dl.row(i); sr.ContainsKey(s.key(t)) {
+			if t := dl.row(i); sr.Contains(t) {
 				out.add(t)
 			}
 		}
@@ -294,7 +288,7 @@ func (s *Session) delta(n *wnode) (*rows, error) {
 	case wDiff:
 		// The right side is invariant (otherwise the node is not splittable).
 		for i := 0; i < dl.n; i++ {
-			if t := dl.row(i); !sr.ContainsKey(s.key(t)) {
+			if t := dl.row(i); !sr.Contains(t) {
 				out.add(t)
 			}
 		}

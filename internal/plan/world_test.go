@@ -342,7 +342,8 @@ func TestPooledSessionReuse(t *testing.T) {
 
 // TestWorldDeltaAllocs pins what a world costs in steady state: nothing
 // below the root, and for the relation Delta returns one block for its
-// tuples and one key string a tuple.
+// tuples.  The relation, reset per world, keeps its slots and rows and
+// stores no key.
 func TestWorldDeltaAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -379,8 +380,8 @@ func TestWorldDeltaAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, world)
 	perWorld := float64(rows) / (runs + 1) // AllocsPerRun makes one warm-up call
 	t.Logf("%.1f allocations per world for %.1f root tuples", allocs, perWorld)
-	if perWorld < 2 || allocs > 2*perWorld+4 {
-		t.Errorf("a world takes %.1f allocations for %.1f root tuples, want at most two a tuple and four", allocs, perWorld)
+	if perWorld < 2 || allocs > 1 {
+		t.Errorf("a world takes %.1f allocations for %.1f root tuples, want at most one", allocs, perWorld)
 	}
 }
 

@@ -29,16 +29,17 @@ import (
 )
 
 // indexBuildScans is the number of scans after which an index has paid for
-// itself.  Building a hash index over a map-backed relation costs about
-// seven row-tier scans of it with a compiled predicate (BenchmarkPointSelect,
-// string keys: 20 000 tuples, build 5.2 ms, scan 0.74 ms; 1 000 000 tuples,
-// 890 ms and 104 ms), so a header that has scanned this often for the same
-// key has spent a build's worth and builds on the next request: the
-// ski-rental break-even, never more than about twice the cost of having known
-// in advance.  The coded tier's scan is some twenty times cheaper than the
-// row tier's and counts the same, so there the rule builds early; the
-// selectivity gate below is what keeps that from costing anything on keys
-// where the index would not be a clear win.
+// itself.  Building a hash index costs some ten to twelve row-tier scans of
+// the relation with a compiled predicate (BenchmarkPointSelect, string keys:
+// 20 000 tuples, build 6.0 ms, scan 0.50 ms; 1 000 000 tuples, 640 ms and
+// 64 ms), so a header that has scanned seven times for the same key has
+// spent well over half a build's worth and builds on the next request: the
+// ski-rental rule, a little before its break-even and never more than about
+// twice the cost of having known in advance.  The coded
+// tier's scan is some twenty times cheaper than the row tier's and counts
+// the same, so there the rule builds early; the selectivity gate below is
+// what keeps that from costing anything on keys where the index would not
+// be a clear win.
 const indexBuildScans = 7
 
 // selectiveKeys is the selectivity gate: an equality is served by an index
@@ -196,16 +197,18 @@ func (r *Relation) decideSelect(positions []int, held, build bool) SelectPath {
 
 // selective reports whether an equality on the positions is estimated to
 // keep at most 1/selectiveKeys of the relation: whether a sample of up to
-// selectSample tuples holds that many distinct keys.  Tuples are spread
-// over segments, and over a segment's map, by hash, so the first ones met
-// are a fair sample; a key column answers after selectiveKeys tuples.
+// selectSample tuples holds that many distinct keys.  Rows keep the order
+// they were inserted in, which may follow a key, so the sample takes every
+// stride-th row of each segment; a key column answers after selectiveKeys
+// tuples.
 func (r *Relation) selective(positions []int) bool {
 	seen := make(map[string]struct{}, selectiveKeys)
 	var buf [keyBufSize]byte
 	left := selectSample
+	stride := max(1, r.n/selectSample)
 	for _, s := range r.segs {
-		for _, t := range s.m {
-			key := appendProjectedKey(buf[:0], t, positions)
+		for i := 0; i < len(s.rows); i += stride {
+			key := appendProjectedKey(buf[:0], s.rows[i], positions)
 			if _, ok := seen[string(key)]; !ok {
 				seen[string(key)] = struct{}{}
 				if len(seen) == selectiveKeys {

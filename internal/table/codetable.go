@@ -2,17 +2,19 @@ package table
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
-// CodeTable is the one hash table of the coded tier: a flat, open-addressed
-// map from 64-bit code hashes (value.HashCode folds) to 1-based int32
-// references, under the join build side and the diff/intersect membership
-// probe (CodedShard), the equality-selection lookup, and the code-tuple sets
-// of internal/plan.  A power-of-two slot array is probed linearly from the
-// hash's low bits (a CodedIndex picks the shard by the high ones); a slot is
-// twelve bytes, the full hash and the reference, so a probe compares whole
-// hashes and never has to follow the reference to reject a slot.
+// CodeTable is the one hash table of the package: a flat, open-addressed map
+// from 64-bit hashes to 1-based int32 references, under every relation's
+// segments (tuple-key hash → row, see segment.go), the join build side and
+// the diff/intersect membership probe (CodedShard), the equality-selection
+// lookup, and the code-tuple sets of internal/plan.  A power-of-two slot
+// array is probed linearly from the hash's low bits (a relation picks the
+// segment, a CodedIndex the shard, by the high ones); a slot is twelve bytes,
+// the full hash and the reference, so a probe compares whole hashes and never
+// has to follow the reference to reject a slot.
 //
 // What a reference means is the owner's business — a chain head, a row
 // number.  The table itself allows several slots to hold the same hash (an
@@ -146,6 +148,38 @@ func (t *CodeTable) Set(pos int, h uint64, ref int32) {
 	if t.n++; t.n*4 > len(t.slots)*3 {
 		t.grow()
 	}
+}
+
+// Delete empties the slot at pos, a position Find returned with a reference,
+// and shifts the later slots of its probe run back over the hole, so that no
+// walk stops short of a slot it must reach and no tombstone is left behind.
+// Positions do not survive a Delete.
+func (t *CodeTable) Delete(pos int) {
+	mask := len(t.slots) - 1
+	hole := pos
+	for i := (hole + 1) & mask; t.slots[i].ref != 0; i = (i + 1) & mask {
+		// The slot at i may fill the hole unless its home lies cyclically in
+		// (hole, i]: then a walk from the home would pass i before the hole.
+		home := int(t.slots[i].hash()) & mask
+		if (hole < i && hole < home && home <= i) || (i < hole && (hole < home || home <= i)) {
+			continue
+		}
+		t.slots[hole] = t.slots[i]
+		hole = i
+	}
+	t.slots[hole] = codeSlot{}
+	t.n--
+}
+
+// reset empties the table and keeps its slot array.
+func (t *CodeTable) reset() {
+	clear(t.slots)
+	t.n = 0
+}
+
+// clone returns a copy of a table made by MakeCodeTable.
+func (t *CodeTable) clone() CodeTable {
+	return CodeTable{slots: slices.Clone(t.slots), n: t.n}
 }
 
 // grow rehashes every slot into an array of twice the length; a pooled

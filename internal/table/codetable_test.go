@@ -62,10 +62,12 @@ func checkCodeTable(t *testing.T, ct *CodeTable, model codeTableModel, probes []
 // model: each step takes a hash (from a small pool, so that hashes repeat,
 // with the low bits of half of them forced equal, so that they share home
 // slots at every table size) and either adds a slot for it, overwrites the
-// reference of its first slot, probes, or recycles the table: Release, then
-// a PooledCodeTable whose array may be one a table of this program left
-// behind (every grow of a pooled table hands one back), which must hold none
-// of the hashes probed so far.
+// reference of its first slot, deletes one of its slots (often in the middle
+// of the run the shared home slots make, whose later slots must shift back
+// over it), probes, or recycles the table: Release, then a PooledCodeTable
+// whose array may be one a table of this program left behind (every grow of
+// a pooled table hands one back), which must hold none of the hashes probed
+// so far.
 func runCodeTableProgram(t *testing.T, data []byte) {
 	ct := MakeCodeTable(0)
 	model := codeTableModel{}
@@ -79,7 +81,7 @@ func runCodeTableProgram(t *testing.T, data []byte) {
 			h = uint64(a)<<56 | uint64(b)<<32 | 0x5 // same home slot, whatever the size
 		}
 		probes = append(probes, h, h+1, h^(1<<63))
-		switch op % 5 {
+		switch op % 6 {
 		case 0, 1: // one more slot under h
 			pos, r := ct.Find(h, -1)
 			for r != 0 {
@@ -104,6 +106,19 @@ func runCodeTableProgram(t *testing.T, data []byte) {
 			ct = PooledCodeTable(int(b))
 			model = codeTableModel{}
 			checkCodeTable(t, &ct, model, probes)
+		case 5: // delete the k-th slot of h, if it has one
+			pos, r := ct.Find(h, -1)
+			for k := op / 6 % 4; k > 0 && r != 0; k-- {
+				pos, r = ct.Find(h, pos)
+			}
+			if r != 0 {
+				ct.Delete(pos)
+				i := slices.Index(model[h], r)
+				model[h] = slices.Delete(model[h], i, i+1)
+				if len(model[h]) == 0 {
+					delete(model, h)
+				}
+			}
 		}
 	}
 	checkCodeTable(t, &ct, model, probes)
@@ -113,6 +128,7 @@ func runCodeTableProgram(t *testing.T, data []byte) {
 func FuzzCodeTable(f *testing.F) {
 	f.Add([]byte{0, 2, 2, 0, 2, 2, 2, 2, 2, 3, 0, 0})
 	f.Add([]byte{1, 1, 7, 1, 3, 7, 0, 4, 9, 0, 6, 9, 2, 4, 9, 3, 0, 0})
+	f.Add([]byte{0, 2, 1, 0, 4, 1, 0, 6, 1, 0, 2, 2, 5, 4, 1, 3, 0, 0, 0, 8, 1, 11, 2, 2, 3, 0, 0})
 	rnd := rand.New(rand.NewSource(1))
 	long := make([]byte, 3*400)
 	rnd.Read(long)
@@ -164,6 +180,42 @@ func TestCodeTableModel(t *testing.T) {
 			}
 			if ct.Get(h+1) != 0 && model[h+1] == 0 {
 				t.Fatalf("hash %#x was never set and is found", h+1)
+			}
+		}
+	}
+}
+
+// TestCodeTableDeleteInRun deletes each slot of a probe run that wraps
+// around the end of the array, in every order of two: the slots after the
+// hole must shift back to where a walk from their home slot finds them, and
+// the ones at home must stay.
+func TestCodeTableDeleteInRun(t *testing.T) {
+	// Six hashes for a 16-slot table: homes 14, 14, 15, 15, 0, 14, so the run
+	// covers slots 14, 15, 0, 1, 2, 3.
+	homes := []uint64{14, 14, 15, 15, 0, 14}
+	for first := range homes {
+		for second := range homes {
+			if second == first {
+				continue
+			}
+			ct := MakeCodeTable(0)
+			ct.slots = make([]codeSlot, 16)
+			model := codeTableModel{}
+			for i, home := range homes {
+				h := uint64(i+1)<<40 | home
+				pos, _ := ct.Find(h, -1)
+				ct.Set(pos, h, int32(i+1))
+				model[h] = []int32{int32(i + 1)}
+			}
+			for _, i := range []int{first, second} {
+				h := uint64(i+1)<<40 | homes[i]
+				pos, ref := ct.Find(h, -1)
+				if ref != int32(i+1) {
+					t.Fatalf("deleting %d then %d: hash %d found with reference %d", first, second, i, ref)
+				}
+				ct.Delete(pos)
+				delete(model, h)
+				checkCodeTable(t, &ct, model, []uint64{h})
 			}
 		}
 	}

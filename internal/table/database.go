@@ -103,15 +103,15 @@ func (d *Database) SetRelation(rel string, r *Relation) error {
 	if old := d.rels[rel]; old.tracked() {
 		// Diffing materializes both sides; untracked replacement below
 		// keeps a lazily loading replacement lazy.
-		old.EachKeyed(func(k string, t Tuple) bool {
-			if !cp.ContainsKeyString(k) {
-				old.rec.get().noteDelete(k, t)
+		old.Each(func(t Tuple) bool {
+			if !cp.Contains(t) {
+				old.noteDelete(t)
 			}
 			return true
 		})
-		cp.EachKeyed(func(k string, t Tuple) bool {
-			if !old.ContainsKeyString(k) {
-				old.rec.get().noteInsert(k, t)
+		cp.Each(func(t Tuple) bool {
+			if !old.Contains(t) {
+				old.noteInsert(t)
 			}
 			return true
 		})

@@ -232,14 +232,11 @@ func (r *Relation) ApplyDelta(d *Delta) {
 		return
 	}
 	r.mutable()
-	for k, t := range d.Deleted {
-		i := r.segOfString(k)
-		if _, ok := r.segs[i].m[k]; ok {
-			r.remove(i, k, t)
-		}
+	for _, t := range d.Deleted {
+		r.remove(tupleHash(t), t)
 	}
-	for k, t := range d.Inserted {
-		r.insert(r.segOfString(k), k, t)
+	for _, t := range d.Inserted {
+		r.insert(tupleHash(t), t)
 	}
 }
 
@@ -287,15 +284,18 @@ func (rec *recorder) get() *Delta {
 // before doing per-tuple bookkeeping so untracked relations skip the work.
 func (r *Relation) tracked() bool { return r != nil && r.rec != nil }
 
-func (r *Relation) noteInsert(k string, t Tuple) {
+// noteInsert and noteDelete record a change of a tracked relation under the
+// tuple's key: a change set is keyed, so a tracked write is the one that
+// builds a key string.
+func (r *Relation) noteInsert(t Tuple) {
 	if r.rec != nil {
-		r.rec.get().noteInsert(k, t)
+		r.rec.get().noteInsert(t.Key(), t)
 	}
 }
 
-func (r *Relation) noteDelete(k string, t Tuple) {
+func (r *Relation) noteDelete(t Tuple) {
 	if r.rec != nil {
-		r.rec.get().noteDelete(k, t)
+		r.rec.get().noteDelete(t.Key(), t)
 	}
 }
 
@@ -306,8 +306,8 @@ func (r *Relation) noteDeleteAll() {
 	}
 	d := r.rec.get()
 	for _, s := range r.segs {
-		for k, t := range s.m {
-			d.noteDelete(k, t)
+		for _, t := range s.rows {
+			d.noteDelete(t.Key(), t)
 		}
 	}
 }

@@ -341,9 +341,9 @@ func (r *Relation) buildEncoding(dict *Dict, prev *Encoding) *Encoding {
 // encodeSegment interns one segment's tuples; on a value outside the code
 // space the block is left partial with ok false.
 func encodeSegment(s *segment, arity int, dict *Dict) *EncBlock {
-	b := newEncBlock(arity, len(s.m))
+	b := newEncBlock(arity, len(s.rows))
 	row := make([]uint64, arity)
-	for _, t := range s.m {
+	for _, t := range s.rows {
 		if !b.appendTuple(t, row, dict) {
 			break
 		}
@@ -358,7 +358,7 @@ func encodeSegment(s *segment, arity int, dict *Dict) *EncBlock {
 // as codes.  Row order is free, since every reader takes a block whole.
 func patchedBlock(old *EncBlock, prev, cur *segment, arity int, dict *Dict) *EncBlock {
 	ins, del := diffSeg(prev, cur, nil, nil)
-	b := newEncBlock(arity, len(cur.m))
+	b := newEncBlock(arity, len(cur.rows))
 	row := make([]uint64, arity)
 	if len(del) == 0 {
 		for j := range b.cols {
@@ -587,7 +587,7 @@ func (sh *CodedShard) MatchesKey(row int32, key []uint64) bool {
 }
 
 // HasKey reports whether any indexed row matches the probe key with the
-// given hash — the coded counterpart of Relation.ContainsKey for
+// given hash — the coded counterpart of Relation.Contains for
 // difference membership.  Over a single key column the slot of the hash is
 // the whole answer.
 func (ix *CodedIndex) HasKey(h uint64, key []uint64) bool {

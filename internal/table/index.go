@@ -175,7 +175,7 @@ func (r *Relation) buildIndex(positions []int) *Index {
 	ix := newIndex(positions, r.segs, len(r.segs), r.n)
 	var buf [keyBufSize]byte
 	for _, s := range r.segs {
-		for _, t := range s.m {
+		for _, t := range s.rows {
 			key := appendProjectedKey(buf[:0], t, positions)
 			ix.shardOf(key).add(key, t)
 		}

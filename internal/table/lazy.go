@@ -69,9 +69,8 @@ func (r *Relation) ensure() {
 	if !ls.done {
 		load := &Relation{schema: r.schema}
 		load.initStorage(0)
-		var buf [keyBufSize]byte
 		err := ls.fill(func(t Tuple) {
-			load.insertBytes(t.AppendKey(buf[:0]), t)
+			load.insert(tupleHash(t), t)
 		})
 		if err != nil {
 			ls.mu.Unlock()

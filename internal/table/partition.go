@@ -122,7 +122,7 @@ func (r *Relation) buildPartitioning(positions []int, parts int) *Partitioning {
 	var buf [keyBufSize]byte
 	i := -1
 	for _, s := range r.segs {
-		for _, t := range s.m {
+		for _, t := range s.rows {
 			if positions == nil {
 				// Round-robin morsels: assignment is arbitrary (consumers
 				// always merge every bucket under set semantics), so

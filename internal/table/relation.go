@@ -1,10 +1,10 @@
 package table
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -18,9 +18,10 @@ import (
 //
 // Relations are copy-on-write: Clone, Rename and WithSchema share the
 // underlying tuple storage, and the first subsequent mutation of either side
-// copies the segment it touches (see segment.go; never the tuples, which are
-// immutable once stored).  A tuple passed to Add is adopted by the relation
-// and must not be mutated by the caller afterwards.
+// copies the segment it touches (see segment.go; its slots and row headers,
+// never the tuples, which are immutable once stored).  A tuple passed to Add
+// is adopted by the relation and must not be mutated by the caller
+// afterwards.
 //
 // Concurrency: any number of goroutines may read a relation, and build its
 // derived structures (Encoding, Index, Partition), as long as nobody mutates
@@ -215,8 +216,7 @@ func (r *Relation) Add(t Tuple) error {
 			t, len(t), r.schema.Name, r.schema.Arity())
 	}
 	r.mutable()
-	var buf [keyBufSize]byte
-	r.insertBytes(t.AppendKey(buf[:0]), t)
+	r.insert(tupleHash(t), t)
 	return nil
 }
 
@@ -244,9 +244,8 @@ func (r *Relation) AddBatch(ts []Tuple) error {
 		}
 	}
 	r.mutable()
-	var buf [keyBufSize]byte
 	for _, t := range ts {
-		r.insertBytes(t.AppendKey(buf[:0]), t)
+		r.insert(tupleHash(t), t)
 	}
 	return nil
 }
@@ -259,7 +258,8 @@ func (r *Relation) MustAddBatch(ts []Tuple) {
 }
 
 // AddAll inserts all tuples of another relation (arity must match).  The
-// stored keys of o are reused, so no tuple is re-encoded or copied.
+// hashes o's segments hold are reused, so no tuple is re-encoded or copied;
+// an empty, untracked r takes copies of o's segments whole.
 func (r *Relation) AddAll(o *Relation) error {
 	if o.Len() == 0 {
 		return nil
@@ -269,24 +269,19 @@ func (r *Relation) AddAll(o *Relation) error {
 			o.Arity(), r.schema.Name, r.schema.Arity())
 	}
 	r.mutable()
-	aligned := len(o.segs) == len(r.segs) // then segment j of o feeds segment j of r
-	tracked := r.tracked()
-	for j, os := range o.segs {
-		for k, t := range os.m {
-			i := j
-			if !aligned {
-				i = r.segOfString(k)
-			}
-			if tracked {
-				r.insert(i, k, t)
-				continue
-			}
-			// Nothing to note: assign without looking first.
-			w := r.writable(i)
-			before := len(w.m)
-			w.m[k] = t
-			r.n += len(w.m) - before
+	if r.n == 0 && !r.tracked() {
+		segs := make([]*segment, len(o.segs))
+		for j, s := range o.segs {
+			segs[j] = s.copyFor(r.gen)
 		}
+		r.segs, r.n = segs, o.n
+		return nil
+	}
+	for _, s := range o.segs {
+		s.eachHashed(func(h uint64, t Tuple) bool {
+			r.insert(h, t)
+			return true
+		})
 	}
 	return nil
 }
@@ -296,56 +291,21 @@ func (r *Relation) Remove(t Tuple) bool {
 	if r.Len() == 0 {
 		return false
 	}
-	var buf [keyBufSize]byte
-	k := t.AppendKey(buf[:0])
-	old, ok := r.lookup(k)
-	if !ok {
+	h := tupleHash(t)
+	if !r.has(h, t) {
 		return false
 	}
 	r.mutable()
-	r.remove(r.segOfBytes(k), string(k), old) // mutable may have moved it to another segment
-	return true
+	return r.remove(h, t) // mutable may have moved it to another segment
 }
 
-// Contains reports whether the tuple is present (marked-null identity).
+// Contains reports whether the tuple is present (marked-null identity).  Its
+// key is built and hashed in a stack buffer, so a probe never allocates.
 func (r *Relation) Contains(t Tuple) bool {
-	var buf [keyBufSize]byte
-	return r.ContainsKey(t.AppendKey(buf[:0]))
-}
-
-// ContainsKey reports whether a tuple with the given binary key (as built
-// by Tuple.AppendKey) is present.  Query plans probe with reusable key
-// buffers, so this never allocates.
-func (r *Relation) ContainsKey(key []byte) bool {
 	if r.Len() == 0 {
 		return false
 	}
-	_, ok := r.lookup(key)
-	return ok
-}
-
-// ContainsKeyString is ContainsKey for an already-interned key string.
-func (r *Relation) ContainsKeyString(key string) bool {
-	if r.Len() == 0 {
-		return false
-	}
-	_, ok := r.segs[r.segOfString(key)].m[key]
-	return ok
-}
-
-// EachKeyed is Each, additionally passing each tuple's stored key.
-func (r *Relation) EachKeyed(f func(key string, t Tuple) bool) {
-	if r == nil {
-		return
-	}
-	r.ensure()
-	for _, s := range r.segs {
-		for k, t := range s.m {
-			if !f(k, t) {
-				return
-			}
-		}
-	}
+	return r.has(tupleHash(t), t)
 }
 
 // Tuples returns the tuples in canonical (sorted) order.  The returned
@@ -357,7 +317,7 @@ func (r *Relation) Tuples() []Tuple {
 	r.ensure()
 	out := make([]Tuple, 0, r.n)
 	for _, s := range r.segs {
-		for _, t := range s.m {
+		for _, t := range s.rows {
 			out = append(out, t.Clone())
 		}
 	}
@@ -377,9 +337,7 @@ func (r *Relation) SortedTuples() []Tuple {
 	r.ensure()
 	out := make([]Tuple, 0, r.n)
 	for _, s := range r.segs {
-		for _, t := range s.m {
-			out = append(out, t)
-		}
+		out = append(out, s.rows...)
 	}
 	slices.SortFunc(out, Tuple.Compare)
 	return out
@@ -393,7 +351,7 @@ func (r *Relation) Each(f func(Tuple) bool) {
 	}
 	r.ensure()
 	for _, s := range r.segs {
-		for _, t := range s.m {
+		for _, t := range s.rows {
 			if !f(t) {
 				return
 			}
@@ -432,14 +390,17 @@ func (r *Relation) Equal(o *Relation) bool {
 		return false
 	}
 	aligned := len(r.segs) == len(o.segs)
+	equal := true
 	for j, s := range r.segs {
 		if aligned && s == o.segs[j] {
 			continue // the same frozen segment on both sides
 		}
-		for k := range s.m {
-			if !o.ContainsKeyString(k) {
-				return false
-			}
+		s.eachHashed(func(h uint64, t Tuple) bool {
+			equal = o.has(h, t)
+			return equal
+		})
+		if !equal {
+			return false
 		}
 	}
 	return true
@@ -528,7 +489,7 @@ func (r *Relation) ActiveDomain() map[value.Value]bool {
 
 // Map applies f to every value of every tuple and returns the resulting
 // relation (useful for applying valuations and homomorphisms).  Tuples that
-// f leaves unchanged are shared together with their stored keys.
+// f leaves unchanged are shared, and keep their hashes.
 func (r *Relation) Map(f func(value.Value) value.Value) *Relation {
 	out := &Relation{schema: r.schema}
 	out.initStorage(r.Len())
@@ -563,7 +524,10 @@ func (r *Relation) Reset(rs schema.Relation) {
 	}
 	r.noteDeleteAll()
 	if len(r.segs) == 1 && r.segs[0].gen == r.gen && !r.shared.Load() {
-		clear(r.segs[0].m)
+		s := r.segs[0]
+		s.tab.reset()
+		clear(s.rows)
+		s.rows = s.rows[:0]
 		r.n = 0
 	} else {
 		r.initStorage(0)
@@ -572,34 +536,34 @@ func (r *Relation) Reset(rs schema.Relation) {
 
 func (r *Relation) fillMapped(src *Relation, f func(value.Value) value.Value) {
 	src.ensure()
-	var buf [keyBufSize]byte
 	for _, s := range src.segs {
-		for k, t := range s.m {
-			nt, changed := t.mapChanged(f)
-			if !changed {
-				r.insert(r.segOfString(k), k, t)
-				continue
+		s.eachHashed(func(h uint64, t Tuple) bool {
+			if nt, changed := t.mapChanged(f); changed {
+				r.insert(tupleHash(nt), nt)
+			} else {
+				r.insert(h, t)
 			}
-			r.insertBytes(nt.AppendKey(buf[:0]), nt)
-		}
+			return true
+		})
 	}
 }
 
 // Filter returns the sub-relation of tuples satisfying pred.  Tuples and
-// their stored keys are shared with r, not copied.
+// their hashes are shared with r, not copied or recomputed.
 func (r *Relation) Filter(pred func(Tuple) bool) *Relation {
 	r.ensure()
 	out := &Relation{schema: r.schema}
 	out.initStorage(0)
-	m := out.segs[0].m
+	seg := out.segs[0]
 	for _, s := range r.segs {
-		for k, t := range s.m {
+		s.eachHashed(func(h uint64, t Tuple) bool {
 			if pred(t) {
-				m[k] = t
+				seg.putNew(h, t)
 			}
-		}
+			return true
+		})
 	}
-	out.n = len(m)
+	out.n = len(seg.rows)
 	return out
 }
 
@@ -615,9 +579,10 @@ func (r *Relation) Retain(pred func(Tuple) bool) {
 	owned := false    // mutable has run: the removals go to r's own segments
 scan:
 	for i := 0; i < len(r.segs); i++ {
-		// Deleting from the map being ranged over is fine; so is deleting
-		// from the copy writable made of it.
-		for k, t := range r.segs[i].m {
+		// Backwards: a removal moves the last row into the hole, and that
+		// row has been asked about already.
+		for k := len(r.segs[i].rows) - 1; k >= 0; k-- {
+			t := r.segs[i].rows[k]
 			if pred(t) {
 				continue
 			}
@@ -632,25 +597,40 @@ scan:
 					continue scan
 				}
 			}
-			r.remove(i, k, t)
+			r.remove(tupleHash(t), t)
 		}
 	}
 }
 
 // appendCanonicalKey appends a canonical binary encoding of the relation's
-// contents (its sorted tuple keys, count-prefixed) to dst.
+// contents (its sorted tuple keys, count-prefixed) to dst.  The keys are
+// built into one buffer of their exact size and sorted as spans of it.
 func (r *Relation) appendCanonicalKey(dst []byte) []byte {
 	r.ensure()
-	keys := make([]string, 0, r.n)
+	size := 0
+	var buf [keyBufSize]byte
+	scratch := buf[:0]
 	for _, s := range r.segs {
-		for k := range s.m {
-			keys = append(keys, k)
+		for _, t := range s.rows {
+			scratch = t.AppendKey(scratch[:0])
+			size += len(scratch)
 		}
 	}
-	sort.Strings(keys)
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = append(dst, k...)
+	type span struct{ lo, hi uint32 }
+	keys := make([]byte, 0, size)
+	spans := make([]span, 0, r.n)
+	for _, s := range r.segs {
+		for _, t := range s.rows {
+			lo := len(keys)
+			keys = t.AppendKey(keys)
+			spans = append(spans, span{uint32(lo), uint32(len(keys))})
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi]) })
+	dst = slices.Grow(dst, binary.MaxVarintLen64+size)
+	dst = binary.AppendUvarint(dst, uint64(len(spans)))
+	for _, sp := range spans {
+		dst = append(dst, keys[sp.lo:sp.hi]...)
 	}
 	return dst
 }

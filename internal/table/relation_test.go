@@ -265,3 +265,26 @@ func TestNilRelationAccessors(t *testing.T) {
 	}
 	r.Each(func(Tuple) bool { t.Error("nil relation Each should not call f"); return true })
 }
+
+// TestArityZeroRelation: the one tuple of arity 0 has an empty key, so it
+// hashes like every other and takes one slot and one row.  It is added
+// once, found, carried through a snapshot's write-copy, and removed.
+func TestArityZeroRelation(t *testing.T) {
+	db := NewDatabase(schema.MustNew(schema.NewRelation("Z")))
+	r := db.Relation("Z")
+	if r.Contains(Tuple{}) || r.Remove(Tuple{}) {
+		t.Fatal("an empty relation of arity 0 holds the empty tuple")
+	}
+	r.MustAdd(Tuple{})
+	r.MustAdd(NewTuple())
+	if r.Len() != 1 || !r.Contains(Tuple{}) || r.Contains(Tuple{value.Int(1)}) {
+		t.Fatalf("after two adds of the empty tuple: Len %d, %s", r.Len(), r)
+	}
+	snap := db.Snapshot()
+	if !r.Remove(Tuple{}) || r.Len() != 0 || r.Contains(Tuple{}) || r.Remove(Tuple{}) {
+		t.Fatalf("after removing the empty tuple: Len %d, %s", r.Len(), r)
+	}
+	if s := snap.Relation("Z"); s.Len() != 1 || !s.Contains(Tuple{}) || s.CanonicalKey() == r.CanonicalKey() {
+		t.Fatalf("the snapshot lost the empty tuple with the write: %s", s)
+	}
+}

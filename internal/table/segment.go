@@ -1,11 +1,17 @@
 package table
 
 // Hash-segmented tuple storage.  A relation keeps its tuples in a
-// power-of-two array of segments, each a map keyed by Tuple.Key; a tuple
-// lives in the segment its key hashes to.  A relation starts with one
-// segment and keeps it however large it grows, for as long as nobody else
-// reads its storage: a relation that is built once and read, like every
-// operator output, is one map.
+// power-of-two array of segments; a tuple lives in the segment that the high
+// bits of its key hash pick (the hash of Tuple.AppendKey's bytes).  A segment
+// is a CodeTable from that hash to the 1-based number of the tuple's row in
+// a []Tuple, so no relation keeps a Go map or a key string: a probe builds
+// the key in a stack buffer, hashes it, and compares the values of the rows
+// whose slot holds the hash, and a walk over a segment walks its rows.  The
+// table starts its probes from the hash's low bits, which the routing leaves
+// well spread within a segment.  A relation starts with one segment and
+// keeps it however large it grows, for as long as nobody else reads its
+// storage: a relation that is built once and read, like every operator
+// output, is one table and one row slice.
 //
 // One rule governs writes: a header may write a segment in place iff
 // seg.gen == r.gen && !r.shared.  Generations are process-unique and a
@@ -16,9 +22,11 @@ package table
 // that is when the segment count is fitted to the size (mutable): a
 // relation whose segments have come to average more than segMax tuples, or
 // under segMax/8, is rehashed into the right number of them — O(n), which
-// the copy of a single map would have cost anyway, and only once per
+// the copy of a single segment would have cost anyway, and only once per
 // doubling — and otherwise the write copies the pointer array and the one
-// segment it touches, O(S + n/S).
+// segment it touches, O(S + n/S): its slot array and its row headers, never
+// a tuple.  A tuple that was handed out never changes: rows hold tuples the
+// relation adopted, and a delete moves the last row header into the hole.
 //
 // The derived structures (Encoding, Index, CodedIndex, Partitioning)
 // remember the segment array they were built from.  A header whose array
@@ -31,45 +39,121 @@ package table
 
 import (
 	"hash/maphash"
-	"maps"
+	"math/bits"
 )
 
 // segMax is the mean segment size above which fit splits a relation's
 // segments; it merges them when the mean is under segMax/8, so a relation
 // sitting at either threshold does not flap.  Split and merge rehash every
 // tuple, O(n), and are a factor of two of n apart: amortised O(1) a write.
-// 1792 is 7/8 of 2048, the load a Go map takes before it doubles its
-// table: a segment about to split still copies as a 2048-slot map.
-const segMax = 1792
+// 1536 is 3/4 of 2048, the load at which a CodeTable doubles: a segment about
+// to split still copies 2048 slots.
+const segMax = 1536
 
 // segment is one hash slice of a relation's tuples.  Once a second header
 // can reach it, it is immutable.
 type segment struct {
-	m   map[string]Tuple // keyed by Tuple.Key
-	gen uint64           // generation of the only header that may write it in place
+	tab  CodeTable // tuple-key hash → 1-based row in rows
+	rows []Tuple
+	gen  uint64 // generation of the only header that may write it in place
 }
 
-// segSeed keys the hash that routes tuple keys to segments (and projected
-// keys to index shards).  It is fixed for the process, so segment i of two
-// arrays of equal length covers the same keys.
+// segSeed keys the hash of tuple keys (and of the projected keys of index
+// shards).  It is fixed for the process, so segment i of two arrays of equal
+// length covers the same tuples.
 var segSeed = maphash.MakeSeed()
 
-func hashBytes(k []byte) uint64  { return maphash.Bytes(segSeed, k) }
-func hashString(k string) uint64 { return maphash.String(segSeed, k) }
+func hashBytes(k []byte) uint64 { return maphash.Bytes(segSeed, k) }
 
-// segOfBytes returns the index of the segment the key belongs to.
-func (r *Relation) segOfBytes(k []byte) int {
-	if len(r.segs) == 1 {
-		return 0
-	}
-	return int(hashBytes(k) & uint64(len(r.segs)-1))
+// tupleHash hashes t's key, built in a stack buffer.
+func tupleHash(t Tuple) uint64 {
+	var buf [keyBufSize]byte
+	return hashBytes(t.AppendKey(buf[:0]))
 }
 
-func (r *Relation) segOfString(k string) int {
-	if len(r.segs) == 1 {
-		return 0
+// segShift is the shift that leaves the log2(segs) high bits of a hash: the
+// number of the segment it belongs to.  One segment shifts by 64, which
+// leaves 0.
+func segShift(segs int) uint { return uint(64 - bits.TrailingZeros(uint(segs))) }
+
+// segOf returns the index of the segment the hash belongs to.
+func (r *Relation) segOf(h uint64) int { return int(h >> segShift(len(r.segs))) }
+
+// newSegment returns an empty segment sized for n tuples.
+func newSegment(n int, gen uint64) *segment {
+	return &segment{tab: MakeCodeTable(n), rows: make([]Tuple, 0, n), gen: gen}
+}
+
+// find returns the position of the slot of the row equal to t (hash h) and
+// the row's 1-based number, or row 0 and the empty slot where t would go.
+func (s *segment) find(h uint64, t Tuple) (pos int, row int32) {
+	pos, row = s.tab.Find(h, -1)
+	for row != 0 && !s.rows[row-1].Equal(t) {
+		pos, row = s.tab.Find(h, pos)
 	}
-	return int(hashString(k) & uint64(len(r.segs)-1))
+	return pos, row
+}
+
+// put appends t, which the segment does not hold, as a row under the empty
+// slot pos that find returned.
+func (s *segment) put(pos int, h uint64, t Tuple) {
+	if len(s.rows) == cap(s.rows) {
+		// Double, as the slots do: append grows a long slice by a quarter,
+		// which copies a relation built row by row some five times over.
+		rows := make([]Tuple, len(s.rows), max(2*len(s.rows), 8))
+		copy(rows, s.rows)
+		s.rows = rows
+	}
+	s.rows = append(s.rows, t)
+	s.tab.Set(pos, h, int32(len(s.rows)))
+}
+
+// putNew is put for a tuple known to be absent, with no look at the rows.
+func (s *segment) putNew(h uint64, t Tuple) {
+	pos, ref := s.tab.Find(h, -1)
+	for ref != 0 {
+		pos, ref = s.tab.Find(h, pos)
+	}
+	s.put(pos, h, t)
+}
+
+// drop deletes the row under the slot pos (as find returned them), moving
+// the last row into its place.
+func (s *segment) drop(pos int, row int32) {
+	s.tab.Delete(pos)
+	last := int32(len(s.rows))
+	if row != last {
+		moved := s.rows[last-1]
+		h := tupleHash(moved)
+		p, ref := s.tab.Find(h, -1)
+		for ref != last {
+			p, ref = s.tab.Find(h, p)
+		}
+		s.tab.Set(p, h, row)
+		s.rows[row-1] = moved
+	}
+	s.rows[last-1] = nil
+	s.rows = s.rows[:last-1]
+}
+
+// copyFor returns a copy of s that the header of generation gen may write:
+// its slots and row headers, with room for one more row.  Every slot keeps
+// its position.
+func (s *segment) copyFor(gen uint64) *segment {
+	rows := make([]Tuple, len(s.rows), len(s.rows)+1)
+	copy(rows, s.rows)
+	return &segment{tab: s.tab.clone(), rows: rows, gen: gen}
+}
+
+// eachHashed calls f with the hash and tuple of every row until f returns
+// false.  A walk that routes or probes with the hashes takes them from the
+// slots instead of hashing each tuple again.
+func (s *segment) eachHashed(f func(h uint64, t Tuple) bool) {
+	for i := range s.tab.slots {
+		if sl := &s.tab.slots[i]; sl.ref != 0 && !f(sl.hash(), s.rows[sl.ref-1]) {
+			return
+		}
+	}
 }
 
 // initStorage gives r fresh, exclusively owned storage: one empty segment
@@ -78,7 +162,7 @@ func (r *Relation) initStorage(hint int) {
 	r.gen = nextGen()
 	r.shared.Store(false)
 	r.n = 0
-	r.segs = []*segment{{m: make(map[string]Tuple, hint), gen: r.gen}}
+	r.segs = []*segment{newSegment(hint, r.gen)}
 }
 
 // freshSegs allocates s empty segments writable by r, sized for n tuples
@@ -88,7 +172,7 @@ func (r *Relation) freshSegs(s, n int) []*segment {
 	for i := range segs {
 		// One allocation each: a replaced segment must not stay reachable
 		// because a neighbour in the same allocation is still in use.
-		segs[i] = &segment{m: make(map[string]Tuple, n/s+1), gen: r.gen}
+		segs[i] = newSegment(n/s+1, r.gen)
 	}
 	return segs
 }
@@ -98,42 +182,46 @@ func (r *Relation) freshSegs(s, n int) []*segment {
 func (r *Relation) writable(i int) *segment {
 	s := r.segs[i]
 	if s.gen != r.gen {
-		s = &segment{m: maps.Clone(s.m), gen: r.gen}
+		s = s.copyFor(r.gen)
 		r.segs[i] = s
 	}
 	return s
 }
 
-// insert stores t under its key k in segment i unless the key is present.
-// The caller has called mutable.
-func (r *Relation) insert(i int, k string, t Tuple) {
-	if _, ok := r.segs[i].m[k]; ok {
-		return
-	}
-	r.writable(i).m[k] = t
-	r.n++
-	r.noteInsert(k, t)
+// has reports whether a tuple equal to t (hash h) is stored.
+func (r *Relation) has(h uint64, t Tuple) bool {
+	_, row := r.segs[r.segOf(h)].find(h, t)
+	return row != 0
 }
 
-// insertBytes is insert for a key still in a scratch buffer; the key is
-// interned only when the tuple is new.
-func (r *Relation) insertBytes(k []byte, t Tuple) {
-	i := r.segOfBytes(k)
-	if _, ok := r.segs[i].m[string(k)]; ok {
-		return
+// insert stores t (hash h) unless an equal tuple is stored, and reports
+// whether it did.  The caller has called mutable.
+func (r *Relation) insert(h uint64, t Tuple) bool {
+	i := r.segOf(h)
+	pos, row := r.segs[i].find(h, t)
+	if row != 0 {
+		return false
 	}
-	ks := string(k)
-	r.writable(i).m[ks] = t
+	r.writable(i).put(pos, h, t) // a copy keeps every slot where it was
 	r.n++
-	r.noteInsert(ks, t)
+	r.noteInsert(t)
+	return true
 }
 
-// remove deletes the tuple stored under k in segment i (which must hold
-// it).  The caller has called mutable.
-func (r *Relation) remove(i int, k string, old Tuple) {
-	delete(r.writable(i).m, k)
+// remove deletes the stored tuple equal to t (hash h), if any, and reports
+// whether there was one.  The caller has called mutable.
+func (r *Relation) remove(h uint64, t Tuple) bool {
+	i := r.segOf(h)
+	pos, row := r.segs[i].find(h, t)
+	if row == 0 {
+		return false
+	}
+	s := r.writable(i)
+	old := s.rows[row-1]
+	s.drop(pos, row)
 	r.n--
-	r.noteDelete(k, old)
+	r.noteDelete(old)
+	return true
 }
 
 // fitCount returns the segment count a relation of n tuples in s segments
@@ -153,19 +241,14 @@ func fitCount(n, s int) int {
 // The old segments are left as they are: other headers may still read them.
 func (r *Relation) resize(s int) {
 	segs := r.freshSegs(s, r.n)
-	mask := uint64(s - 1)
+	shift := segShift(s)
 	for _, old := range r.segs {
-		for k, t := range old.m {
-			segs[hashString(k)&mask].m[k] = t
-		}
+		old.eachHashed(func(h uint64, t Tuple) bool {
+			segs[h>>shift].putNew(h, t)
+			return true
+		})
 	}
 	r.segs = segs
-}
-
-// lookup returns the tuple stored under the key, if any.
-func (r *Relation) lookup(k []byte) (Tuple, bool) {
-	t, ok := r.segs[r.segOfBytes(k)].m[string(k)]
-	return t, ok
 }
 
 // sameSegs reports whether two segment arrays hold the same segments: a
@@ -218,25 +301,28 @@ func diffSegs(old, cur []*segment) (ins, del []Tuple) {
 }
 
 // diffSeg appends to ins the tuples stored in c but not in o, and to del
-// those stored in o but not in c.
+// those stored in o but not in c.  Each side is probed with the hashes the
+// other's slots hold.
 func diffSeg(o, c *segment, ins, del []Tuple) ([]Tuple, []Tuple) {
 	before := len(ins)
-	for k, t := range c.m {
-		if _, ok := o.m[k]; !ok {
+	c.eachHashed(func(h uint64, t Tuple) bool {
+		if _, row := o.find(h, t); row == 0 {
 			ins = append(ins, t)
 		}
-	}
+		return true
+	})
 	// The sizes say how many tuples of o are gone: none after a pure
 	// insert, and the search stops at the last one otherwise.
-	gone := len(o.m) + len(ins) - before - len(c.m)
-	for k, t := range o.m {
-		if gone == 0 {
-			break
-		}
-		if _, ok := c.m[k]; !ok {
+	gone := len(o.rows) + len(ins) - before - len(c.rows)
+	if gone == 0 {
+		return ins, del
+	}
+	o.eachHashed(func(h uint64, t Tuple) bool {
+		if _, row := c.find(h, t); row == 0 {
 			del = append(del, t)
 			gone--
 		}
-	}
+		return gone > 0
+	})
 	return ins, del
 }

@@ -193,13 +193,18 @@ func (v Value) String() string {
 }
 
 // needsQuoting reports whether a string constant must be quoted to survive a
-// round trip through Parse.
+// round trip through Parse: Parse reads the bare words NULL and null as
+// fresh nulls, and an integer literal as an integer.
 func needsQuoting(s string) bool {
-	if s == "" {
+	if s == "" || s == "NULL" || s == "null" {
 		return true
 	}
-	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return true
+	if intLike(s) {
+		// ParseInt is asked only here: its error for any other string
+		// would cost every rendering three allocations.
+		if _, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return true
+		}
 	}
 	if strings.HasPrefix(s, "⊥") || strings.HasPrefix(s, "_:") || strings.HasPrefix(s, "\"") {
 		return true
@@ -211,6 +216,23 @@ func needsQuoting(s string) bool {
 		}
 	}
 	return false
+}
+
+// intLike reports whether s has the form [+-]?[0-9]+, the only form
+// strconv.ParseInt(s, 10, 64) accepts.
+func intLike(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // Parse converts a textual form back into a Value. Accepted forms:

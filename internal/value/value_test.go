@@ -111,6 +111,10 @@ func TestStringRendering(t *testing.T) {
 		{String("has space"), `"has space"`},
 		{String("7"), `"7"`},
 		{String(""), `""`},
+		{String("NULL"), `"NULL"`},
+		{String("null"), `"null"`},
+		{String("+5"), `"+5"`},
+		{String("-x"), "-x"},
 		{Null(3), "⊥3"},
 	}
 	for _, c := range cases {
@@ -120,10 +124,22 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// TestStringRenderingAllocs pins that rendering a string constant that
+// needs no quotes allocates nothing, whatever it starts or ends with.
+func TestStringRenderingAllocs(t *testing.T) {
+	for _, s := range []string{"abc", "oid123", "-x", "+", "12a", "1-2", "NULLS"} {
+		v := String(s)
+		if got := testing.AllocsPerRun(100, func() { _ = v.String() }); got != 0 {
+			t.Errorf("String(%q).String() allocates %v times, want 0", s, got)
+		}
+	}
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	vals := []Value{
 		Int(0), Int(12345), Int(-6),
 		String("hello"), String("with space"), String("42"), String(""),
+		String("NULL"), String("null"), String("+5"), String("007"),
 		Null(0), Null(7), Null(123456),
 	}
 	for _, v := range vals {
@@ -246,6 +262,22 @@ func TestQuickParseStringIdentity(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzValueRoundTrip holds Parse(v.String()) == v for string constants,
+// integers and null ids.
+func FuzzValueRoundTrip(f *testing.F) {
+	for _, s := range []string{"NULL", "null", "+5", "007", "⊥1", "_:2", `"q"`, "a,b", ""} {
+		f.Add(s, int64(len(s)), uint64(len(s)))
+	}
+	f.Fuzz(func(t *testing.T, s string, i int64, id uint64) {
+		for _, v := range []Value{String(s), Int(i), Null(id)} {
+			got, err := Parse(v.String())
+			if err != nil || got != v {
+				t.Fatalf("%#v renders as %q, which parses as %#v, %v", v, v.String(), got, err)
+			}
+		}
+	})
 }
 
 func TestKindString(t *testing.T) {

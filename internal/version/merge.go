@@ -355,8 +355,8 @@ func mergeChanges(merged *table.Database, diffA, diffB *table.ChangeSet, stateA,
 		// the reconciliation above replaced it (e.g. a refinement target
 		// colliding with a tuple the other branch kept).
 		relA, relB := stateA.Relation(name), stateB.Relation(name)
-		relB.EachKeyed(func(k string, t table.Tuple) bool {
-			if relA.ContainsKeyString(k) && !rel.ContainsKeyString(k) {
+		relB.Each(func(t table.Tuple) bool {
+			if relA.Contains(t) && !rel.Contains(t) {
 				rel.MustAdd(t)
 			}
 			return true
