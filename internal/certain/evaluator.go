@@ -128,7 +128,8 @@ func (ev *Evaluator) Naive(q ra.Expr, d *table.Database) (*table.Relation, error
 }
 
 // NaiveWith is Naive with an explicit plan execution configuration
-// (worker budget and columnar/row path selection).  With the planner on
+// (worker budget and coded/row path selection; a subtree the coded path
+// refuses runs on the row path).  With the planner on
 // the compiled plan evaluates under cfg, morsel-parallel across a worker
 // pool when cfg.Workers > 1; the oracle path ignores cfg.
 // The result is bit-identical to Naive's for every configuration.

@@ -1,19 +1,23 @@
-package col
-
-// Coded is the monomorphic twin of Chunk: the same column-major batch
-// layout, but each column is a []uint64 of value codes (see
-// internal/value code space and internal/table.Dict) instead of a
-// []value.Value.  Kernels over Coded chunks are branch-free u64 loops —
-// no kind dispatch, no string pointers, nothing for the GC to trace.
+// Package col provides the chunk layout of the coded execution tier: a
+// Coded chunk holds a batch of tuples column-wise, one contiguous []uint64
+// of value codes per attribute (see internal/value code space and
+// internal/table.Dict), so operator kernels (internal/plan) run as
+// branch-free u64 loops — no kind dispatch, no string pointers, nothing
+// for the GC to trace.
 //
-// The Const sidecar has the same meaning as Chunk's: column j is true
-// while no null code has been appended.  Null detection on codes is a
-// pure tag test (value.CodeIsNull), so the sidecar and CompleteSel stay
-// exact without consulting any dictionary.
+// A chunk carries a per-column "all constants" sidecar (Const): column j
+// is true while no null code has been appended to it.  Kernels use it to
+// skip null handling wholesale — certain-answer materialization skips the
+// completeness scan over all-constant columns, and the hash-join probe
+// takes its fast path when both the probe columns and the build side are
+// null-free.  Null detection on codes is a pure tag test
+// (value.CodeIsNull), so the sidecar and CompleteSel stay exact without
+// consulting any dictionary.
 //
 // Coded chunks emitted by scans may be zero-copy views into a cached
 // table.Encoding; consumers must treat Cols as read-only and must not
-// retain them past the emit callback, mirroring the Chunk contract.
+// retain them past the emit callback.
+package col
 
 import "incdata/internal/value"
 
@@ -97,9 +101,8 @@ func (c *Coded) ConstAt(positions []int) bool {
 }
 
 // CompleteSel narrows sel (nil = all rows) to the rows with no null code
-// in any column, appending the surviving row indexes to dst — the coded
-// form of Chunk.CompleteSel, with the per-value IsNull call replaced by
-// the tag test.  All-constant columns are skipped via the sidecar; when
+// in any column, appending the surviving row indexes to dst.
+// All-constant columns are skipped via the sidecar; when
 // every column is all-constant the input selection is returned unchanged
 // without touching dst.
 func (c *Coded) CompleteSel(sel []int32, dst []int32) ([]int32, bool) {

@@ -19,8 +19,7 @@ import (
 func accessOptions() map[string]Options {
 	out := map[string]Options{"budget": {MemBudget: 1 << 12}}
 	for _, w := range []int{1, 2, 4} {
-		out[fmt.Sprint("row/w", w)] = Options{Workers: w, Columnar: ColumnarOff, Coded: CodedOff}
-		out[fmt.Sprint("columnar/w", w)] = Options{Workers: w, Coded: CodedOff}
+		out[fmt.Sprint("row/w", w)] = Options{Workers: w, Coded: CodedOff}
 		out[fmt.Sprint("coded/w", w)] = Options{Workers: w}
 	}
 	return out

@@ -37,9 +37,9 @@ func codedTestDB(tuples, domain, nullIDs int, seed int64) *table.Database {
 
 // TestEngineCodedBitIdentical crosses the coded knob with every other
 // evaluation dimension at the engine level: for each query, mode
-// certain/naive, planner on/off, columnar on/off and worker budget
-// 1/2/4, the dictionary-coded tier must produce exactly the fingerprint
-// the uncoded paths do.
+// certain/naive, planner on/off and worker budget 1/2/4, the
+// dictionary-coded tier must produce exactly the fingerprint the row path
+// does.
 func TestEngineCodedBitIdentical(t *testing.T) {
 	eng := New(codedTestDB(1200, 40, 3, 11))
 	queries := map[string]ra.Expr{
@@ -63,54 +63,23 @@ func TestEngineCodedBitIdentical(t *testing.T) {
 	for name, q := range queries {
 		for _, mode := range []Mode{ModeCertain, ModeNaive} {
 			for _, planner := range []PlannerSetting{PlannerOn, PlannerOff} {
-				for _, columnar := range []ColumnarSetting{ColumnarOn, ColumnarOff} {
-					for _, workers := range []int{1, 2, 4} {
-						opts := Options{
-							Mode: mode, Planner: planner, Columnar: columnar,
-							Workers: workers, Coded: CodedOff,
-						}
-						want, err := eng.Eval(q, opts)
-						if err != nil {
-							t.Fatalf("%s/%v/planner=%v/columnar=%d/workers=%d uncoded: %v",
-								name, mode, planner, columnar, workers, err)
-						}
-						opts.Coded = CodedOn
-						got, err := eng.Eval(q, opts)
-						if err != nil {
-							t.Fatalf("%s/%v/planner=%v/columnar=%d/workers=%d coded: %v",
-								name, mode, planner, columnar, workers, err)
-						}
-						if fp(got) != fp(want) {
-							t.Fatalf("%s/%v/planner=%v/columnar=%d/workers=%d: coded answer differs from uncoded path",
-								name, mode, planner, columnar, workers)
-						}
+				for _, workers := range []int{1, 2, 4} {
+					opts := Options{Mode: mode, Planner: planner, Workers: workers, Coded: CodedOff}
+					want, err := eng.Eval(q, opts)
+					if err != nil {
+						t.Fatalf("%s/%v/planner=%v/workers=%d row: %v", name, mode, planner, workers, err)
+					}
+					opts.Coded = CodedOn
+					got, err := eng.Eval(q, opts)
+					if err != nil {
+						t.Fatalf("%s/%v/planner=%v/workers=%d coded: %v", name, mode, planner, workers, err)
+					}
+					if fp(got) != fp(want) {
+						t.Fatalf("%s/%v/planner=%v/workers=%d: coded answer differs from row path",
+							name, mode, planner, workers)
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestParseCoded pins the textual knob accepted by the CLIs.
-func TestParseCoded(t *testing.T) {
-	cases := []struct {
-		in   string
-		want CodedSetting
-		ok   bool
-	}{
-		{"", CodedAuto, true},
-		{"auto", CodedAuto, true},
-		{"on", CodedOn, true},
-		{"off", CodedOff, true},
-		{"banana", 0, false},
-	}
-	for _, tc := range cases {
-		got, err := ParseCoded(tc.in)
-		if (err == nil) != tc.ok {
-			t.Fatalf("ParseCoded(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("ParseCoded(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }

@@ -91,71 +91,26 @@ func ParsePlanner(s string) (PlannerSetting, error) {
 	}
 }
 
-// ColumnarSetting selects the plan execution layout: the vectorized
-// columnar path (column chunks, selection vectors, columnar kernels) or
-// the per-tuple row path, which computes bit-identical results and is
-// kept as the differential oracle of the columnar one.
-type ColumnarSetting uint8
-
-const (
-	// ColumnarAuto is the zero value and defaults to columnar being on.
-	ColumnarAuto ColumnarSetting = iota
-	// ColumnarOn selects the vectorized columnar path.
-	ColumnarOn
-	// ColumnarOff selects the per-tuple row path (the oracle).
-	ColumnarOff
-)
-
-// ParseColumnar converts "on" or "off" (or "", meaning the default) into
-// a ColumnarSetting.
-func ParseColumnar(s string) (ColumnarSetting, error) {
-	switch s {
-	case "", "auto":
-		return ColumnarAuto, nil
-	case "on":
-		return ColumnarOn, nil
-	case "off":
-		return ColumnarOff, nil
-	default:
-		return 0, fmt.Errorf("engine: columnar must be on or off (got %q)", s)
-	}
-}
-
 // CodedSetting selects whether planned evaluation may run on the
 // dictionary-coded execution tier: monomorphic []uint64 code-vector
 // kernels over the database's value dictionary.  The coded path computes
-// bit-identical results to the columnar and row paths; eligibility is
-// resolved per query subtree (every base relation read must encode
-// cleanly), so "on" and the auto default are always safe and silently
-// fall back where coding does not apply.
+// bit-identical results to the row path; eligibility is resolved per
+// query subtree (every base relation read must encode cleanly), so "on"
+// and the auto default are always safe: a refused subtree runs on the
+// row path.
 type CodedSetting uint8
 
 const (
 	// CodedAuto is the zero value and defaults to coded being on: the
 	// coded path is used whenever the read relations' dictionaries are
-	// available, and falls back to the columnar path otherwise.
+	// available, and a refused subtree runs on the row path.
 	CodedAuto CodedSetting = iota
 	// CodedOn selects the coded path where eligible.
 	CodedOn
-	// CodedOff disables the coded tier, keeping the columnar path as the
+	// CodedOff disables the coded tier, keeping the row path as the
 	// differential oracle.
 	CodedOff
 )
-
-// ParseCoded converts "on" or "off" (or "", meaning the default) into a
-// CodedSetting.
-func ParseCoded(s string) (CodedSetting, error) {
-	switch s {
-	case "", "auto":
-		return CodedAuto, nil
-	case "on":
-		return CodedOn, nil
-	case "off":
-		return CodedOff, nil
-	default:
-		return 0, fmt.Errorf("engine: coded must be on or off (got %q)", s)
-	}
-}
 
 // Options is the unified evaluation-options struct of the engine facade,
 // replacing the per-package option structs the entry points used to take.
@@ -169,15 +124,10 @@ type Options struct {
 	// (the zero value) means on.
 	Planner PlannerSetting
 
-	// Columnar selects the vectorized columnar execution path or the
-	// per-tuple row path of planned evaluation; ColumnarAuto (the zero
-	// value) means on.  Only the planned naive/certain modes read it —
-	// the world-enumeration modes and the oracle path are row-based.
-	Columnar ColumnarSetting
-
 	// Coded selects the dictionary-coded execution tier of planned
 	// evaluation; CodedAuto (the zero value) means on where eligible.
-	// Like Columnar, only the planned naive/certain modes read it.
+	// Only the planned naive/certain modes read it — the
+	// world-enumeration modes and the oracle path are row-based.
 	Coded CodedSetting
 
 	// ExtraFresh is the number of fresh constants (outside adom and the
@@ -214,9 +164,9 @@ type Options struct {
 	// budget is Grace-partitioned to disk and joined partition by
 	// partition, so certain-answer queries run against databases larger
 	// than RAM.  Answers are bit-identical to the unbounded path.  A
-	// budgeted evaluation runs on the serial row engine (Workers,
-	// Columnar and Coded are overridden): the budget is a hard cap, and
-	// the parallel/vectorized tiers assume resident build sides.
+	// budgeted evaluation runs on the serial row engine (Workers and
+	// Coded are overridden): the budget is a hard cap, and the parallel
+	// and coded tiers assume resident build sides.
 	MemBudget int64
 }
 
@@ -232,12 +182,6 @@ func (o Options) resolvedWorkers() int {
 	return o.Workers
 }
 
-// resolvedColumnar resolves the Columnar knob: anything but an explicit
-// off means the vectorized path.
-func (o Options) resolvedColumnar() bool {
-	return o.Columnar != ColumnarOff
-}
-
 // resolvedCoded resolves the Coded knob: anything but an explicit off
 // means the coded tier is offered (per-subtree eligibility still
 // decides whether it actually runs).
@@ -249,7 +193,6 @@ func (o Options) resolvedCoded() bool {
 func (o Options) evalConfig() plan.EvalConfig {
 	return plan.EvalConfig{
 		Workers:   o.resolvedWorkers(),
-		Columnar:  o.resolvedColumnar(),
 		Coded:     o.resolvedCoded(),
 		MemBudget: o.MemBudget,
 	}

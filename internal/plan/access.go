@@ -20,8 +20,8 @@ import (
 // relation for an index on those positions (table.Relation.SelectIndex and
 // SelectCodedIndex decide, from what the header holds and what its scans
 // have cost so far) and, when it gets one, emits only the matching rows:
-// the chain of Index.Lookup on the row and columnar tiers, the rows of the
-// CodedIndex on the coded one.  The filters above stay exactly as they are
+// the chain of Index.Lookup on the row path, the rows of the CodedIndex on
+// the coded one.  The filters above stay exactly as they are
 // and see fewer rows, so every conjunct, sargable or not, is still applied;
 // the scan of every tuple remains as the fallback of the same operator.
 

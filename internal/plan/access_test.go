@@ -88,8 +88,7 @@ func accessConfigs() map[string]EvalConfig {
 	out := map[string]EvalConfig{"budget": {MemBudget: 1 << 10}}
 	for _, w := range []int{1, 2, 4} {
 		out[fmt.Sprint("row/w", w)] = EvalConfig{Workers: w}
-		out[fmt.Sprint("columnar/w", w)] = EvalConfig{Workers: w, Columnar: true}
-		out[fmt.Sprint("coded/w", w)] = EvalConfig{Workers: w, Columnar: true, Coded: true}
+		out[fmt.Sprint("coded/w", w)] = EvalConfig{Workers: w, Coded: true}
 	}
 	return out
 }

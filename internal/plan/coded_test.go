@@ -12,9 +12,9 @@ import (
 	"incdata/internal/value"
 )
 
-// mustSameCoded asserts the coded path is bit-identical to both of its
-// oracles — the columnar path and the per-tuple row path — for raw and
-// certain evaluation under the given worker budget.  Each coded evaluation
+// mustSameCoded asserts the coded path is bit-identical to its oracle,
+// the row path, for raw and certain evaluation under the given worker
+// budget.  Each coded evaluation
 // runs right after pollutePools, so the sets it builds start from arrays
 // that a set of another width and a larger result left behind.
 func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, label string) {
@@ -28,8 +28,7 @@ func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, labe
 		cfg  EvalConfig
 	}{
 		{"row", EvalConfig{Workers: workers}},
-		{"columnar", EvalConfig{Workers: workers, Columnar: true}},
-		{"coded", EvalConfig{Workers: workers, Columnar: true, Coded: true}},
+		{"coded", EvalConfig{Workers: workers, Coded: true}},
 	}
 	type outcome struct {
 		key string
@@ -109,7 +108,7 @@ var polluters = sync.OnceValue(func() (pp struct {
 func pollutePools(t *testing.T, arity, workers int) {
 	t.Helper()
 	pp := polluters()
-	if _, err := pp.plans[arity%3].EvalWith(pp.db, EvalConfig{Workers: workers, Columnar: true, Coded: true}); err != nil {
+	if _, err := pp.plans[arity%3].EvalWith(pp.db, EvalConfig{Workers: workers, Coded: true}); err != nil {
 		t.Fatalf("polluter: %v", err)
 	}
 }
@@ -151,11 +150,11 @@ func hugeNullDB(seed int64) *table.Database {
 	return d
 }
 
-// TestCodedMatchesRowFuzz pins the coded path bit-identical to the
-// columnar and row paths across the full random operator corpus, crossed
+// TestCodedMatchesRowFuzz pins the coded path bit-identical to the row
+// path across the full random operator corpus, crossed
 // with serial and parallel evaluation and with databases of pure-int,
-// mixed-kind, and unencodable (huge null id) values — the last forcing
-// the eligibility fallback on every plan.
+// mixed-kind, and unencodable (huge null id) values — the last sending
+// every plan to the row path.
 func TestCodedMatchesRowFuzz(t *testing.T) {
 	withParallelCutoff(t, 1)
 	trials := 400
@@ -182,8 +181,8 @@ func TestCodedMatchesRowFuzz(t *testing.T) {
 }
 
 // largeStringDB is largeDB with string-dominated columns: the workload
-// the coded tier exists for, where the row and columnar paths pay for
-// per-value string hashing and key encoding.
+// the coded tier exists for, where the row path pays for per-value
+// string hashing and key encoding.
 func largeStringDB(tuples int, seed int64) *table.Database {
 	rnd := rand.New(rand.NewSource(seed))
 	d := table.NewDatabase(fuzzSchema())
@@ -204,12 +203,11 @@ func largeStringDB(tuples int, seed int64) *table.Database {
 }
 
 // TestCodedLargeJoin exercises the coded kernels at the production
-// cutoff on string-heavy relations big enough to fill many chunks and
-// take the partitioned-join path: coded partition indexes, coded
-// select-joins over dictionary codes, coded diffs, and a union mixing an
-// eligible branch with a row-path branch.
+// cutoff on relations, string-heavy and int-valued, big enough to fill
+// many chunks and take the partitioned-join path: coded partition
+// indexes, coded select-joins over dictionary codes, coded diffs, and a
+// union mixing an eligible branch with a row-path branch.
 func TestCodedLargeJoin(t *testing.T) {
-	d := largeStringDB(1500, 17)
 	queries := map[string]ra.Expr{
 		"join": ra.Project{
 			Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")},
@@ -228,9 +226,130 @@ func TestCodedLargeJoin(t *testing.T) {
 			Right: ra.Project{Input: ra.Base("T"), Attrs: []string{"a"}},
 		},
 	}
-	for name, q := range queries {
-		for _, workers := range []int{1, 2, 4, 8} {
-			mustSameCoded(t, q, d, workers, name)
+	for _, d := range []*table.Database{largeStringDB(1500, 17), largeDB(1500, 11)} {
+		for name, q := range queries {
+			for _, workers := range []int{1, 2, 4, 8} {
+				mustSameCoded(t, q, d, workers, name)
+			}
+		}
+	}
+}
+
+// TestColEligible pins the shape gate of the coded tier: plans that only
+// adopt existing tuples (bare scans, filters, whole-tuple diffs) stay on
+// the row path, plans that build fresh output tuples (π, ⋈, projected
+// diffs) qualify.
+func TestColEligible(t *testing.T) {
+	d := fuzzDB(1)
+	cases := []struct {
+		q    ra.Expr
+		want bool
+	}{
+		{ra.Base("R"), false},
+		{ra.Select{Input: ra.Base("R"), Pred: ra.Neq(ra.Attr("a"), ra.LitInt(0))}, false},
+		{ra.Diff{Left: ra.Base("R"), Right: ra.Base("T")}, false},
+		{ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}}, true},
+		{ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, true},
+		{ra.Diff{
+			Left:  ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}},
+			Right: ra.Project{Input: ra.Base("T"), Attrs: []string{"a"}},
+		}, true},
+	}
+	for _, tc := range cases {
+		p, err := Compile(tc.q, d.Schema())
+		if err != nil {
+			t.Fatalf("compile %s: %v", tc.q, err)
+		}
+		if got := colEligible(p.root); got != tc.want {
+			t.Errorf("colEligible(%s) = %v, want %v\nplan:\n%s", tc.q, got, tc.want, p.Describe())
+		}
+	}
+}
+
+// TestCodedScratchLifetime audits the producer-owned scratch contract of
+// the coded tier: the tuples of a result and the codes it adopted from the
+// gather's set as its Encoding must stay unchanged after the coded chunk
+// pool and the recycled set arrays (table.ClassPool) are emptied and
+// refilled by later, concurrent evaluations of other widths.  Run under
+// -race in CI, this also catches any write to a recycled buffer that
+// still aliases adopted state.
+func TestCodedScratchLifetime(t *testing.T) {
+	d := gatherDB(200)
+	q := ra.Project{
+		Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")},
+		Attrs: []string{"a", "c"},
+	}
+	p, err := Compile(q, d.Schema())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if !codedEligible(p.root, newPctx(d, EvalConfig{Coded: true}, nil)) {
+		t.Fatalf("test query must take the coded path")
+	}
+	res, err := p.Eval(d)
+	if err != nil {
+		t.Fatalf("eval: %v", err)
+	}
+
+	// Adopt the result's tuples and its encoding, and deep-copy both.
+	var adopted []table.Tuple
+	var copies [][]value.Value
+	res.Each(func(tp table.Tuple) bool {
+		adopted = append(adopted, tp)
+		copies = append(copies, append([]value.Value(nil), tp...))
+		return true
+	})
+	if len(adopted) == 0 {
+		t.Fatalf("test query produced no tuples; corpus is wrong")
+	}
+	builds := res.EncodingStats().Builds
+	enc := res.Encoding(d.Dict())
+	if res.EncodingStats().Builds != builds {
+		t.Fatalf("result built its encoding instead of adopting the gather's codes")
+	}
+	var codes, codeCopies [][]uint64
+	for b := 0; b < enc.Blocks(); b++ {
+		for j := 0; j < res.Arity(); j++ {
+			column := enc.Block(b).Col(j)
+			codes = append(codes, column)
+			codeCopies = append(codeCopies, append([]uint64(nil), column...))
+		}
+	}
+
+	// Churn the chunk, selection and set pools hard: many more coded
+	// evaluations of widths 1 and 3, on several goroutines, reusing the
+	// same process-wide pools.
+	pp := polluters()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				cfg := EvalConfig{Workers: 1 + (g+i)%3, Coded: true}
+				for _, w := range []int{1, 3} {
+					if _, err := pp.plans[w%3].EvalWith(pp.db, cfg); err != nil {
+						t.Errorf("churn eval: %v", err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for i, tp := range adopted {
+		for j := range tp {
+			if tp[j] != copies[i][j] {
+				t.Fatalf("adopted tuple %d mutated after pool churn: %v != %v", i, tp, copies[i])
+			}
+		}
+	}
+	for i, column := range codes {
+		for r := range column {
+			if column[r] != codeCopies[i][r] {
+				t.Fatalf("adopted encoding column %d mutated after pool churn at row %d", i, r)
+			}
 		}
 	}
 }
@@ -249,7 +368,7 @@ func TestCodedEligible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile %s: %v", label, q, err)
 		}
-		c := newPctx(d, EvalConfig{Columnar: true, Coded: true}, nil)
+		c := newPctx(d, EvalConfig{Coded: true}, nil)
 		if got := codedEligible(p.root, c); got != want {
 			t.Errorf("%s: codedEligible(%s) = %v, want %v\nplan:\n%s", label, q, got, want, p.Describe())
 		}
@@ -360,7 +479,7 @@ func TestTwoPhaseMaterializeMatchesOracle(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 4} {
 				for _, budget := range []int64{0, 1 << 16} {
-					cfg := EvalConfig{Workers: workers, Columnar: true, Coded: true, MemBudget: budget}
+					cfg := EvalConfig{Workers: workers, Coded: true, MemBudget: budget}
 					label := fmt.Sprintf("%s rows=%d workers=%d budget=%d", name, rows, workers, budget)
 					got, err := p.EvalWith(d, cfg)
 					if err != nil {
@@ -399,7 +518,7 @@ func TestGatherAdoptsEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newPctx(d, EvalConfig{Columnar: true, Coded: true}, nil)
+		c := newPctx(d, EvalConfig{Coded: true}, nil)
 		out := table.NewRelation(p.root.out())
 		if err := materializeIntoAdopt(p.root, c, false, true, out); err != nil {
 			t.Fatal(err)
@@ -448,7 +567,7 @@ func TestGatherArityZero(t *testing.T) {
 		if held {
 			out.MustAdd(table.Tuple{}) // a tuple the set never saw: the gather must look before it inserts
 		}
-		g := gather{c: newPctx(d, EvalConfig{Columnar: true, Coded: true}, nil), out: out, adopt: true}
+		g := gather{c: newPctx(d, EvalConfig{Coded: true}, nil), out: out, adopt: true}
 		g.finish() // no coded branch ran: nothing to do
 		if want := map[bool]int{false: 0, true: 1}[held]; out.Len() != want {
 			t.Fatalf("held=%v: an idle gather left %d tuples, want %d", held, out.Len(), want)

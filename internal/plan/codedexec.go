@@ -12,7 +12,7 @@ import (
 
 // Coded (monomorphic) execution.  Operators that implement codedStreamer
 // move data as col.Coded chunks — one []uint64 code vector per column —
-// instead of []value.Value columns: scans emit zero-copy windows over the
+// instead of tuples: scans emit zero-copy windows over the
 // relation's cached table.Encoding, compiled predicates narrow selection
 // vectors with branch-free u64 compares (codedpred.go), the hash-join
 // probe hashes raw codes (no binary key encoding, no allocation) against
@@ -23,26 +23,28 @@ import (
 // relation.  Codes decode back to value.Value exactly once, in the second
 // phase of the gather (gather.finish), and only for distinct rows.
 //
-// The tier is strictly layered above the columnar path: codedEligible
-// requires the colEligible shape plus an Ok() encoding for every base
-// relation the subtree reads, and any runtime surprise (a partition
-// bucket or build side outside the code space) falls back through
-// bridgeCoded, which re-encodes the row stream on the fly.  The columnar
-// path (colexec.go) is kept fully intact as the differential oracle —
-// plan.EvalConfig.Coded selects the tier, and the fuzz tests pin all
-// three execution models bit-identical across planners and worker
-// counts.
+// The tier is the one vectorized executor, layered above the row-chunk
+// path (chunk.go): codedEligible requires the colEligible shape plus an
+// Ok() encoding for every base relation the subtree reads, and a subtree
+// it refuses (a Δ, a value outside the code space, a database with no
+// dictionary) runs on the row path.  A runtime surprise inside an eligible
+// subtree (a partition bucket or build side outside the code space) falls
+// back through bridgeCoded, which re-encodes the row stream on the fly.
+// The row path is the differential oracle — plan.EvalConfig.Coded selects
+// the tier, and the fuzz tests pin both execution models bit-identical
+// across planners and worker counts.
 //
-// Chunk contract: identical to the columnar path — the chunk and
-// selection vector passed to emit are producer-owned scratch (or
-// read-only views into a cached Encoding) and must not be retained past
-// the emit callback.
+// Chunk contract: the chunk and selection vector passed to emit are
+// producer-owned scratch (or read-only views into a cached Encoding) and
+// must not be retained past the emit callback.  Codes gathered out of a
+// chunk are copies, so an adopted result tuple or Encoding never aliases
+// chunk storage (pinned by TestCodedScratchLifetime).
 
 // codedEmit consumes one coded chunk restricted to the selected rows
 // (nil sel = all rows).
 type codedEmit func(ch *col.Coded, sel []int32) bool
 
-// codedStreamer is the coded counterpart of colStreamer, implemented by
+// codedStreamer is the coded counterpart of chunkStreamer, implemented by
 // operators with a native coded form.
 type codedStreamer interface {
 	streamCoded(c *pctx, emit codedEmit) error
@@ -58,7 +60,7 @@ type codedContains func(h uint64, key []uint64) bool
 var errCodedOverflow = errors.New("plan: value outside the code space on the coded path")
 
 // codedChunkPool recycles coded chunks (and their column capacity)
-// across operators and evaluations, like colChunkPool.
+// across operators and evaluations, like chunkPool does for row chunks.
 var codedChunkPool = sync.Pool{
 	New: func() any { return &col.Coded{} },
 }
@@ -273,7 +275,7 @@ func (n *punion) streamCoded(c *pctx, emit codedEmit) error {
 // partitioned parallel path the worker's per-partition coded index,
 // otherwise a coded index over the build side's cached encoding.  nil
 // (with no error) means the build side has no coded form — the caller
-// falls back to the columnar/binary probe via bridgeCoded.
+// falls back to the row-path binary probe via bridgeCoded.
 func (n *pjoin) codedIndex(c *pctx) (*table.CodedIndex, error) {
 	if c.partIdxFor == n {
 		return c.partCoded, nil
@@ -313,9 +315,10 @@ func (n *pjoin) codedIndex(c *pctx) (*table.CodedIndex, error) {
 // column-wise — no binary key is built and no tuple is allocated per
 // match.  A chain may mix distinct keys of several columns, so every
 // candidate is verified by u64 equality (MatchesKey) — unless the key is one
-// column, whose hash identifies it (CodedIndex.HashIsKey).  The all-constant
-// fast path mirrors the columnar one: null-free build side plus all-constant
-// probe chunk skip the sidecar bookkeeping entirely.
+// column, whose hash identifies it (CodedIndex.HashIsKey).  When the build
+// side indexed only null-free tuples (CodedIndex.AllComplete) and the probe
+// chunk is all-constant, the fast path skips the sidecar bookkeeping
+// entirely.
 func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 	ix, err := n.codedIndex(c)
 	if err != nil {
@@ -681,12 +684,35 @@ func (n *pdiff) streamCoded(c *pctx, emit codedEmit) error {
 	})
 }
 
+// colEligible reports whether the shape of this subtree pays off on
+// column chunks: some operator on the stream builds fresh output tuples
+// per row (π, ⋈, or a diff with a fused projection), which the coded
+// gather defers to a single final materialization.  Plans that only adopt
+// existing tuples (bare scans, filters, whole-tuple diffs) stay on the
+// row path, where adoption is free.
+func colEligible(n pnode) bool {
+	switch x := n.(type) {
+	case *pjoin, *pproject:
+		return true
+	case *pdiff:
+		return x.lproj != nil || colEligible(x.l)
+	case *pfilter:
+		return colEligible(x.in)
+	case *pschema:
+		return colEligible(x.in)
+	case *punion:
+		return colEligible(x.l) || colEligible(x.r)
+	default:
+		return false
+	}
+}
+
 // codedEligible reports whether the coded tier should evaluate this
-// subtree: the shape must pay off like the columnar path's
-// (colEligible), and every base relation the subtree reads must have an
-// Ok() encoding — otherwise bridged chunks could meet a value outside
-// the code space mid-stream.  Checking eagerly also builds (and caches)
-// the encodings the scans will serve windows from.
+// subtree: the shape must pay off (colEligible), and every base relation
+// the subtree reads must have an Ok() encoding — otherwise bridged chunks
+// could meet a value outside the code space mid-stream.  Checking eagerly
+// also builds (and caches) the encodings the scans will serve windows
+// from.  A refused subtree runs on the row path.
 func codedEligible(n pnode, c *pctx) bool {
 	if !c.coded || c.dict == nil {
 		return false
@@ -759,12 +785,11 @@ type gather struct {
 // (the fused null-stripping of certain-answer extraction).  Union branches
 // split at the root so each branch picks its own execution model: under a
 // coded context, branches whose base relations all encode (codedEligible)
-// run on the monomorphic coded path; under a columnar context, branches
-// whose subtree builds fresh output tuples (colEligible) run on the
-// vectorized path (colexec.go); everything else on the row-chunk path.
+// run on the monomorphic coded path, and everything else on the row-chunk
+// path.
 func (g *gather) add(n pnode, certainOnly bool) error {
 	c := g.c
-	if c.columnar || c.coded {
+	if c.coded {
 		if u, ok := n.(*punion); ok {
 			if err := g.add(u.l, certainOnly); err != nil {
 				return err
@@ -777,9 +802,6 @@ func (g *gather) add(n pnode, certainOnly bool) error {
 			g.set = newCodedSet(n.out().Arity())
 		}
 		return g.set.addStream(n, c, certainOnly, nil, nil)
-	}
-	if c.columnar && colEligible(n) {
-		return materializeIntoCol(n, c, certainOnly, g.out)
 	}
 	out := g.out
 	if !certainOnly {

@@ -26,8 +26,7 @@ type pctx struct {
 	keyBuf []byte
 	row    table.Tuple // scratch comparison row of a diff probe (sideRow)
 
-	columnar bool      // use the vectorized path where eligible (colexec.go)
-	selPool  [][]int32 // recycled selection vectors for vectorized kernels
+	selPool [][]int32 // recycled selection vectors for the coded kernels
 
 	coded    bool          // use the coded path where eligible (codedexec.go)
 	dict     *table.Dict   // the database's value dictionary; nil disables coded
@@ -147,13 +146,11 @@ type pempty struct{ rs schema.Relation }
 func (n *pempty) out() schema.Relation                       { return n.rs }
 func (n *pempty) stream(*pctx, func(table.Tuple) bool) error { return nil }
 
-// pfilter applies a compiled predicate.  vpred is the vectorized twin of
-// pred, used by the columnar path (colexec.go), and kpred the coded twin
-// (codedexec.go); each is nil when the predicate has no such form.
+// pfilter applies a compiled predicate.  kpred is its coded twin
+// (codedexec.go), nil when the predicate has no coded form.
 type pfilter struct {
 	in    pnode
 	pred  cpred
-	vpred vpred
 	kpred kpred
 }
 
@@ -169,13 +166,11 @@ func (n *pfilter) stream(c *pctx, emit func(table.Tuple) bool) error {
 }
 
 // pproject projects onto fixed positions, with an optional fused
-// pre-projection filter (σ directly below π never materializes).  vpred
-// is the vectorized twin of pred for the columnar path; nil when pred is
-// nil or has no vectorized form.
+// pre-projection filter (σ directly below π never materializes).  kpred
+// is the coded twin of pred; nil when pred is nil or has no coded form.
 type pproject struct {
 	in    pnode
 	pred  cpred // may be nil
-	vpred vpred
 	kpred kpred
 	idx   []int
 	rs    schema.Relation
@@ -335,7 +330,6 @@ type pdiff struct {
 	l      pnode
 	lproj  []int // nil: compare l's tuples whole
 	lpred  cpred // optional filter fused from a projected selection
-	lvpred vpred // vectorized twin of lpred for the columnar path
 	lkpred kpred // coded twin of lpred for the coded path
 	r      pnode
 	rproj  []int
@@ -453,20 +447,20 @@ func (n *pdiff) stream(c *pctx, emit func(table.Tuple) bool) error {
 
 // fusedDiff builds a pdiff, fusing projections below both sides.
 func fusedDiff(l, r pnode, negate bool, rs schema.Relation) *pdiff {
-	lsrc, lproj, lpred, lvpred, lkpred := fuseDiffSide(l)
-	rsrc, rproj, rpred, _, rkpred := fuseDiffSide(r)
+	lsrc, lproj, lpred, lkpred := fuseDiffSide(l)
+	rsrc, rproj, rpred, rkpred := fuseDiffSide(r)
 	return &pdiff{
-		l: lsrc, lproj: lproj, lpred: lpred, lvpred: lvpred, lkpred: lkpred,
+		l: lsrc, lproj: lproj, lpred: lpred, lkpred: lkpred,
 		r: rsrc, rproj: rproj, rpred: rpred, rkpred: rkpred,
 		negate: negate, rs: rs,
 	}
 }
 
 // fuseDiffSide peels renames and a pure projection (with its fused
-// pre-filter, in row, vectorized and coded forms) off a diff/intersect
+// pre-filter, in row and coded forms) off a diff/intersect
 // input so pdiff can compare keys without materializing the projected
 // tuples.  Renames do not change tuples, so they vanish entirely.
-func fuseDiffSide(n pnode) (src pnode, proj []int, pred cpred, vp vpred, kp kpred) {
+func fuseDiffSide(n pnode) (src pnode, proj []int, pred cpred, kp kpred) {
 	for {
 		if ps, ok := n.(*pschema); ok {
 			n = ps.in
@@ -475,9 +469,9 @@ func fuseDiffSide(n pnode) (src pnode, proj []int, pred cpred, vp vpred, kp kpre
 		break
 	}
 	if pp, ok := n.(*pproject); ok {
-		return pp.in, pp.idx, pp.pred, pp.vpred, pp.kpred
+		return pp.in, pp.idx, pp.pred, pp.kpred
 	}
-	return n, nil, nil, nil, nil
+	return n, nil, nil, nil
 }
 
 // pdivision is relational division over materialized inputs (a pipeline

@@ -29,7 +29,7 @@ func mustSameParallel(t *testing.T, q ra.Expr, d *table.Database, workers int, l
 	if err != nil {
 		return // compile rejections are covered by the serial differential
 	}
-	cfg := EvalConfig{Workers: workers, Columnar: true, Coded: true}
+	cfg := EvalConfig{Workers: workers, Coded: true}
 	want, serr := p.Eval(d)
 	got, perr := p.EvalWith(d, cfg)
 	if (serr == nil) != (perr == nil) {

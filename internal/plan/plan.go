@@ -60,21 +60,22 @@ func (p *Plan) OutSchema() schema.Relation { return p.out }
 
 // EvalConfig selects the execution strategy of one evaluation: the
 // worker-pool size of the morsel-parallel path (Workers <= 1 is serial)
-// and whether eligible subtrees run on the vectorized columnar path
-// (colexec.go) or the coded path (codedexec.go) instead of the per-tuple
-// row path.  Every combination produces bit-identical results; the row
-// path is kept as the differential oracle of the columnar one, and the
-// columnar path as the oracle of the coded one.
+// and whether eligible subtrees run on the coded path (codedexec.go)
+// instead of the row-chunk path.  Every combination produces
+// bit-identical results; the row path is the differential oracle of the
+// coded one.
 type EvalConfig struct {
 	// Workers is the worker-pool size; <= 1 evaluates serially.
 	Workers int
-	// Columnar enables the vectorized columnar path where eligible.
+	// Deprecated: ignored; the value-vector columnar tier is gone, and
+	// Coded alone selects the vectorized path.  Kept until the benchmark
+	// harness stops setting it.
 	Columnar bool
 	// Coded enables the dictionary-coded path where eligible.  It only
 	// takes effect when the database exposes a value dictionary
 	// (table.Database does) and every base relation a subtree reads
-	// encodes cleanly; otherwise evaluation silently falls back to the
-	// columnar (or row) path, so enabling it is always safe.
+	// encodes cleanly; a subtree the coded path refuses runs on the row
+	// path, so enabling it is always safe.
 	Coded bool
 	// MemBudget, when positive, bounds (approximately, in bytes) the
 	// memory a hash join may pin for its build side: a build side over
@@ -82,17 +83,17 @@ type EvalConfig struct {
 	// partition by partition (spill.go), so evaluation handles build
 	// sides larger than RAM.  Answers are bit-identical to the unbounded
 	// path.  A budgeted evaluation runs on the serial row engine —
-	// Workers, Columnar and Coded are overridden, since the parallel and
-	// vectorized tiers assume resident build sides.
+	// Workers and Coded are overridden, since the parallel and coded
+	// tiers assume resident build sides.
 	MemBudget int64
 }
 
 // normalized resolves the config's internal contradictions: a memory
-// budget forces the serial row engine, since the morsel-parallel,
-// columnar and coded tiers all assume resident build sides.
+// budget forces the serial row engine, since the morsel-parallel and
+// coded tiers both assume resident build sides.
 func (cfg EvalConfig) normalized() EvalConfig {
 	if cfg.MemBudget > 0 {
-		cfg.Workers, cfg.Columnar, cfg.Coded = 1, false, false
+		cfg.Workers, cfg.Coded = 1, false
 	}
 	return cfg
 }
@@ -106,7 +107,7 @@ type dictProvider interface {
 // newPctx builds the evaluation context for one serial or worker run,
 // resolving the coded tier against the database's dictionary.
 func newPctx(db ra.DB, cfg EvalConfig, shared *sharedEval) *pctx {
-	c := &pctx{db: db, columnar: cfg.Columnar, shared: shared, budget: cfg.MemBudget}
+	c := &pctx{db: db, shared: shared, budget: cfg.MemBudget}
 	if cfg.Coded {
 		if dp, ok := db.(dictProvider); ok {
 			if d := dp.Dict(); d != nil {
@@ -118,10 +119,10 @@ func newPctx(db ra.DB, cfg EvalConfig, shared *sharedEval) *pctx {
 	return c
 }
 
-// Eval evaluates the plan serially on the coded/columnar path.  Like
+// Eval evaluates the plan serially on the coded path where eligible.  Like
 // ra.EvalDB, the result never aliases mutable state of the database.
 func (p *Plan) Eval(db ra.DB) (*table.Relation, error) {
-	return p.EvalWith(db, EvalConfig{Columnar: true, Coded: true})
+	return p.EvalWith(db, EvalConfig{Coded: true})
 }
 
 // EvalWith evaluates the plan with the given execution configuration.
@@ -149,13 +150,13 @@ func (p *Plan) EvalWith(db ra.DB, cfg EvalConfig) (*table.Relation, error) {
 	return rel.WithSchema(p.out), nil
 }
 
-// EvalCertain evaluates the plan serially on the columnar path and keeps
+// EvalCertain evaluates the plan serially on the coded path and keeps
 // only null-free tuples — the null-stripping step of certain-answer
 // extraction (equation (4)), fused into materialization so the
 // unstripped answer is never stored.  The result equals
 // StripNulls(Eval(db)).
 func (p *Plan) EvalCertain(db ra.DB) (*table.Relation, error) {
-	return p.EvalCertainWith(db, EvalConfig{Columnar: true, Coded: true})
+	return p.EvalCertainWith(db, EvalConfig{Coded: true})
 }
 
 // EvalCertainWith is EvalWith with the null-stripping of certain-answer
@@ -282,14 +283,9 @@ func compileNode(e ra.Expr, s *schema.Schema) (pnode, error) {
 		}
 		rs := in.out()
 		var cp cpred
-		var vp vpred
 		var kp kpred
 		if pred != nil {
 			cp, err = compilePred(pred, rs)
-			if err != nil {
-				return nil, err
-			}
-			vp, err = compileVPred(pred, rs)
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +299,7 @@ func compileNode(e ra.Expr, s *schema.Schema) (pnode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &pproject{in: in, pred: cp, vpred: vp, kpred: kp, idx: idx,
+		return &pproject{in: in, pred: cp, kpred: kp, idx: idx,
 			rs: schema.NewRelation("π("+rs.Name+")", ex.Attrs...)}, nil
 
 	case ra.Rename:
@@ -591,16 +587,12 @@ func wrapFilters(in pnode, preds []ra.Predicate, rs schema.Relation) (pnode, err
 		if cp == nil {
 			continue // constant true
 		}
-		vp, err := compileVPred(preds[i], rs)
-		if err != nil {
-			return nil, err
-		}
 		kp, err := compileKPred(preds[i], rs)
 		if err != nil {
 			return nil, err
 		}
 		noteSargable(in, preds[i])
-		node = &pfilter{in: node, pred: cp, vpred: vp, kpred: kp}
+		node = &pfilter{in: node, pred: cp, kpred: kp}
 	}
 	return node, nil
 }

@@ -47,11 +47,11 @@ func TestSpillJoinMatchesUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	want, err := p.EvalWith(d, EvalConfig{Columnar: true, Coded: true})
+	want, err := p.EvalWith(d, EvalConfig{Coded: true})
 	if err != nil {
 		t.Fatalf("unbounded eval: %v", err)
 	}
-	wantCertain, err := p.EvalCertainWith(d, EvalConfig{Columnar: true, Coded: true})
+	wantCertain, err := p.EvalCertainWith(d, EvalConfig{Coded: true})
 	if err != nil {
 		t.Fatalf("unbounded certain eval: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestSpillUnderBudgetStaysResident(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	want, err := p.EvalWith(d, EvalConfig{Columnar: true})
+	want, err := p.EvalWith(d, EvalConfig{Coded: true})
 	if err != nil {
 		t.Fatalf("unbounded eval: %v", err)
 	}

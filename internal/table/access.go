@@ -2,8 +2,8 @@ package table
 
 // Access-path choice for equality selections.  A selection attr = const on
 // a base relation can be answered by a hash index on the attribute's
-// position (Index for the row and columnar tiers, CodedIndex for the coded
-// one) instead of a scan.  Whether an index is there to use is decided here,
+// position (Index for the row path, CodedIndex for the coded one) instead
+// of a scan.  Whether an index is there to use is decided here,
 // per relation header, by a ski-rental rule with no setting behind it:
 //
 //   - an index the header holds, or can bring up to date from a candidate it
@@ -13,7 +13,7 @@ package table
 //     building the index costs (indexBuildScans of them), the next selection
 //     builds it;
 //   - before an index is used for the first time a sample decides whether
-//     the key is selective enough for a lookup to beat the vectorised filter
+//     the key is selective enough for a lookup to beat the filtered scan
 //     (selectiveKeys); if not, the header keeps scanning and never builds.
 //
 // The count and the verdict live in a demand record per position list.  They

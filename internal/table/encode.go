@@ -11,7 +11,7 @@ package table
 // gets a dictionary slot.  Because the dictionary interns each distinct
 // value exactly once, code equality coincides with value equality across
 // every relation encoded against the same dictionary, which is all that
-// certain-answer evaluation ever asks of constants.  The vectorized
+// certain-answer evaluation ever asks of constants.  The coded
 // kernels of internal/plan run entirely over these codes and decode back
 // to value.Value only at materialization.
 //
@@ -21,8 +21,8 @@ package table
 // changed and shares the rest (see segment.go).  Any mutation drops the
 // header's cached sidecar (invalidateDerived).  A relation containing a
 // value outside the code space (only null ids ≥ 2^62 qualify) yields an
-// Encoding with Ok() == false, which the plan layer treats as "fall back
-// to the columnar path".
+// Encoding with Ok() == false, which the plan layer treats as "run this
+// subtree on the row path".
 
 import (
 	"math/bits"
@@ -127,7 +127,7 @@ func (d *Dict) Len() int {
 // Encoding is the coded-column sidecar of a relation: per segment one
 // block of []uint64 code vectors, one vector per column (all in the same
 // arbitrary-but-fixed row order), plus the per-column all-constant sidecar
-// mirrored from the columnar layout.  An Encoding is immutable once
+// of col.Coded.  An Encoding is immutable once
 // published.
 type Encoding struct {
 	dict   *Dict

@@ -28,14 +28,12 @@ type Index struct {
 	segs      []*segment    // the segments indexed; nil over a bare tuple slice
 	shards    []*IndexShard // by hash of the projected key; the length is a power of two
 	n         int
-	complete  bool // every indexed tuple is null-free
 }
 
 // IndexShard holds the chains of the keys that hash to it.
 type IndexShard struct {
 	heads   map[string]int32 // projected key → 1-based head into entries
 	entries []indexEntry
-	nulls   int // entries with a null somewhere in the tuple
 }
 
 type indexEntry struct {
@@ -45,13 +43,6 @@ type indexEntry struct {
 
 // Positions returns the column positions the index is keyed on.
 func (ix *Index) Positions() []int { return ix.positions }
-
-// AllComplete reports whether every indexed tuple is null-free, tracked
-// at build time.  The vectorized hash-join probe (internal/plan)
-// reads it to take the all-constant fast path: when the build side is
-// null-free and the probe columns carry the all-constant sidecar, join
-// output needs no per-value null bookkeeping at all.
-func (ix *Index) AllComplete() bool { return ix.complete }
 
 // Len returns the number of indexed tuples.
 func (ix *Index) Len() int { return ix.n }
@@ -227,28 +218,19 @@ func (sh *IndexShard) add(key []byte, t Tuple) {
 	head := sh.heads[string(key)]
 	sh.entries = append(sh.entries, indexEntry{t: t, next: head})
 	sh.heads[string(key)] = int32(len(sh.entries))
-	if !t.IsComplete() {
-		sh.nulls++
-	}
 }
 
 // addKeyed is add for an already interned key.
 func (sh *IndexShard) addKeyed(key string, t Tuple) {
 	sh.entries = append(sh.entries, indexEntry{t: t, next: sh.heads[key]})
 	sh.heads[key] = int32(len(sh.entries))
-	if !t.IsComplete() {
-		sh.nulls++
-	}
 }
 
-// seal computes the index-wide totals once the shards are final.
+// seal computes the index-wide total once the shards are final.
 func (ix *Index) seal() {
-	ix.n, ix.complete = 0, true
+	ix.n = 0
 	for _, sh := range ix.shards {
 		ix.n += len(sh.entries)
-		if sh.nulls > 0 {
-			ix.complete = false
-		}
 	}
 }
 
@@ -295,7 +277,7 @@ func (sh *IndexShard) rebuilt(positions []int, ins, del []Tuple) *IndexShard {
 		// Nothing to unlink: a copy of the chains, then the new tuples.
 		entries := make([]indexEntry, len(sh.entries), len(sh.entries)+len(ins))
 		copy(entries, sh.entries)
-		out := &IndexShard{heads: maps.Clone(sh.heads), entries: entries, nulls: sh.nulls}
+		out := &IndexShard{heads: maps.Clone(sh.heads), entries: entries}
 		for _, t := range ins {
 			out.add(appendProjectedKey(buf[:0], t, positions), t)
 		}
