@@ -132,9 +132,21 @@ func Open(dir string) (*Engine, error) {
 		st.Close()
 		return nil, err
 	}
+	// Latest first: the store replays the dictionary sidecar of the first
+	// checkpoint it loads into the dictionary all of them share, and the
+	// latest one's holds the most.
+	ids := make([]version.CommitID, 0, len(rec.Checkpoints))
+	for id := range rec.Checkpoints {
+		ids = append(ids, id)
+	}
+	at := make(map[version.CommitID]int, len(rec.Commits))
+	for i, c := range rec.Commits {
+		at[c.ID] = i
+	}
+	sort.Slice(ids, func(i, j int) bool { return at[ids[i]] > at[ids[j]] })
 	checkpoints := make(map[version.CommitID]*table.Database, len(rec.Checkpoints))
-	for id, manifest := range rec.Checkpoints {
-		db, err := st.LoadDatabase(manifest)
+	for _, id := range ids {
+		db, err := st.LoadDatabase(rec.Checkpoints[id])
 		if err != nil {
 			return fail(err)
 		}

@@ -185,6 +185,85 @@ func TestDurablePersistOpenDifferential(t *testing.T) {
 	}
 }
 
+// TestOpenSharesOneDict reopens a store of 72 checkpoints whose dictionary
+// sidecars grow with every commit.  Open replays one sidecar, not one per
+// checkpoint, into the one dictionary every checkpoint state shares, and
+// AsOf at every commit still equals the state before the close.
+func TestOpenSharesOneDict(t *testing.T) {
+	const commits = 72
+	eng := New(table.NewDatabase(testSchema()))
+	if _, err := eng.EnableHistory(HistoryOptions{CheckpointEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := eng.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	scan := ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "c"}}
+	var ids []version.CommitID
+	for i := 0; i < commits; i++ {
+		if err := eng.Update(func(db *table.Database) error {
+			for k := 0; k < 4; k++ {
+				db.MustAdd("R", table.NewTuple(value.String(fmt.Sprint("r", i, "-", k)), value.Int(int64(k))))
+				db.MustAdd("S", table.NewTuple(value.Int(int64(k)), value.String(fmt.Sprint("s", i, "-", k))))
+			}
+			if i%5 == 4 {
+				db.Relation("R").Remove(table.NewTuple(value.String(fmt.Sprint("r", i-2, "-", 1)), value.Int(1)))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// A coded evaluation interns the new strings, so every checkpoint's
+		// sidecar is longer than the one before.
+		if _, err := eng.Eval(scan, Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		id, err := eng.Commit(fmt.Sprint("c", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if n := eng.db.Dict().Len(); n < 4*commits {
+		t.Fatalf("the dictionary holds %d values after %d commits; the sidecars do not grow", n, commits)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer re.Close()
+	if got := len(re.hist.Export().Checkpoints); got < 64 {
+		t.Fatalf("the store holds %d checkpoints, want at least 64", got)
+	}
+	dict := re.db.Dict()
+	for _, id := range ids {
+		want, err := eng.AsOf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := re.AsOf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Database().CanonicalKey() != want.Database().CanonicalKey() {
+			t.Fatalf("AsOf(%s) differs after reopen", id)
+		}
+		if got.Database().Dict() != dict {
+			t.Fatalf("AsOf(%s) keeps a dictionary of its own", id)
+		}
+		w, werr := want.Eval(scan, Options{})
+		g, gerr := got.Eval(scan, Options{})
+		if werr != nil || gerr != nil || fp(g) != fp(w) {
+			t.Fatalf("AsOf(%s): answers differ after reopen (%v / %v)", id, gerr, werr)
+		}
+	}
+}
+
 // frameOffsets returns the byte offset of every frame start in a log.
 func frameOffsets(t *testing.T, data []byte) []int {
 	t.Helper()

@@ -771,9 +771,10 @@ const gatherSlabRows = 512
 // set is the authority on duplicates, since one value has one code in a
 // dictionary (TestDictEncodeInjective) — while branches with no coded form
 // insert into out directly, the way they always did.  Phase two (finish)
-// builds the relation from the set once, at its final size: one slot table
-// and one row slice made for all rows, no lookup per row, tuples cut from
-// slabs.  Values are decoded only there, once per distinct row.
+// builds the relation from the set once, at its final size: one row slice
+// made for all rows, no hash or lookup per row, tuples cut from slabs; the
+// relation's table waits for its first probe.  Values are decoded only
+// there, once per distinct row.
 type gather struct {
 	c     *pctx
 	out   *table.Relation
@@ -827,7 +828,7 @@ func (g *gather) add(n pnode, certainOnly bool) error {
 
 // finish moves the set's rows into out.  When out is empty every tuple comes
 // from the set, which holds each once: the relation is reserved at its final
-// size, and each decoded row is hashed and appended with no look at the
+// size, and each decoded row is appended with no hash and no look at the
 // others.  When out already holds tuples the set never saw — a union branch
 // that did not run coded, an earlier materialization into the same relation
 // — each row is probed first, and only new rows keep their place in the

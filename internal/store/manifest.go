@@ -138,12 +138,15 @@ func (s *Store) readManifest(hash string) (*Manifest, error) {
 // returned database is lazy: each relation holds only its header and
 // chunk list, and reads its tuple blocks from the chunk store on first
 // access — Open over a huge store costs O(manifest), and a query pays
-// only for the relations it touches.  The dictionary sidecar is interned
-// eagerly (it is small and shared by every relation) in its original
-// order, so dictionary codes are stable across restarts.  Repeated calls
-// for one manifest return the same immutable snapshot, keeping relation
-// stamps — and with them the engine's plan caches — valid across
-// historical reads.
+// only for the relations it touches.  Every database a store loads shares
+// the store's one dictionary, so codes compare across checkpoint states.
+// The first manifest loaded that names a dictionary sidecar replays it in
+// its original order, which keeps those codes stable across restarts; the
+// sidecars of later manifests are not read, since a value they hold and
+// the dictionary lacks is interned when an encoding first meets it.
+// Repeated calls for one manifest return the same immutable snapshot,
+// keeping relation stamps — and with them the engine's plan caches —
+// valid across historical reads.
 func (s *Store) LoadDatabase(manifestHash string) (*table.Database, error) {
 	s.mu.Lock()
 	if db, ok := s.loaded[manifestHash]; ok {
@@ -163,13 +166,17 @@ func (s *Store) LoadDatabase(manifestHash string) (*table.Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: manifest %s: %w", manifestHash, err)
 	}
-	db := table.NewDatabase(sch)
-	if m.Dict != "" {
+	db := table.NewDatabaseDict(sch, s.dict)
+	s.mu.Lock()
+	intern := m.Dict != "" && !s.interned
+	s.interned = s.interned || intern
+	s.mu.Unlock()
+	if intern {
 		payload, err := s.chunks.Get(m.Dict)
 		if err != nil {
 			return nil, err
 		}
-		if err := internDict(db.Dict(), payload); err != nil {
+		if err := internDict(s.dict, payload); err != nil {
 			return nil, fmt.Errorf("store: dict sidecar %s: %w", m.Dict, err)
 		}
 	}
@@ -227,8 +234,9 @@ func (s *Store) fillRelation(rm RelManifest, add func(table.Tuple)) error {
 	return nil
 }
 
-// internDict replays a dictionary sidecar into a fresh dictionary,
-// preserving the interned order (and therefore the codes).
+// internDict replays a dictionary sidecar into the store's dictionary,
+// preserving the interned order (and therefore the codes) when it is the
+// first to fill it.
 func internDict(dict *table.Dict, payload []byte) error {
 	n, sz := binary.Uvarint(payload)
 	if sz <= 0 {

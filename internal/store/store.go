@@ -43,6 +43,10 @@ type Store struct {
 	logF   *os.File
 	seen   map[string]bool // commit ids already in the log
 	loaded map[string]*table.Database
+	// dict is the one dictionary of every database LoadDatabase returns;
+	// interned records that a sidecar has been replayed into it.
+	dict     *table.Dict
+	interned bool
 }
 
 // IsStore reports whether dir looks like a store directory (has a log).
@@ -74,6 +78,7 @@ func Create(dir string) (*Store, error) {
 		logF:   logF,
 		seen:   map[string]bool{},
 		loaded: map[string]*table.Database{},
+		dict:   table.NewDict(),
 	}, nil
 }
 
@@ -83,9 +88,9 @@ type Recovery struct {
 	Opts        version.Options
 	Commits     []version.ExportedCommit
 	Branches    map[string]version.CommitID
-	Head        string                        // checked-out branch
-	Checkpoints map[version.CommitID]string   // commit → manifest chunk
-	MaxNull     uint64                        // largest null id in any replayed delta
+	Head        string                      // checked-out branch
+	Checkpoints map[version.CommitID]string // commit → manifest chunk
+	MaxNull     uint64                      // largest null id in any replayed delta
 }
 
 // Open opens an existing store, truncating a torn final log record, and
@@ -125,6 +130,7 @@ func Open(dir string) (*Store, *Recovery, error) {
 		logF:   logF,
 		seen:   map[string]bool{},
 		loaded: map[string]*table.Database{},
+		dict:   table.NewDict(),
 	}
 	rec, err := s.replay(recs)
 	if err != nil {

@@ -25,8 +25,13 @@ type Database struct {
 
 // NewDatabase creates an empty database over the given schema.  Every
 // relation of the schema is initialised to the empty relation.
-func NewDatabase(s *schema.Schema) *Database {
-	d := &Database{schema: s, rels: make(map[string]*Relation, s.Len()), dict: NewDict()}
+func NewDatabase(s *schema.Schema) *Database { return NewDatabaseDict(s, NewDict()) }
+
+// NewDatabaseDict is NewDatabase over an existing dictionary: databases
+// that share one compare codes across each other, as one lineage's
+// snapshots do.  The durable store loads every state of a store this way.
+func NewDatabaseDict(s *schema.Schema, dict *Dict) *Database {
+	d := &Database{schema: s, rels: make(map[string]*Relation, s.Len()), dict: dict}
 	for _, rs := range s.Relations() {
 		d.rels[rs.Name] = NewRelation(rs)
 	}

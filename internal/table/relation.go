@@ -507,8 +507,8 @@ func (r *Relation) FillMapped(src *Relation, f func(value.Value) value.Value) {
 }
 
 // Reset clears r in place to the empty relation over rs, reusing the
-// storage when r has one segment and owns it exclusively.  World
-// enumeration uses it to recycle per-world scratch relations.
+// storage when r has one segment, with its table, and owns it exclusively.
+// World enumeration uses it to recycle per-world scratch relations.
 func (r *Relation) Reset(rs schema.Relation) {
 	r.checkWritable()
 	r.schema = rs
@@ -523,7 +523,7 @@ func (r *Relation) Reset(rs schema.Relation) {
 		r.dropLazy()
 	}
 	r.noteDeleteAll()
-	if len(r.segs) == 1 && r.segs[0].gen == r.gen && !r.shared.Load() {
+	if len(r.segs) == 1 && r.segs[0].gen == r.gen && !r.shared.Load() && !r.segs[0].deferred.Load() {
 		s := r.segs[0]
 		s.tab.reset()
 		clear(s.rows)

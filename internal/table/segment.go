@@ -3,15 +3,23 @@ package table
 // Hash-segmented tuple storage.  A relation keeps its tuples in a
 // power-of-two array of segments; a tuple lives in the segment that the high
 // bits of its key hash pick (the hash of Tuple.AppendKey's bytes).  A segment
-// is a CodeTable from that hash to the 1-based number of the tuple's row in
-// a []Tuple, so no relation keeps a Go map or a key string: a probe builds
-// the key in a stack buffer, hashes it, and compares the values of the rows
-// whose slot holds the hash, and a walk over a segment walks its rows.  The
-// table starts its probes from the hash's low bits, which the routing leaves
-// well spread within a segment.  A relation starts with one segment and
-// keeps it however large it grows, for as long as nobody else reads its
+// is a []Tuple of rows plus a CodeTable from that hash to the 1-based number
+// of the tuple's row, so no relation keeps a Go map or a key string: a probe
+// builds the key in a stack buffer, hashes it, and compares the values of the
+// rows whose slot holds the hash, and a walk over a segment walks its rows.
+// The table starts its probes from the hash's low bits, which the routing
+// leaves well spread within a segment.  A relation starts with one segment
+// and keeps it however large it grows, for as long as nobody else reads its
 // storage: a relation that is built once and read, like every operator
-// output, is one table and one row slice.
+// output, is one row slice and, once probed, one table.
+//
+// An operator output is often only read row by row — rendered, sorted,
+// encoded — and never probed, so a segment filled through Inserter.Reserve
+// starts deferred: its rows are known to be distinct and it has no table.
+// The first keyed access (find and everything built on it, eachHashed)
+// builds the table, once, under the segment's lock, and publishes it by
+// clearing the deferred flag with a release store, so readers of a shared,
+// frozen segment may race to be first.  Iteration over rows never builds it.
 //
 // One rule governs writes: a header may write a segment in place iff
 // seg.gen == r.gen && !r.shared.  Generations are process-unique and a
@@ -40,6 +48,8 @@ package table
 import (
 	"hash/maphash"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 )
 
 // segMax is the mean segment size above which fit splits a relation's
@@ -51,11 +61,17 @@ import (
 const segMax = 1536
 
 // segment is one hash slice of a relation's tuples.  Once a second header
-// can reach it, it is immutable.
+// can reach it, it is immutable, but for the one-time build of a deferred
+// segment's table.
 type segment struct {
-	tab  CodeTable // tuple-key hash → 1-based row in rows
+	tab  CodeTable // tuple-key hash → 1-based row in rows; empty while deferred
 	rows []Tuple
-	gen  uint64 // generation of the only header that may write it in place
+	gen  uint64  // generation of the only header that may write it in place
+	keys rowKeys // under tablecheck, the keys of a deferred segment's rows
+	// deferred is set while rows are known distinct and tab is not built;
+	// build clears it, under mu, once tab is complete.
+	deferred atomic.Bool
+	mu       sync.Mutex
 }
 
 // segSeed keys the hash of tuple keys (and of the projected keys of index
@@ -84,12 +100,60 @@ func newSegment(n int, gen uint64) *segment {
 	return &segment{tab: MakeCodeTable(n), rows: make([]Tuple, 0, n), gen: gen}
 }
 
+// newDeferredSegment returns an empty deferred segment with room for n rows.
+func newDeferredSegment(n int, gen uint64) *segment {
+	s := &segment{rows: make([]Tuple, 0, n), gen: gen}
+	s.deferred.Store(true)
+	return s
+}
+
+// table returns s's hash table, building it first if s is deferred.  The
+// common case is one load of the flag.
+func (s *segment) table() *CodeTable {
+	if s.deferred.Load() {
+		s.build()
+	}
+	return &s.tab
+}
+
+// build makes a deferred segment's table.  Readers of a shared segment may
+// call it at once: the first to take the lock builds, the store that clears
+// the flag publishes the table, and the others find it built.
+func (s *segment) build() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.deferred.Load() {
+		return
+	}
+	tab := MakeCodeTable(len(s.rows))
+	for i, t := range s.rows {
+		h := tupleHash(t)
+		pos, ref := tab.Find(h, -1)
+		for ref != 0 {
+			pos, ref = tab.Find(h, pos)
+		}
+		tab.Set(pos, h, int32(i+1))
+	}
+	s.tab = tab
+	s.deferred.Store(false)
+}
+
+// appendNew appends t, which s does not hold, as a row of the deferred
+// segment s; under tablecheck a duplicate panics.
+func (s *segment) appendNew(t Tuple, name string) {
+	if !s.keys.add(t) {
+		panic("table: AddNew of a tuple already stored in " + name)
+	}
+	s.appendRow(t)
+}
+
 // find returns the position of the slot of the row equal to t (hash h) and
 // the row's 1-based number, or row 0 and the empty slot where t would go.
 func (s *segment) find(h uint64, t Tuple) (pos int, row int32) {
-	pos, row = s.tab.Find(h, -1)
+	tab := s.table()
+	pos, row = tab.Find(h, -1)
 	for row != 0 && !s.rows[row-1].Equal(t) {
-		pos, row = s.tab.Find(h, pos)
+		pos, row = tab.Find(h, pos)
 	}
 	return pos, row
 }
@@ -97,6 +161,12 @@ func (s *segment) find(h uint64, t Tuple) (pos int, row int32) {
 // put appends t, which the segment does not hold, as a row under the empty
 // slot pos that find returned.
 func (s *segment) put(pos int, h uint64, t Tuple) {
+	s.appendRow(t)
+	s.tab.Set(pos, h, int32(len(s.rows)))
+}
+
+// appendRow appends t to the rows.
+func (s *segment) appendRow(t Tuple) {
 	if len(s.rows) == cap(s.rows) {
 		// Double, as the slots do: append grows a long slice by a quarter,
 		// which copies a relation built row by row some five times over.
@@ -105,14 +175,14 @@ func (s *segment) put(pos int, h uint64, t Tuple) {
 		s.rows = rows
 	}
 	s.rows = append(s.rows, t)
-	s.tab.Set(pos, h, int32(len(s.rows)))
 }
 
 // putNew is put for a tuple known to be absent, with no look at the rows.
 func (s *segment) putNew(h uint64, t Tuple) {
-	pos, ref := s.tab.Find(h, -1)
+	tab := s.table()
+	pos, ref := tab.Find(h, -1)
 	for ref != 0 {
-		pos, ref = s.tab.Find(h, pos)
+		pos, ref = tab.Find(h, pos)
 	}
 	s.put(pos, h, t)
 }
@@ -138,19 +208,27 @@ func (s *segment) drop(pos int, row int32) {
 
 // copyFor returns a copy of s that the header of generation gen may write:
 // its slots and row headers, with room for one more row.  Every slot keeps
-// its position.
+// its position; the copy of a deferred segment is deferred.
 func (s *segment) copyFor(gen uint64) *segment {
 	rows := make([]Tuple, len(s.rows), len(s.rows)+1)
 	copy(rows, s.rows)
-	return &segment{tab: s.tab.clone(), rows: rows, gen: gen}
+	c := &segment{rows: rows, gen: gen}
+	if s.deferred.Load() {
+		c.deferred.Store(true)
+		c.keys = s.keys.clone()
+	} else {
+		c.tab = s.tab.clone()
+	}
+	return c
 }
 
 // eachHashed calls f with the hash and tuple of every row until f returns
 // false.  A walk that routes or probes with the hashes takes them from the
 // slots instead of hashing each tuple again.
 func (s *segment) eachHashed(f func(h uint64, t Tuple) bool) {
-	for i := range s.tab.slots {
-		if sl := &s.tab.slots[i]; sl.ref != 0 && !f(sl.hash(), s.rows[sl.ref-1]) {
+	tab := s.table()
+	for i := range tab.slots {
+		if sl := &tab.slots[i]; sl.ref != 0 && !f(sl.hash(), s.rows[sl.ref-1]) {
 			return
 		}
 	}

@@ -285,20 +285,28 @@ func runStorageProgram(t testing.TB, prog []byte) {
 		if h.rel.Len() != len(h.model.m) {
 			t.Fatalf("%s: Len() = %d, model has %d", h.what, h.rel.Len(), len(h.model.m))
 		}
-		n := 0
+		seen := map[int]bool{}
 		h.rel.Each(func(tp Tuple) bool {
-			n++
 			x := simID(tp)
-			if !h.model.m[x] || !tp.Equal(simTuple(x)) {
-				t.Fatalf("%s: holds %s, which the model does not", h.what, tp)
+			if !h.model.m[x] || !tp.Equal(simTuple(x)) || seen[x] {
+				t.Fatalf("%s: holds %s, which the model does not (or twice)", h.what, tp)
 			}
+			seen[x] = true
 			return true
 		})
-		if n != len(h.model.m) {
-			t.Fatalf("%s: Each visited %d tuples, model has %d", h.what, n, len(h.model.m))
+		if len(seen) != len(h.model.m) {
+			t.Fatalf("%s: Each visited %d tuples, model has %d", h.what, len(seen), len(h.model.m))
 		}
 		shift := segShift(len(h.rel.segs))
 		for i, s := range h.rel.segs {
+			if s.deferred.Load() {
+				// No table to check, and checking must not build one: the
+				// ops after this one are to meet the segment deferred.
+				if len(h.rel.segs) != 1 || s.tab.slots != nil {
+					t.Fatalf("%s: a deferred segment among %d, with %d slots", h.what, len(h.rel.segs), len(s.tab.slots))
+				}
+				continue
+			}
 			if s.tab.Len() != len(s.rows) {
 				t.Fatalf("%s: segment %d has %d slots taken for %d rows", h.what, i, s.tab.Len(), len(s.rows))
 			}
@@ -322,12 +330,13 @@ func runStorageProgram(t testing.TB, prog []byte) {
 	}
 
 	mutate := func(h *held, op int) {
-		before, wasShared := len(h.rel.segs), h.rel.shared.Load()
+		before, wasShared, wasEmpty := len(h.rel.segs), h.rel.shared.Load(), h.rel.Len() == 0
 		fitted := fitCount(h.rel.Len(), before)
 		defer func() {
 			after := len(h.rel.segs)
 			switch {
 			case op%7 == 5: // Reset starts over with one segment
+			case op%7 == 3 && wasEmpty: // AddAll into an empty relation takes copies of the other's segments
 			case !wasShared && after != before:
 				t.Fatalf("%s: went from %d to %d segments in place", h.what, before, after)
 			case wasShared && !h.rel.shared.Load() && after != fitted:
@@ -380,10 +389,25 @@ func runStorageProgram(t testing.TB, prog []byte) {
 					h.model.remove(x)
 				}
 			}
-		case 5: // Reset, rarely
-			if next()%4 == 0 {
+		case 5: // Reset, rarely, or a refill the way a gather fills its result: the table deferred
+			switch next() % 4 {
+			case 0:
 				h.rel.Reset(h.rel.Schema())
 				h.model = &storageModel{m: map[int]bool{}}
+			case 1:
+				x0, n := arg()%simDomain, (next()+1)*24
+				h.rel.Reset(h.rel.Schema())
+				h.model = &storageModel{m: map[int]bool{}}
+				ins := h.rel.BeginInsert()
+				ins.Reserve(n)
+				for i := 0; i < n; i++ {
+					ins.AddNew(simTuple(x0 + i))
+					h.model.add((x0 + i) % simDomain)
+				}
+				if !h.rel.segs[0].deferred.Load() {
+					t.Fatalf("%s: a reserved refill built its table", h.what)
+				}
+				simDeferred++
 			}
 		case 6: // ApplyDelta
 			d := NewDelta()
@@ -478,7 +502,7 @@ func runStorageProgram(t testing.TB, prog []byte) {
 			}
 		case 7: // Clone or Rename, then sometimes write the copy
 			c := &held{what: fmt.Sprint("clone@", steps), model: live.model.clone()}
-			if op%2 == 0 {
+			if op/12%2 == 0 {
 				c.rel = live.rel.Clone()
 			} else {
 				c.rel = live.rel.Rename("C")
@@ -495,8 +519,28 @@ func runStorageProgram(t testing.TB, prog []byte) {
 			checkSidecars(t, s.rel, db.Dict())
 			others = append(others, s)
 			lastSnap = s
-		case 11: // keep tuples handed out: through Each, Tuples, or a diff of the last snapshot against the live relation
-			switch next() % 3 {
+		case 11: // keep tuples handed out (through Each, Tuples, or a diff of the last snapshot against the live relation), or compare
+			switch next() % 4 {
+			case 3: // Equal, both ways, to the model's relation and to one with a tuple swapped
+				want := NewRelation(live.rel.Schema())
+				for x := range live.model.m {
+					want.MustAdd(simTuple(x))
+				}
+				if !live.rel.Equal(want) || !want.Equal(live.rel) {
+					t.Fatalf("live: not Equal to the model's relation")
+				}
+				for x := range live.model.m {
+					y := (x + 1) % simDomain
+					if live.model.m[y] {
+						continue
+					}
+					want.Remove(simTuple(x))
+					want.MustAdd(simTuple(y))
+					if live.rel.Equal(want) || want.Equal(live.rel) {
+						t.Fatalf("live: Equal to the model's relation with %d swapped for %d", x, y)
+					}
+					break
+				}
 			case 0:
 				var ts []Tuple
 				live.rel.Each(func(tp Tuple) bool {
@@ -539,16 +583,17 @@ func runStorageProgram(t testing.TB, prog []byte) {
 }
 
 // simSplits and simMerges count the mutations that left a relation with
-// more, or fewer, segments.
-var simSplits, simMerges int
+// more, or fewer, segments, and simDeferred the refills that left one
+// deferred.
+var simSplits, simMerges, simDeferred int
 
 // TestSegmentedStorageModel runs seeded random programs through
 // runStorageProgram.  CI runs it under -race -tags tablecheck as well.
 func TestSegmentedStorageModel(t *testing.T) {
-	simSplits, simMerges = 0, 0
+	simSplits, simMerges, simDeferred = 0, 0, 0
 	defer func() {
-		if simSplits < 5 || simMerges < 5 {
-			t.Errorf("the programs split segments %d times and merged them %d times; want at least 5 of each", simSplits, simMerges)
+		if simSplits < 5 || simMerges < 5 || simDeferred < 5 {
+			t.Errorf("the programs split segments %d times, merged them %d times and deferred a table %d times; want at least 5 of each", simSplits, simMerges, simDeferred)
 		}
 	}()
 	rnd := rand.New(rand.NewSource(12))
@@ -556,11 +601,19 @@ func TestSegmentedStorageModel(t *testing.T) {
 		prog := make([]byte, 300)
 		rnd.Read(prog)
 		// Load past a few split thresholds first, so that the rest of the
-		// program works on a multi-segment relation.
+		// program works on a multi-segment relation; every other program
+		// then starts over from a deferred refill of 4800 tuples.
 		head := []byte{2, byte(p), 0, 255, 2, byte(p), 40, 255, 8, 10, 1, 0, 2, 50, 0, 200, 9, 10, 1, 0, 22, 0, 7}
+		if p%2 == 1 {
+			head = append(head, 5, 1, byte(p), 0, 199)
+		}
 		runStorageProgram(t, append(head, prog...))
 	}
 }
+
+// deferredSeed prefixes a fuzz seed with a refill of 96 tuples into a
+// deferred segment, so that the ops after it meet the segment deferred.
+func deferredSeed(ops ...byte) []byte { return append([]byte{5, 1, 0, 0, 3}, ops...) }
 
 func FuzzSegmentedStorage(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 255, 8, 0, 0, 1, 9, 4, 2, 1, 0, 8, 1, 0, 1, 9})
@@ -570,6 +623,25 @@ func FuzzSegmentedStorage(f *testing.F) {
 	// Kept tuples across a Reset that reuses the segment, a write-copy, a
 	// Remove, a Retain and an ApplyDelta of the same segment.
 	f.Add([]byte{5, 0, 2, 0, 5, 1, 11, 0, 5, 0, 2, 0, 200, 1, 11, 0, 8, 0, 3, 0, 1, 0, 200, 4, 3, 0, 0, 6, 2, 0, 210, 0, 211, 11, 2, 9})
+	// The first op after a deferred refill of ids 0..95 meets the segment
+	// with no table.
+	for _, ops := range [][]byte{
+		{1, 0, 5},                    // Remove
+		{4, 3, 0, 0},                 // Retain the ids not divisible by 5
+		{6, 2, 0, 5, 0, 200},         // ApplyDelta: delete 5, insert 200
+		{3, 0, 0, 1},                 // AddAll of 32 tuples held
+		{5, 0},                       // Reset
+		{0, 0, 7},                    // Add of a tuple held
+		{7, 2, 0, 0, 9, 1, 0, 3},     // Clone, then two writes to the clone
+		{19, 0, 0, 0, 1},             // Rename, then a write to the live relation
+		{8, 10, 0, 5, 22, 0, 6},      // Snapshot, then a coded and a row point lookup
+		{8, 0, 0, 200, 9, 10, 0, 1},  // Snapshot, write, a snapshot reusing the first
+		{11, 3},                      // Equal
+		{8, 5, 1, 0, 50, 3, 11, 2},   // Snapshot, refill, diff of the two deferred segments
+		{8, 5, 1, 0, 50, 3, 9, 8, 9}, // Snapshot, refill, snapshots reusing it
+	} {
+		f.Add(deferredSeed(ops...))
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 400 {
 			prog = prog[:400]

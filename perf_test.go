@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"incdata/internal/certain"
+	"incdata/internal/engine"
 	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/schema"
@@ -430,5 +431,52 @@ func BenchmarkMaterializeDistinct(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkOpenCheckpoints times engine.Open of a store of 120 checkpoints
+// whose dictionary sidecars grow by 64 strings a commit, to 7.7k values:
+// the shape of the repo benchmark's durable store after one region, where
+// replaying every checkpoint's sidecar made Open quadratic.  Open loads
+// relations lazily, so it reads the log and the manifests and replays one
+// sidecar.
+func BenchmarkOpenCheckpoints(b *testing.B) {
+	const commits = 120
+	eng := engine.New(table.NewDatabase(schema.MustNew(schema.NewRelation("R", "k", "v"))))
+	if _, err := eng.EnableHistory(engine.HistoryOptions{CheckpointEvery: 1}); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := eng.Persist(dir); err != nil {
+		b.Fatal(err)
+	}
+	scan := ra.Diff{Left: ra.Project{Input: ra.Base("R"), Attrs: []string{"v"}}, Right: ra.Project{Input: ra.Base("R"), Attrs: []string{"v"}}}
+	for i := 0; i < commits; i++ {
+		if err := eng.Update(func(db *table.Database) error {
+			for k := 0; k < 64; k++ {
+				db.MustAdd("R", table.NewTuple(value.Int(int64(i*64+k)), value.String(fmt.Sprint("value-", i, "-", k))))
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Eval(scan, engine.Options{Workers: 1}); err != nil { // interns the new strings
+			b.Fatal(err)
+		}
+		if _, err := eng.Commit(fmt.Sprint("c", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		re, err := engine.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		re.Close()
 	}
 }
