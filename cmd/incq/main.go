@@ -108,8 +108,8 @@ func run(args []string) error {
 	planner := fs.String("planner", "on", "evaluation path: on (query planner) or off (naïve-evaluation oracle)")
 	extraFresh := fs.Int("fresh", 1, "fresh constants for world enumeration (certain-cwa/-owa/-object)")
 	maxWorlds := fs.Int("max-worlds", 1<<20, "abort world enumeration when more valuations would be needed")
-	workers := fs.Int("workers", 0, "intra-query worker budget: morsel-parallel evaluation and world enumeration (0 = GOMAXPROCS, 1 = serial)")
-	parallel := fs.Bool("parallel", false, "use all CPUs (same as the -workers default; overrides an explicit -workers)")
+	workers := fs.Int("workers", 0, "intra-query worker budget: morsel-parallel evaluation and world enumeration (0 = serial plans and GOMAXPROCS world workers, 1 = serial)")
+	parallel := fs.Bool("parallel", false, "use all CPUs for plans and world enumeration (overrides an explicit -workers)")
 	connect := fs.String("connect", "", "evaluate on a running incserver at host:port instead of local data")
 	asOf := fs.String("as-of", "", "evaluate at a historical commit (id, unique prefix, or state-directory name)")
 	showLog := fs.Bool("log", false, "print the commit log of a versioned data directory")

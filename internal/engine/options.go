@@ -147,10 +147,13 @@ type Options struct {
 	// Workers is the intra-query worker budget: morsel-parallel plan
 	// evaluation (partitioned hash joins), partition-parallel stable parts
 	// of world plans, and the per-world enumeration pool all share it.  The
-	// zero value resolves to GOMAXPROCS; 1 forces the serial path (the
-	// differential oracle every parallel result is pinned against); > 1
-	// uses a pool of exactly that many goroutines.  (Engine.Serve
-	// additionally parallelizes across the queries of a batch.)
+	// zero value evaluates plans serially and sizes the per-world pool to
+	// GOMAXPROCS: morsel parallelism measured slower than serial on every
+	// probe, so it runs only when asked for.  1 forces the serial path
+	// everywhere (the differential oracle every parallel result is pinned
+	// against); > 1 uses a pool of exactly that many goroutines.
+	// (Engine.Serve additionally parallelizes across the queries of a
+	// batch.)
 	Workers int
 
 	// MaxWorlds aborts world enumeration when the sweep that would run
@@ -170,8 +173,8 @@ type Options struct {
 	MemBudget int64
 }
 
-// resolvedWorkers resolves the Workers knob: 0 (the zero value) means
-// GOMAXPROCS, anything below 1 clamps to serial.
+// resolvedWorkers resolves the Workers knob for the per-world pool: 0 (the
+// zero value) means GOMAXPROCS, anything below 1 clamps to serial.
 func (o Options) resolvedWorkers() int {
 	if o.Workers == 0 {
 		return runtime.GOMAXPROCS(0)
@@ -189,10 +192,11 @@ func (o Options) resolvedCoded() bool {
 	return o.Coded != CodedOff
 }
 
-// evalConfig bundles the resolved execution knobs for package plan.
+// evalConfig bundles the resolved execution knobs for package plan.  Only
+// an explicit Workers > 1 runs the morsel-parallel path.
 func (o Options) evalConfig() plan.EvalConfig {
 	return plan.EvalConfig{
-		Workers:   o.resolvedWorkers(),
+		Workers:   max(o.Workers, 1),
 		Coded:     o.resolvedCoded(),
 		MemBudget: o.MemBudget,
 	}

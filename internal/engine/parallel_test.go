@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -33,6 +34,24 @@ func parallelTestDB(tuples, domain, nullIDs int, seed int64) *table.Database {
 		}
 	}
 	return d
+}
+
+// TestWorkersResolution pins what the Workers knob resolves to: plans
+// evaluate serially unless Workers > 1 asks for the morsel pool, while the
+// per-world pool of a sweep defaults to GOMAXPROCS.
+func TestWorkersResolution(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, plan, worlds int }{
+		{0, 1, procs}, {-3, 1, 1}, {1, 1, 1}, {4, 4, 4},
+	} {
+		o := Options{Workers: tc.workers}
+		if got := o.evalConfig().Workers; got != tc.plan {
+			t.Errorf("Workers %d: plan workers %d, want %d", tc.workers, got, tc.plan)
+		}
+		if got := o.certainOptions().Workers; got != tc.worlds {
+			t.Errorf("Workers %d: world workers %d, want %d", tc.workers, got, tc.worlds)
+		}
+	}
 }
 
 // TestEngineWorkersBitIdentical pins the engine's parallel paths against

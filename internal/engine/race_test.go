@@ -119,7 +119,8 @@ func TestConcurrentSnapshotReadersWithWriter(t *testing.T) {
 // point queries with a scan of 6000 rows, so that Serve's workers (and a
 // parallel scan's) hand each other pooled set arrays of every size: a point
 // query, whose keys the writer never touches, must answer what it answered
-// before the writer started.
+// before the writer started.  The options set Workers explicitly, because
+// the zero value runs serially and the scan must take the morsel path.
 func TestConcurrentServeWithWriter(t *testing.T) {
 	s := schema.MustNew(schema.NewRelation("R", "a", "b"))
 	small := table.NewDatabase(s)
@@ -137,7 +138,7 @@ func TestConcurrentServeWithWriter(t *testing.T) {
 		return ra.Project{Input: ra.Select{Input: ra.Base("R"), Pred: ra.Eq(ra.Attr("a"), ra.LitInt(k))}, Attrs: []string{"b"}}
 	}
 	scan := ra.Project{Input: ra.Base("R"), Attrs: []string{"b"}}
-	naive, certain := Options{Mode: ModeNaive}, Options{Mode: ModeCertain}
+	naive, certain := Options{Mode: ModeNaive, Workers: 4}, Options{Mode: ModeCertain, Workers: 4}
 
 	for _, in := range []struct {
 		name   string

@@ -188,6 +188,52 @@ func TestConfigMaxFrame(t *testing.T) {
 			t.Fatalf("default-cap write: err = %v, want FrameTooLargeError{%d}", err, wire.MaxFrame)
 		}
 	})
+
+	t.Run("oversized reply is an error and the session keeps serving", func(t *testing.T) {
+		_, _, addr := startServer(t, Config{})
+		setup := dial(t, addr)
+		if err := setup.Register("W", "R", "certain", "on"); err != nil {
+			t.Fatal(err)
+		}
+		sub := dial(t, addr)
+		if _, err := sub.Subscribe("W"); err != nil {
+			t.Fatal(err)
+		}
+		// Two rows of 600 KiB: each update fits the default cap, an answer
+		// holding both does not.
+		cl := dial(t, addr)
+		wide := strings.Repeat("x", 600<<10)
+		for _, k := range []string{"90", "91"} {
+			if _, err := cl.Update(client.Add("R", k, wide+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cl.Commit("two wide rows"); err != nil {
+			t.Fatal(err)
+		}
+		// The commit's push is over the cap: the subscriber is dropped, as
+		// a full queue would drop it, rather than left waiting.
+		if push, err := sub.NextDelta(3 * time.Second); err == nil || isTimeout(err) {
+			t.Fatalf("subscriber of an oversized push: push %+v, err %v; want the connection closed", push.Kind, err)
+		}
+		reply := make(chan error, 1)
+		go func() {
+			_, err := cl.Query("R", "certain", "on", 0)
+			reply <- err
+		}()
+		select {
+		case err := <-reply:
+			var re *client.RemoteError
+			if !errors.As(err, &re) || re.Code != wire.CodeEval || !strings.Contains(re.Msg, "1048576") {
+				t.Fatalf("oversized reply: err = %v, want an eval error naming the cap", err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatal("no reply to a query whose answer exceeds the frame cap")
+		}
+		if _, err := cl.Call(wire.Request{Op: wire.OpHello}); err != nil {
+			t.Fatalf("HELLO after an oversized reply: %v", err)
+		}
+	})
 }
 
 // TestTypedErrorCodes pins the error classification across the request

@@ -367,17 +367,28 @@ func (c *conn) drop() {
 	})
 }
 
-// writeLoop drains the outbound queue to the socket.  After a write error
-// it keeps draining (discarding) so handlers never block on a dead
-// session, and closes the socket once the queue is closed.
+// writeLoop drains the outbound queue to the socket.  A frame over the cap
+// writes nothing, so the stream stays intact: an oversized reply becomes an
+// eval error naming the cap, and an oversized push drops the subscriber as
+// a full queue does.  After a write error it drops the session and keeps
+// draining (discarding) so handlers never block on a dead session, and
+// closes the socket once the queue is closed.
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
+	limit := c.srv.cfg.MaxFrame
 	var werr error
 	for resp := range c.out {
 		if werr != nil {
 			continue
 		}
-		werr = wire.WriteFrameLimit(c.nc, resp, c.srv.cfg.MaxFrame)
+		werr = wire.WriteFrameLimit(c.nc, resp, limit)
+		if errors.Is(werr, wire.ErrFrameTooLarge) && resp.Kind != wire.KindDelta {
+			werr = wire.WriteFrameLimit(c.nc, wire.Response{ID: resp.ID, Kind: wire.KindError, Code: wire.CodeEval,
+				Error: fmt.Sprintf("server: %s reply of %d rows: %v", resp.Kind, len(resp.Rows), werr)}, limit)
+		}
+		if werr != nil {
+			c.drop()
+		}
 	}
 	c.nc.Close()
 }
@@ -761,8 +772,8 @@ func (s *Server) commitAndPush(message string) (id string, err error) {
 			View:     name,
 			Commit:   string(cid),
 			Columns:  append([]string(nil), f.base.Schema().Attrs...),
-			Inserted: tupleRows(sortedDeltaTuples(d.Inserted)),
-			Deleted:  tupleRows(sortedDeltaTuples(d.Deleted)),
+			Inserted: RenderRows(sortedDeltaTuples(d.Inserted)),
+			Deleted:  RenderRows(sortedDeltaTuples(d.Deleted)),
 		}
 		for c := range f.subs {
 			c.trySend(push)
@@ -803,21 +814,27 @@ func isTimeout(err error) bool {
 // their serializations are — "bit-identical across the wire".
 func relRows(rel *table.Relation) (cols []string, rows [][]string) {
 	cols = append([]string(nil), rel.Schema().Attrs...)
-	return cols, tupleRows(rel.SortedTuples())
+	return cols, RenderRows(rel.SortedTuples())
 }
 
-// tupleRows renders tuples to textual rows.
-func tupleRows(ts []table.Tuple) [][]string {
+// RenderRows renders tuples to the wire's textual rows.  The cells of all
+// rows share one backing array.
+func RenderRows(ts []table.Tuple) [][]string {
 	if len(ts) == 0 {
 		return nil
 	}
+	n := 0
+	for _, t := range ts {
+		n += len(t)
+	}
+	cells := make([]string, 0, n)
 	rows := make([][]string, len(ts))
 	for i, t := range ts {
-		row := make([]string, len(t))
-		for j, v := range t {
-			row[j] = v.String()
+		start := len(cells)
+		for _, v := range t {
+			cells = append(cells, v.String())
 		}
-		rows[i] = row
+		rows[i] = cells[start:len(cells):len(cells)]
 	}
 	return rows
 }

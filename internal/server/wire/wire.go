@@ -12,6 +12,11 @@
 // internal/value (integers as decimal, ⊥i for marked nulls, strings
 // quoted only when ambiguous), which round-trips exactly through
 // value.Parse — answers compare bit-identical across the wire.
+//
+// Response frames are written and read without reflection (codec.go).  A
+// Response read from the wire keeps its frame in one allocation that every
+// cell and string of it points into: holding any one of them holds the
+// whole frame.
 package wire
 
 import (
@@ -19,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // MaxFrame is the default cap on a frame payload, applied by both reader
@@ -275,22 +281,42 @@ func WriteFrame(w io.Writer, v any) error { return WriteFrameLimit(w, v, 0) }
 
 // WriteFrameLimit is WriteFrame under an explicit payload cap; limit <= 0
 // means MaxFrame.  Both sides of a connection must agree on the cap, or a
-// frame one side writes may be a framing violation to the other.
+// frame one side writes may be a framing violation to the other.  The
+// frame goes out in one Write; a frame over the cap writes nothing.
 func WriteFrameLimit(w io.Writer, v any, limit int) error {
-	payload, err := json.Marshal(v)
+	box := framePool.Get().(*[]byte)
+	defer putFrame(box)
+	frame := append((*box)[:0], 0, 0, 0, 0)
+	var err error
+	if resp, ok := v.(Response); ok {
+		frame, err = appendResponse(frame, &resp)
+	} else {
+		var payload []byte
+		payload, err = json.Marshal(v)
+		frame = append(frame, payload...)
+	}
+	*box = frame
 	if err != nil {
 		return fmt.Errorf("wire: marshal: %w", err)
 	}
-	if max := frameLimit(limit); len(payload) > max {
+	n := len(frame) - 4
+	if max := frameLimit(limit); n > max {
 		return &FrameTooLargeError{Limit: max}
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err = w.Write(frame)
 	return err
+}
+
+// framePool recycles the buffers frames are written from.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putFrame hands a frame buffer back, unless a frame over the default cap
+// grew it: one such frame must not pin its size in every pool.
+func putFrame(box *[]byte) {
+	if cap(*box) <= 4+MaxFrame {
+		framePool.Put(box)
+	}
 }
 
 // ReadFrame reads one length-prefixed frame payload, capped at MaxFrame.
@@ -329,6 +355,9 @@ func ReadResponseLimit(r io.Reader, limit int) (Response, error) {
 	payload, err := ReadFrameLimit(r, limit)
 	if err != nil {
 		return Response{}, err
+	}
+	if resp, ok := decodeResponse(payload); ok {
+		return resp, nil
 	}
 	var resp Response
 	if err := json.Unmarshal(payload, &resp); err != nil {

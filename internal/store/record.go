@@ -24,7 +24,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 
 	"incdata/internal/table"
 	"incdata/internal/value"
@@ -233,7 +232,7 @@ func sortedTuples(m map[string]table.Tuple) []table.Tuple {
 		out = append(out, t)
 	}
 	// Deterministic record bytes: same delta, same frame.
-	slices.SortFunc(out, table.Tuple.Compare)
+	table.SortTuples(out)
 	return out
 }
 

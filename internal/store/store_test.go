@@ -2,9 +2,13 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"incdata/internal/schema"
@@ -154,6 +158,102 @@ func TestManifestSharesChunksAcrossStates(t *testing.T) {
 	// R fits one chunk at 500 rows, so: one new R block + one new manifest.
 	if added > 3 {
 		t.Fatalf("small change added %d chunks; structural sharing broken", added)
+	}
+}
+
+// pinnedDB builds a fixed database whose canonical order exercises every
+// corner of the tuple order: first columns mixing nulls (ids at and above
+// 2^63 included), integers at ±2^63, and strings that share 8-byte prefixes
+// or hold NUL bytes; a relation whose first column is one value throughout;
+// and testDB's two relations.
+func pinnedDB(t *testing.T) *table.Database {
+	t.Helper()
+	d := table.NewDatabase(schema.MustNew(
+		schema.NewRelation("E", "k", "v"),
+		schema.NewRelation("R", "a", "b"),
+		schema.NewRelation("S", "x", "y", "z"),
+		schema.NewRelation("T", "k", "v"),
+	))
+	edge := []value.Value{
+		value.Int(math.MinInt64), value.Int(math.MinInt64 + 1), value.Int(-1), value.Int(0), value.Int(1),
+		value.Int(math.MaxInt64 - 1), value.Int(math.MaxInt64),
+		value.Null(0), value.Null(1), value.Null(1 << 63), value.Null(math.MaxUint64),
+		value.String(""), value.String("\x00"), value.String("a\x00"), value.String("a"),
+		value.String("abcdefgh"), value.String("abcdefgh\x00"), value.String("abcdefghi"), value.String("abcdefgg~"),
+	}
+	for i := 0; i < 1200; i++ {
+		var k value.Value
+		switch i % 4 {
+		case 0:
+			k = value.Int(int64(i*2654435761) - 1<<40)
+		case 1:
+			k = value.Null(uint64(i) * 0x9E3779B97F4A7C15)
+		case 2:
+			k = value.String(fmt.Sprintf("shared-prefix-%d", i*7919%1200))
+		default:
+			k = edge[i%len(edge)]
+		}
+		d.MustAdd("E", table.NewTuple(k, value.Int(int64(i))))
+		d.MustAdd("T", table.NewTuple(value.String("same"), value.String(fmt.Sprint(i*31%1200))))
+	}
+	src := testDB(t, 6000)
+	for _, name := range []string{"R", "S"} {
+		src.Relation(name).Each(func(tu table.Tuple) bool {
+			d.MustAdd(name, tu)
+			return true
+		})
+	}
+	return d
+}
+
+// TestCheckpointChunkHashesPinned pins the content addresses a fixed
+// database checkpoints to, and the commit-record bytes of its insertion.
+// Both are cut from canonical tuple order: a change to that order or to the
+// tuple key format moves these hashes, and every existing store would stop
+// sharing chunks with new checkpoints.
+func TestCheckpointChunkHashesPinned(t *testing.T) {
+	db := pinnedDB(t)
+	s, err := Create(t.TempDir())
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer s.Close()
+	h, err := s.WriteManifest(db)
+	if err != nil {
+		t.Fatalf("WriteManifest: %v", err)
+	}
+	m, err := s.readManifest(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rm := range m.Relations {
+		got = append(got, rm.Name+" "+strings.Join(rm.Chunks, " "))
+	}
+	cs := table.NewChangeSet()
+	for _, name := range db.RelationNames() {
+		d := table.NewDelta()
+		cs.Rels[name] = d
+		db.Relation(name).Each(func(tu table.Tuple) bool {
+			d.Inserted[tu.Key()] = tu
+			return true
+		})
+	}
+	rec, err := json.Marshal(recordDeltas(cs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, "manifest "+h, fmt.Sprintf("record %x", sha256.Sum256(rec)))
+	want := []string{
+		"E 0d37a4e90ea18ebbbf4122dc1381b0102f5769bbcc90b3ccd7d3bc867962e17a",
+		"R 39134dbd54cf30c448f1806edeeba8cb03cea9b12cb9c42495a7b21eabafea1b aec75842eaad102e181f427ce45b4efb3f081fa4b3969e8af118f4c52edd774e",
+		"S 77362b9689346bd5a4f0acc3bfbabf5b39cb4b155bb4e410e5d10fc4acf84d57 818cf7f6df4fd1b79fd24422dbaf50e1708f0314b30545f2cf82b449f120a433",
+		"T 15131253f2f74ce3becb91346fba3636789b092fa5531f8243fef83275e5bca0",
+		"manifest 5cd612e1513d01be770ba7c1c90b4b947edffd107c81cf7abd5635c513a26f15",
+		"record 07ec2c4d99ad93b48037eae24accebbf594b49b944227aff7297dbe85b7b5c09",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("checkpoint hashes moved:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -216,7 +215,7 @@ func sortedDeltaTuples(m map[string]Tuple) []Tuple {
 	for _, t := range m {
 		out = append(out, t)
 	}
-	slices.SortFunc(out, Tuple.Compare)
+	SortTuples(out)
 	return out
 }
 

@@ -311,17 +311,10 @@ func (r *Relation) Contains(t Tuple) bool {
 // Tuples returns the tuples in canonical (sorted) order.  The returned
 // slice and its tuples are copies; mutating them does not affect r.
 func (r *Relation) Tuples() []Tuple {
-	if r == nil {
-		return nil
+	out := r.SortedTuples()
+	for i, t := range out {
+		out[i] = t.Clone()
 	}
-	r.ensure()
-	out := make([]Tuple, 0, r.n)
-	for _, s := range r.segs {
-		for _, t := range s.rows {
-			out = append(out, t.Clone())
-		}
-	}
-	slices.SortFunc(out, Tuple.Compare)
 	return out
 }
 
@@ -339,7 +332,7 @@ func (r *Relation) SortedTuples() []Tuple {
 	for _, s := range r.segs {
 		out = append(out, s.rows...)
 	}
-	slices.SortFunc(out, Tuple.Compare)
+	SortTuples(out)
 	return out
 }
 
@@ -645,7 +638,7 @@ func (r *Relation) CanonicalKey() string {
 
 // String renders the relation as Name{(t1), (t2), ...} in canonical order.
 func (r *Relation) String() string {
-	ts := r.Tuples()
+	ts := r.SortedTuples()
 	parts := make([]string, len(ts))
 	for i, t := range ts {
 		parts[i] = t.String()

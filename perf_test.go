@@ -7,7 +7,9 @@
 package incdata_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -17,6 +19,8 @@ import (
 	"incdata/internal/ra"
 	"incdata/internal/schema"
 	"incdata/internal/semantics"
+	"incdata/internal/server"
+	"incdata/internal/server/wire"
 	"incdata/internal/table"
 	"incdata/internal/valuation"
 	"incdata/internal/value"
@@ -432,6 +436,73 @@ func BenchmarkMaterializeDistinct(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkScanReply times the reply to the paper's unpaid-orders query
+// over 20 000 orders, about 6 000 rows, as incserver sends it and a client
+// reads it: canonical order, rows rendered to text, the Response frame
+// written, and read back.  The sub-benchmarks time each step alone.
+func BenchmarkScanReply(b *testing.B) {
+	db, _ := workload.Orders(workload.OrdersConfig{Orders: 20000, PaidFraction: 0.7, NullRate: 0.1, Seed: 1})
+	q := ra.Diff{
+		Left:  ra.Project{Input: ra.Base("Order"), Attrs: []string{"o_id"}},
+		Right: ra.Project{Input: ra.Base("Pay"), Attrs: []string{"order"}},
+	}
+	ans, err := engine.New(db).Eval(q, engine.Options{Mode: engine.ModeCertain})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := ans.SortedTuples()
+	reply := wire.Response{ID: 1, Kind: wire.KindResult, Columns: ans.Schema().Attrs, Rows: server.RenderRows(ts)}
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, reply); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("sort", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ans.SortedTuples()
+		}
+	})
+	b.Run("render", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			server.RenderRows(ts)
+		}
+	})
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := wire.WriteFrame(io.Discard, reply); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := wire.ReadResponse(bytes.NewReader(frame.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reply", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			resp := reply
+			resp.Rows = server.RenderRows(ans.SortedTuples())
+			if err := wire.WriteFrame(&buf, resp); err != nil {
+				b.Fatal(err)
+			}
+			got, err := wire.ReadResponse(&buf)
+			if err != nil || len(got.Rows) != ans.Len() {
+				b.Fatalf("read back %d rows, error %v; want %d rows", len(got.Rows), err, ans.Len())
+			}
+		}
+		b.ReportMetric(float64(ans.Len()), "rows")
+	})
 }
 
 // BenchmarkOpenCheckpoints times engine.Open of a store of 120 checkpoints
