@@ -64,7 +64,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"incdata/internal/dataload"
@@ -108,8 +107,7 @@ func run(args []string) error {
 	planner := fs.String("planner", "on", "evaluation path: on (query planner) or off (naïve-evaluation oracle)")
 	extraFresh := fs.Int("fresh", 1, "fresh constants for world enumeration (certain-cwa/-owa/-object)")
 	maxWorlds := fs.Int("max-worlds", 1<<20, "abort world enumeration when more valuations would be needed")
-	workers := fs.Int("workers", 0, "intra-query worker budget: morsel-parallel evaluation and world enumeration (0 = serial plans and GOMAXPROCS world workers, 1 = serial)")
-	parallel := fs.Bool("parallel", false, "use all CPUs for plans and world enumeration (overrides an explicit -workers)")
+	workers := fs.Int("workers", 0, "per-world enumeration pool size (0 = GOMAXPROCS, 1 = serial)")
 	connect := fs.String("connect", "", "evaluate on a running incserver at host:port instead of local data")
 	asOf := fs.String("as-of", "", "evaluate at a historical commit (id, unique prefix, or state-directory name)")
 	showLog := fs.Bool("log", false, "print the commit log of a versioned data directory")
@@ -161,11 +159,7 @@ func run(args []string) error {
 		if expr == nil {
 			return fmt.Errorf("%w: -connect needs a query", errParse)
 		}
-		w := *workers
-		if *parallel {
-			w = runtime.GOMAXPROCS(0)
-		}
-		return runRemote(*connect, *asOf, fs.Arg(0), *mode, *planner, w, expr)
+		return runRemote(*connect, *asOf, fs.Arg(0), *mode, *planner, *workers, expr)
 	}
 
 	eng, versioned, err := dataload.Load(*dataDir)
@@ -226,9 +220,6 @@ func run(args []string) error {
 		ExtraFresh: *extraFresh,
 		MaxWorlds:  *maxWorlds,
 		Workers:    *workers,
-	}
-	if *parallel {
-		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
 	fmt.Printf("query: %s\n", expr)

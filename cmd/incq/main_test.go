@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -91,13 +92,16 @@ func TestRunPlannerAndParallelFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-data", dir, "-planner", "on", query},
 		{"-data", dir, "-planner", "off", query},
-		{"-data", dir, "-mode", "certain-cwa", "-parallel", query},
-		{"-data", dir, "-mode", "certain-cwa", "-planner", "off", "-parallel", query},
 		{"-data", dir, "-mode", "certain-cwa", "-workers", "2", query},
+		{"-data", dir, "-mode", "certain-cwa", "-planner", "off", "-workers", "2", query},
+		{"-data", dir, "-mode", "certain-cwa", "-workers", "1", query},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
 		}
+	}
+	if err := run([]string{"-data", dir, "-parallel", query}); !errors.Is(err, errParse) {
+		t.Errorf("-parallel, a removed flag: %v, want a parse error", err)
 	}
 }
 

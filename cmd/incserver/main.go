@@ -45,7 +45,7 @@ func run(args []string) error {
 	maxSessions := fs.Int("max-sessions", 0, "concurrent session cap (0 = default)")
 	maxInflight := fs.Int("max-inflight", 0, "concurrent request cap across sessions (0 = default)")
 	timeout := fs.Duration("timeout", 0, "how long a request may wait for an execution slot before BUSY (0 = default)")
-	workers := fs.Int("workers", 0, "default intra-query worker budget for requests that set none")
+	workers := fs.Int("workers", 0, "default per-world enumeration pool size for requests that set none (0 = GOMAXPROCS)")
 	maxFrame := fs.Int("max-frame", 0, "wire frame payload cap in bytes; clients must dial with the same cap (0 = default 1 MiB)")
 	fs.Parse(args)
 

@@ -128,11 +128,10 @@ func (ev *Evaluator) Naive(q ra.Expr, d *table.Database) (*table.Relation, error
 }
 
 // NaiveWith is Naive with an explicit plan execution configuration
-// (worker budget and coded/row path selection; a subtree the coded path
-// refuses runs on the row path).  With the planner on
-// the compiled plan evaluates under cfg, morsel-parallel across a worker
-// pool when cfg.Workers > 1; the oracle path ignores cfg.
-// The result is bit-identical to Naive's for every configuration.
+// (coded/row path selection and join memory budget; a subtree the coded
+// path refuses runs on the row path).  With the planner on the compiled
+// plan evaluates serially under cfg; the oracle path ignores cfg.  The
+// result is bit-identical to Naive's for every configuration.
 func (ev *Evaluator) NaiveWith(q ra.Expr, d *table.Database, cfg plan.EvalConfig) (*table.Relation, error) {
 	if ev.planner {
 		if p, err := ev.cachedCompile(q, d.Schema()); err == nil {
@@ -249,7 +248,7 @@ func (ev *Evaluator) BoolCertainCWA(q ra.Expr, d *table.Database, opts Options) 
 		return false, err
 	}
 	if wp != nil {
-		return ev.boolCertainPlanned(wp, dom, opts.Workers)
+		return ev.boolCertainPlanned(wp, dom)
 	}
 	certain := true
 	err = ev.forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {

@@ -70,7 +70,6 @@ func (ev *Evaluator) noteSweep(worlds int, early bool) {
 // relations the query reads: a valuation of any other null cannot change
 // the answer.
 func (ev *Evaluator) intersectWorldsPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) (*table.Relation, error) {
-	wp.SetWorkers(workers) // stable parts compute partition-parallel
 	if workers > 1 {
 		return ev.parallelIntersectPlanned(wp, dom, workers)
 	}
@@ -168,8 +167,7 @@ func mergeStableDelta(wp *plan.WorldPlan, stable, delta *table.Relation) (*table
 }
 
 // boolCertainPlanned decides Boolean certainty through the factored plan.
-func (ev *Evaluator) boolCertainPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) (bool, error) {
-	wp.SetWorkers(workers) // stable parts compute partition-parallel
+func (ev *Evaluator) boolCertainPlanned(wp *plan.WorldPlan, dom semantics.Domain) (bool, error) {
 	split := wp.Splittable()
 	if split {
 		stable, err := wp.Stable()
@@ -213,7 +211,6 @@ func worldResult(sess *plan.Session, split bool, v valuation.Valuation) (*table.
 // collectAnswersPlanned gathers the distinct per-world answers through the
 // factored plan (for the certainO GLB).
 func (ev *Evaluator) collectAnswersPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) ([]*table.Relation, error) {
-	wp.SetWorkers(workers) // stable parts compute partition-parallel
 	if workers > 1 {
 		return ev.parallelCollectPlanned(wp, dom, workers)
 	}

@@ -144,16 +144,11 @@ type Options struct {
 	// and the constants mentioned by the query.
 	ExtraConstants []value.Value
 
-	// Workers is the intra-query worker budget: morsel-parallel plan
-	// evaluation (partitioned hash joins), partition-parallel stable parts
-	// of world plans, and the per-world enumeration pool all share it.  The
-	// zero value evaluates plans serially and sizes the per-world pool to
-	// GOMAXPROCS: morsel parallelism measured slower than serial on every
-	// probe, so it runs only when asked for.  1 forces the serial path
-	// everywhere (the differential oracle every parallel result is pinned
-	// against); > 1 uses a pool of exactly that many goroutines.
-	// (Engine.Serve additionally parallelizes across the queries of a
-	// batch.)
+	// Workers sizes the per-world enumeration pool of the world-sweep
+	// modes: 0 (the zero value) means GOMAXPROCS, 1 sweeps serially (the
+	// differential oracle every pooled result is pinned against), and > 1
+	// uses a pool of exactly that many goroutines.  Plans always evaluate
+	// serially; Engine.Serve parallelizes across the queries of a batch.
 	Workers int
 
 	// MaxWorlds aborts world enumeration when the sweep that would run
@@ -167,9 +162,9 @@ type Options struct {
 	// budget is Grace-partitioned to disk and joined partition by
 	// partition, so certain-answer queries run against databases larger
 	// than RAM.  Answers are bit-identical to the unbounded path.  A
-	// budgeted evaluation runs on the serial row engine (Workers and
-	// Coded are overridden): the budget is a hard cap, and the parallel
-	// and coded tiers assume resident build sides.
+	// budgeted evaluation runs on the row engine (Coded is overridden):
+	// the budget is a hard cap, and the coded tier assumes resident build
+	// sides.
 	MemBudget int64
 }
 
@@ -192,11 +187,9 @@ func (o Options) resolvedCoded() bool {
 	return o.Coded != CodedOff
 }
 
-// evalConfig bundles the resolved execution knobs for package plan.  Only
-// an explicit Workers > 1 runs the morsel-parallel path.
+// evalConfig bundles the resolved execution knobs for package plan.
 func (o Options) evalConfig() plan.EvalConfig {
 	return plan.EvalConfig{
-		Workers:   max(o.Workers, 1),
 		Coded:     o.resolvedCoded(),
 		MemBudget: o.MemBudget,
 	}

@@ -12,11 +12,10 @@ import (
 	"incdata/internal/value"
 )
 
-// parallelTestDB builds a database large enough to clear the plan layer's
-// parallel cutoff, so Workers > 1 really exercises the morsel and
-// partitioned-join paths at the engine level.  nullIDs marked nulls are
-// sprinkled in (reused, so world enumeration stays bounded) and values are
-// drawn from [0, domain).
+// parallelTestDB builds R, S and T with the given number of tuples each,
+// large enough to fill many chunks.  nullIDs marked nulls are sprinkled in
+// (reused, so world enumeration stays bounded) and values are drawn from
+// [0, domain).
 func parallelTestDB(tuples, domain, nullIDs int, seed int64) *table.Database {
 	rnd := rand.New(rand.NewSource(seed))
 	d := table.NewDatabase(testSchema())
@@ -36,17 +35,17 @@ func parallelTestDB(tuples, domain, nullIDs int, seed int64) *table.Database {
 	return d
 }
 
-// TestWorkersResolution pins what the Workers knob resolves to: plans
-// evaluate serially unless Workers > 1 asks for the morsel pool, while the
-// per-world pool of a sweep defaults to GOMAXPROCS.
+// TestWorkersResolution pins what the Workers knob resolves to: it sizes
+// the per-world pool of a sweep only, defaulting to GOMAXPROCS, and leaves
+// the plan configuration alone.
 func TestWorkersResolution(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	for _, tc := range []struct{ workers, plan, worlds int }{
-		{0, 1, procs}, {-3, 1, 1}, {1, 1, 1}, {4, 4, 4},
+	for _, tc := range []struct{ workers, worlds int }{
+		{0, procs}, {-3, 1}, {1, 1}, {4, 4},
 	} {
 		o := Options{Workers: tc.workers}
-		if got := o.evalConfig().Workers; got != tc.plan {
-			t.Errorf("Workers %d: plan workers %d, want %d", tc.workers, got, tc.plan)
+		if got, want := o.evalConfig(), (Options{}).evalConfig(); got != want {
+			t.Errorf("Workers %d: plan configuration %+v, want %+v", tc.workers, got, want)
 		}
 		if got := o.certainOptions().Workers; got != tc.worlds {
 			t.Errorf("Workers %d: world workers %d, want %d", tc.workers, got, tc.worlds)
@@ -54,12 +53,12 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersBitIdentical pins the engine's parallel paths against
-// the serial oracle: for every query, mode and planner setting, Workers: 4
-// must produce exactly the fingerprint Workers: 1 does.
+// TestEngineWorkersBitIdentical pins the per-world pool against the serial
+// sweep: for every query, mode and planner setting, Workers: 4 must produce
+// exactly the fingerprint Workers: 1 does.
 func TestEngineWorkersBitIdentical(t *testing.T) {
-	// Large relations with a wide domain: the one-shot modes go through
-	// morsel-parallel plan evaluation (partitioned hash joins).
+	// Large relations with a wide domain: the one-shot modes evaluate
+	// serially whatever Workers says, which this pins too.
 	big := New(parallelTestDB(1200, 40, 3, 1))
 	// Smaller relations with a narrow domain: the world-enumeration modes
 	// stay within a few dozen worlds while the per-world pool runs.
@@ -129,20 +128,23 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConcurrentParallelQueriesWithWriter stresses morsel-parallel
-// evaluation under concurrent commits: readers take snapshots and require
-// the Workers: 4 answer to match the serial answer on the same snapshot,
-// while a writer keeps mutating the live database.  Run under -race this
-// checks the per-partition index caches, the shared prepare-phase
-// materializations and the chunk pools for data races.
+// TestConcurrentParallelQueriesWithWriter stresses evaluation under
+// concurrent commits: readers take snapshots and require the Workers: 4
+// answer to match the serial answer on the same snapshot, while a writer
+// keeps mutating the live database.  The ModeCertainCWA reads run the
+// per-world pool, on a second engine whose narrow domain keeps a sweep to
+// a few dozen worlds; the writer commits to both.  Run under -race this
+// checks the world pool's sessions, the sidecar caches the readers share
+// and the chunk pools for data races.
 func TestConcurrentParallelQueriesWithWriter(t *testing.T) {
 	eng := New(parallelTestDB(600, 30, 2, 7))
+	sweeps := New(parallelTestDB(40, 6, 2, 8))
 	queries := []ra.Expr{
 		ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "c"}},
 		ra.Diff{Left: ra.Base("R"), Right: ra.Base("T")},
 		ra.Select{Input: ra.Base("R"), Pred: ra.Neq(ra.Attr("a"), ra.Attr("b"))},
 	}
-	modes := []Mode{ModeCertain, ModeNaive}
+	modes := []Mode{ModeCertain, ModeNaive, ModeCertainCWA}
 
 	const (
 		writes         = 60
@@ -175,6 +177,20 @@ func TestConcurrentParallelQueriesWithWriter(t *testing.T) {
 				errs <- fmt.Errorf("writer: %w", err)
 				return
 			}
+			// Values stay in the sweep engine's domain, so its sweeps do
+			// not grow.
+			err = sweeps.Update(func(db *table.Database) error {
+				t := table.NewTuple(value.Int(int64(i%6)), value.Int(int64(i/6%6)))
+				if i%2 == 0 {
+					return db.Add("R", t)
+				}
+				db.Relation("R").Remove(t)
+				return nil
+			})
+			if err != nil {
+				errs <- fmt.Errorf("sweep writer: %w", err)
+				return
+			}
 		}
 	}()
 
@@ -186,6 +202,9 @@ func TestConcurrentParallelQueriesWithWriter(t *testing.T) {
 				snap := eng.Snapshot()
 				q := queries[(r+i)%len(queries)]
 				opts := Options{Mode: modes[i%len(modes)]}
+				if opts.Mode == ModeCertainCWA {
+					snap = sweeps.Snapshot()
+				}
 				if (r+i)%4 == 0 {
 					opts.Planner = PlannerOff
 				}
@@ -213,5 +232,8 @@ func TestConcurrentParallelQueriesWithWriter(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if st := sweeps.Stats(); st.Planned.WorldsEvaluated+st.Oracle.WorldsEvaluated == 0 {
+		t.Error("no ModeCertainCWA read evaluated a world")
 	}
 }

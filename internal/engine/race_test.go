@@ -116,11 +116,10 @@ func TestConcurrentSnapshotReadersWithWriter(t *testing.T) {
 // mutates: each batch must be internally consistent (all requests see one
 // snapshot), which is checked by pairing each query with itself and
 // requiring identical answers within the batch.  The second input mixes
-// point queries with a scan of 6000 rows, so that Serve's workers (and a
-// parallel scan's) hand each other pooled set arrays of every size: a point
-// query, whose keys the writer never touches, must answer what it answered
-// before the writer started.  The options set Workers explicitly, because
-// the zero value runs serially and the scan must take the morsel path.
+// point queries with a scan of 6000 rows, so that Serve's workers hand
+// each other pooled set arrays of every size: a point query, whose keys
+// the writer never touches, must answer what it answered before the writer
+// started.
 func TestConcurrentServeWithWriter(t *testing.T) {
 	s := schema.MustNew(schema.NewRelation("R", "a", "b"))
 	small := table.NewDatabase(s)
@@ -138,7 +137,7 @@ func TestConcurrentServeWithWriter(t *testing.T) {
 		return ra.Project{Input: ra.Select{Input: ra.Base("R"), Pred: ra.Eq(ra.Attr("a"), ra.LitInt(k))}, Attrs: []string{"b"}}
 	}
 	scan := ra.Project{Input: ra.Base("R"), Attrs: []string{"b"}}
-	naive, certain := Options{Mode: ModeNaive, Workers: 4}, Options{Mode: ModeCertain, Workers: 4}
+	naive, certain := Options{Mode: ModeNaive}, Options{Mode: ModeCertain}
 
 	for _, in := range []struct {
 		name   string

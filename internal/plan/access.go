@@ -180,17 +180,3 @@ func (n *pscan) streamCodedIndex(c *pctx, rel *table.Relation, enc *table.Encodi
 	}
 	return true
 }
-
-// splittable reports whether the morsel driver may split the scan: not when
-// an index is about to serve its equality restriction, since the index
-// yields each matching row once, not once per morsel.
-func (n *pscan) splittable(rel *table.Relation) bool {
-	if n.eq == nil {
-		return true
-	}
-	path, split := rel.SelectSplit(n.eq.positions)
-	if split {
-		n.eq.last.Store(uint32(path))
-	}
-	return split
-}

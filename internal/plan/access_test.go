@@ -82,15 +82,10 @@ func accessQueries(c, c2 value.Value) []ra.Expr {
 	}
 }
 
-// accessConfigs is the execution matrix: workers × tier, and the budgeted
-// row engine.
+// accessConfigs is the execution matrix: both tiers, and the budgeted row
+// engine.
 func accessConfigs() map[string]EvalConfig {
-	out := map[string]EvalConfig{"budget": {MemBudget: 1 << 10}}
-	for _, w := range []int{1, 2, 4} {
-		out[fmt.Sprint("row/w", w)] = EvalConfig{Workers: w}
-		out[fmt.Sprint("coded/w", w)] = EvalConfig{Workers: w, Coded: true}
-	}
-	return out
+	return map[string]EvalConfig{"row": {}, "coded": {Coded: true}, "budget": {MemBudget: 1 << 10}}
 }
 
 // evalBoth evaluates p raw and certain and holds both against the oracle's
@@ -113,12 +108,11 @@ func evalBoth(t *testing.T, p *Plan, db *table.Database, cfg EvalConfig, raw, ce
 	}
 }
 
-// TestAccessPathDifferential: on every tier and worker count, an equality
+// TestAccessPathDifferential: on every tier, an equality
 // selection answers bit for bit what ra.Eval answers while it scans (a fresh
 // snapshot), once its index is there (the same snapshot, asked often enough),
 // and under a memory budget with and without an index to use.
 func TestAccessPathDifferential(t *testing.T) {
-	withParallelCutoff(t, 1)
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -217,36 +211,5 @@ func TestAccessPathDescribe(t *testing.T) {
 	}
 	if got := p2.Describe(); got != "filter\n  scan R [b = b1] scan: not selective\n" {
 		t.Fatalf("unselective key:\n%s", got)
-	}
-}
-
-// TestAccessPathNotSplit: once an index serves the driving scan the morsel
-// driver evaluates the branch whole (rows would come out once per morsel
-// otherwise, and the filters above would not notice), and while none does
-// the split scans count towards the build.
-func TestAccessPathNotSplit(t *testing.T) {
-	withParallelCutoff(t, 1)
-	db := accessDB(2)
-	q := ra.Join{Left: ra.Select{Input: ra.Base("R"), Pred: ra.Eq(ra.Attr("a"), ra.LitInt(3))}, Right: ra.Base("S")}
-	want, err := ra.Eval(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(q, db.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := db.Snapshot()
-	for i := 0; i < 12; i++ {
-		got, err := p.EvalWith(snap, EvalConfig{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.CanonicalKey() != want.CanonicalKey() {
-			t.Fatalf("evaluation %d on 4 workers: %s, want %s\nplan:\n%s", i, got, want, p.Describe())
-		}
-	}
-	if st := snap.Relation("R").EncodingStats(); st.SelectScans != 7 || st.IndexLookups != 5 {
-		t.Fatalf("%+v; want seven split scans, then five lookups\nplan:\n%s", st, p.Describe())
 	}
 }

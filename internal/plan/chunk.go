@@ -80,24 +80,8 @@ func streamChunks(n pnode, c *pctx, emit func([]table.Tuple) bool) error {
 	return nil
 }
 
-// streamChunks on a scan iterates the relation (or, under a morsel
-// assignment, the scan's morsel slice) into pooled chunks.  Morsel slices
-// are emitted as read-only sub-slices without copying.
+// streamChunks on a scan iterates the relation into pooled chunks.
 func (n *pscan) streamChunks(c *pctx, emit func([]table.Tuple) bool) error {
-	if c.morselFor == n {
-		m := c.morsel
-		for len(m) > 0 {
-			k := len(m)
-			if k > chunkSize {
-				k = chunkSize
-			}
-			if !emit(m[:k]) {
-				return nil
-			}
-			m = m[k:]
-		}
-		return nil
-	}
 	rel := c.db.Relation(n.name)
 	if rel == nil {
 		return relationErr(n.name)

@@ -13,11 +13,10 @@ import (
 )
 
 // mustSameCoded asserts the coded path is bit-identical to its oracle,
-// the row path, for raw and certain evaluation under the given worker
-// budget.  Each coded evaluation
+// the row path, for raw and certain evaluation.  Each coded evaluation
 // runs right after pollutePools, so the sets it builds start from arrays
 // that a set of another width and a larger result left behind.
-func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, label string) {
+func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, label string) {
 	t.Helper()
 	p, err := Compile(q, d.Schema())
 	if err != nil {
@@ -27,8 +26,8 @@ func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, labe
 		name string
 		cfg  EvalConfig
 	}{
-		{"row", EvalConfig{Workers: workers}},
-		{"coded", EvalConfig{Workers: workers, Coded: true}},
+		{"row", EvalConfig{}},
+		{"coded", EvalConfig{Coded: true}},
 	}
 	type outcome struct {
 		key string
@@ -39,7 +38,7 @@ func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, labe
 	cert := make([]outcome, len(configs))
 	for i, c := range configs {
 		if c.cfg.Coded {
-			pollutePools(t, p.root.out().Arity(), workers)
+			pollutePools(t, p.root.out().Arity())
 		}
 		if r, err := p.EvalWith(d, c.cfg); err != nil {
 			raw[i] = outcome{err: err}
@@ -47,7 +46,7 @@ func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, labe
 			raw[i] = outcome{key: r.CanonicalKey(), str: r.String()}
 		}
 		if c.cfg.Coded {
-			pollutePools(t, p.root.out().Arity(), workers)
+			pollutePools(t, p.root.out().Arity())
 		}
 		if r, err := p.EvalCertainWith(d, c.cfg); err != nil {
 			cert[i] = outcome{err: err}
@@ -57,20 +56,20 @@ func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, labe
 	}
 	for i := 1; i < len(configs); i++ {
 		if (raw[0].err == nil) != (raw[i].err == nil) {
-			t.Fatalf("%s: error mismatch for %s (workers=%d): row %v, %s %v",
-				label, q, workers, raw[0].err, configs[i].name, raw[i].err)
+			t.Fatalf("%s: error mismatch for %s: row %v, %s %v",
+				label, q, raw[0].err, configs[i].name, raw[i].err)
 		}
 		if raw[0].err == nil && raw[i].key != raw[0].key {
-			t.Fatalf("%s: EvalWith %s differs for %s (workers=%d)\n%s: %s\nrow: %s\nplan:\n%s",
-				label, configs[i].name, q, workers, configs[i].name, raw[i].str, raw[0].str, p.Describe())
+			t.Fatalf("%s: EvalWith %s differs for %s\n%s: %s\nrow: %s\nplan:\n%s",
+				label, configs[i].name, q, configs[i].name, raw[i].str, raw[0].str, p.Describe())
 		}
 		if (cert[0].err == nil) != (cert[i].err == nil) {
-			t.Fatalf("%s: certain error mismatch for %s (workers=%d): row %v, %s %v",
-				label, q, workers, cert[0].err, configs[i].name, cert[i].err)
+			t.Fatalf("%s: certain error mismatch for %s: row %v, %s %v",
+				label, q, cert[0].err, configs[i].name, cert[i].err)
 		}
 		if cert[0].err == nil && cert[i].key != cert[0].key {
-			t.Fatalf("%s: EvalCertainWith %s differs for %s (workers=%d)\n%s: %s\nrow: %s\nplan:\n%s",
-				label, configs[i].name, q, workers, configs[i].name, cert[i].str, cert[0].str, p.Describe())
+			t.Fatalf("%s: EvalCertainWith %s differs for %s\n%s: %s\nrow: %s\nplan:\n%s",
+				label, configs[i].name, q, configs[i].name, cert[i].str, cert[0].str, p.Describe())
 		}
 	}
 }
@@ -103,12 +102,11 @@ var polluters = sync.OnceValue(func() (pp struct {
 	return pp
 })
 
-// pollutePools runs the polluter of another width than arity, coded, with
-// the given workers.
-func pollutePools(t *testing.T, arity, workers int) {
+// pollutePools runs the polluter of another width than arity, coded.
+func pollutePools(t *testing.T, arity int) {
 	t.Helper()
 	pp := polluters()
-	if _, err := pp.plans[arity%3].EvalWith(pp.db, EvalConfig{Workers: workers, Coded: true}); err != nil {
+	if _, err := pp.plans[arity%3].EvalWith(pp.db, EvalConfig{Coded: true}); err != nil {
 		t.Fatalf("polluter: %v", err)
 	}
 }
@@ -151,12 +149,10 @@ func hugeNullDB(seed int64) *table.Database {
 }
 
 // TestCodedMatchesRowFuzz pins the coded path bit-identical to the row
-// path across the full random operator corpus, crossed
-// with serial and parallel evaluation and with databases of pure-int,
-// mixed-kind, and unencodable (huge null id) values — the last sending
-// every plan to the row path.
+// path across the full random operator corpus, over databases of
+// pure-int, mixed-kind, and unencodable (huge null id) values — the last
+// sending every plan to the row path.
 func TestCodedMatchesRowFuzz(t *testing.T) {
-	withParallelCutoff(t, 1)
 	trials := 400
 	if testing.Short() {
 		trials = 60
@@ -174,10 +170,30 @@ func TestCodedMatchesRowFuzz(t *testing.T) {
 		default:
 			d = hugeNullDB(int64(i % 7))
 		}
-		for _, workers := range []int{1, 2, 4} {
-			mustSameCoded(t, q, d, workers, "fuzz")
+		mustSameCoded(t, q, d, "fuzz")
+	}
+}
+
+// largeDB builds R(a, b), S(b, c), T(a, b) of the given size, with int
+// join keys spread over a modest domain and a null in about every
+// fiftieth value.
+func largeDB(tuples int, seed int64) *table.Database {
+	rnd := rand.New(rand.NewSource(seed))
+	d := table.NewDatabase(fuzzSchema())
+	for _, name := range []string{"R", "S", "T"} {
+		for i := 0; i < tuples; i++ {
+			t := make(table.Tuple, 2)
+			for j := range t {
+				if rnd.Intn(50) == 0 {
+					t[j] = value.Null(uint64(rnd.Intn(3) + 1))
+				} else {
+					t[j] = value.Int(int64(rnd.Intn(40)))
+				}
+			}
+			d.MustAdd(name, t)
 		}
 	}
+	return d
 }
 
 // largeStringDB is largeDB with string-dominated columns: the workload
@@ -202,9 +218,8 @@ func largeStringDB(tuples int, seed int64) *table.Database {
 	return d
 }
 
-// TestCodedLargeJoin exercises the coded kernels at the production
-// cutoff on relations, string-heavy and int-valued, big enough to fill
-// many chunks and take the partitioned-join path: coded partition
+// TestCodedLargeJoin exercises the coded kernels on relations,
+// string-heavy and int-valued, big enough to fill many chunks: coded join
 // indexes, coded select-joins over dictionary codes, coded diffs, and a
 // union mixing an eligible branch with a row-path branch.
 func TestCodedLargeJoin(t *testing.T) {
@@ -228,9 +243,7 @@ func TestCodedLargeJoin(t *testing.T) {
 	}
 	for _, d := range []*table.Database{largeStringDB(1500, 17), largeDB(1500, 11)} {
 		for name, q := range queries {
-			for _, workers := range []int{1, 2, 4, 8} {
-				mustSameCoded(t, q, d, workers, name)
-			}
+			mustSameCoded(t, q, d, name)
 		}
 	}
 }
@@ -283,7 +296,7 @@ func TestCodedScratchLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if !codedEligible(p.root, newPctx(d, EvalConfig{Coded: true}, nil)) {
+	if !codedEligible(p.root, newPctx(d, EvalConfig{Coded: true})) {
 		t.Fatalf("test query must take the coded path")
 	}
 	res, err := p.Eval(d)
@@ -326,7 +339,7 @@ func TestCodedScratchLifetime(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				cfg := EvalConfig{Workers: 1 + (g+i)%3, Coded: true}
+				cfg := EvalConfig{Coded: true}
 				for _, w := range []int{1, 3} {
 					if _, err := pp.plans[w%3].EvalWith(pp.db, cfg); err != nil {
 						t.Errorf("churn eval: %v", err)
@@ -368,7 +381,7 @@ func TestCodedEligible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile %s: %v", label, q, err)
 		}
-		c := newPctx(d, EvalConfig{Coded: true}, nil)
+		c := newPctx(d, EvalConfig{Coded: true})
 		if got := codedEligible(p.root, c); got != want {
 			t.Errorf("%s: codedEligible(%s) = %v, want %v\nplan:\n%s", label, q, got, want, p.Describe())
 		}
@@ -406,10 +419,8 @@ func TestCodedFallbackMidDictionary(t *testing.T) {
 		Input: ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}},
 		Pred:  ra.Neq(ra.Attr("a"), ra.LitString("never-in-db")),
 	}
-	for _, workers := range []int{1, 4} {
-		mustSameCoded(t, absent, d, workers, "absent-eq")
-		mustSameCoded(t, absentNeq, d, workers, "absent-neq")
-	}
+	mustSameCoded(t, absent, d, "absent-eq")
+	mustSameCoded(t, absentNeq, d, "absent-neq")
 }
 
 // gatherDB builds R(a, b), S(b, c), T(a, b) of the given size: a runs over
@@ -441,11 +452,9 @@ func gatherDB(rows int) *table.Database {
 // 0: TestGatherArityZero drives the gather over that shape), a union of
 // coded branches (one set), unions mixing a coded branch with one that has no
 // coded form in either order (the relation holds tuples the set never saw),
-// and a derived join build side (the set feeds an index); serial, parallel
-// (a worker's morsels share a gather, the merge does not) and budgeted (the
-// row path: no set at all).
+// and a derived join build side (the set feeds an index); unbounded and
+// budgeted (the row path: no set at all).
 func TestTwoPhaseMaterializeMatchesOracle(t *testing.T) {
-	withParallelCutoff(t, 64)
 	proj := func(rel string, attrs ...string) ra.Expr {
 		return ra.Project{Input: ra.Base(rel), Attrs: attrs}
 	}
@@ -477,24 +486,22 @@ func TestTwoPhaseMaterializeMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				for _, budget := range []int64{0, 1 << 16} {
-					cfg := EvalConfig{Workers: workers, Coded: true, MemBudget: budget}
-					label := fmt.Sprintf("%s rows=%d workers=%d budget=%d", name, rows, workers, budget)
-					got, err := p.EvalWith(d, cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if got.CanonicalKey() != wantRaw {
-						t.Fatalf("%s: EvalWith holds %d tuples, oracle %d\nplan:\n%s", label, got.Len(), want.Len(), p.Describe())
-					}
-					got, err = p.EvalCertainWith(d, cfg)
-					if err != nil {
-						t.Fatalf("%s: certain: %v", label, err)
-					}
-					if got.CanonicalKey() != wantCertain {
-						t.Fatalf("%s: EvalCertainWith holds %d tuples, oracle %d\nplan:\n%s", label, got.Len(), want.CompletePart().Len(), p.Describe())
-					}
+			for _, budget := range []int64{0, 1 << 16} {
+				cfg := EvalConfig{Coded: true, MemBudget: budget}
+				label := fmt.Sprintf("%s rows=%d budget=%d", name, rows, budget)
+				got, err := p.EvalWith(d, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got.CanonicalKey() != wantRaw {
+					t.Fatalf("%s: EvalWith holds %d tuples, oracle %d\nplan:\n%s", label, got.Len(), want.Len(), p.Describe())
+				}
+				got, err = p.EvalCertainWith(d, cfg)
+				if err != nil {
+					t.Fatalf("%s: certain: %v", label, err)
+				}
+				if got.CanonicalKey() != wantCertain {
+					t.Fatalf("%s: EvalCertainWith holds %d tuples, oracle %d\nplan:\n%s", label, got.Len(), want.CompletePart().Len(), p.Describe())
 				}
 			}
 		}
@@ -518,7 +525,7 @@ func TestGatherAdoptsEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newPctx(d, EvalConfig{Coded: true}, nil)
+		c := newPctx(d, EvalConfig{Coded: true})
 		out := table.NewRelation(p.root.out())
 		if err := materializeIntoAdopt(p.root, c, false, true, out); err != nil {
 			t.Fatal(err)
@@ -567,7 +574,7 @@ func TestGatherArityZero(t *testing.T) {
 		if held {
 			out.MustAdd(table.Tuple{}) // a tuple the set never saw: the gather must look before it inserts
 		}
-		g := gather{c: newPctx(d, EvalConfig{Coded: true}, nil), out: out, adopt: true}
+		g := gather{c: newPctx(d, EvalConfig{Coded: true}), out: out, adopt: true}
 		g.finish() // no coded branch ran: nothing to do
 		if want := map[bool]int{false: 0, true: 1}[held]; out.Len() != want {
 			t.Fatalf("held=%v: an idle gather left %d tuples, want %d", held, out.Len(), want)

@@ -28,11 +28,10 @@ import (
 // Ok() encoding for every base relation the subtree reads, and a subtree
 // it refuses (a Δ, a value outside the code space, a database with no
 // dictionary) runs on the row path.  A runtime surprise inside an eligible
-// subtree (a partition bucket or build side outside the code space) falls
-// back through bridgeCoded, which re-encodes the row stream on the fly.
-// The row path is the differential oracle — plan.EvalConfig.Coded selects
-// the tier, and the fuzz tests pin both execution models bit-identical
-// across planners and worker counts.
+// subtree (a build side outside the code space) falls back through
+// bridgeCoded, which re-encodes the row stream on the fly.  The row path
+// is the differential oracle — plan.EvalConfig.Coded selects the tier, and
+// the fuzz tests pin both execution models bit-identical across planners.
 //
 // Chunk contract: the chunk and selection vector passed to emit are
 // producer-owned scratch (or read-only views into a cached Encoding) and
@@ -115,7 +114,7 @@ func streamCoded(n pnode, c *pctx, emit codedEmit) error {
 // bridgeCoded adapts an operator's row-chunk stream into coded chunks by
 // encoding each batch on the fly.  It is the fallback for operators
 // without a coded form and for coded operators whose fast-path inputs
-// (cached encodings, coded partition buckets) are unavailable.
+// (cached encodings) are unavailable.
 func bridgeCoded(n pnode, c *pctx, emit codedEmit) error {
 	arity := n.out().Arity()
 	ch := getCodedChunk(arity)
@@ -138,31 +137,9 @@ func bridgeCoded(n pnode, c *pctx, emit codedEmit) error {
 }
 
 // streamCoded on a scan emits zero-copy chunk-sized windows over the
-// blocks of the relation's cached encoding — no copy, no re-encode.  Under
-// a morsel assignment the worker's tuple slice is encoded on the fly
-// instead (the morsel is an arbitrary sub-slice of a partitioning, which
-// has no cached code vectors).
+// blocks of the relation's cached encoding — no copy, no re-encode.
 func (n *pscan) streamCoded(c *pctx, emit codedEmit) error {
 	arity := n.rs.Arity()
-	if c.morselFor == n {
-		ch := getCodedChunk(arity)
-		defer putCodedChunk(ch)
-		for _, t := range c.morsel {
-			if !c.appendCodedRow(ch, t) {
-				return errCodedOverflow
-			}
-			if ch.Rows == chunkSize {
-				if !emit(ch, nil) {
-					return nil
-				}
-				ch.Reset(arity)
-			}
-		}
-		if ch.Rows > 0 {
-			emit(ch, nil)
-		}
-		return nil
-	}
 	rel := c.db.Relation(n.name)
 	if rel == nil {
 		return relationErr(n.name)
@@ -271,37 +248,27 @@ func (n *punion) streamCoded(c *pctx, emit codedEmit) error {
 	return streamCoded(n.r, c, emit)
 }
 
-// codedIndex returns the coded build index this join probes: on the
-// partitioned parallel path the worker's per-partition coded index,
-// otherwise a coded index over the build side's cached encoding.  nil
-// (with no error) means the build side has no coded form — the caller
-// falls back to the row-path binary probe via bridgeCoded.
+// codedIndex returns the coded build index this join probes.  nil (with
+// no error) means the build side has no coded form — the caller falls
+// back to the row-path binary probe via bridgeCoded.
 func (n *pjoin) codedIndex(c *pctx) (*table.CodedIndex, error) {
-	if c.partIdxFor == n {
-		return c.partCoded, nil
-	}
-	// A base-scan build side (including folded renames) and the parallel
-	// prepare phase's shared materialization both serve the index cached
-	// on the relation's sidecar.
-	rrel := (*table.Relation)(nil)
+	// A base-scan build side (including folded renames) serves the index
+	// cached on the relation's sidecar.
 	if sc, ok := n.r.(*pscan); ok {
-		if rrel = c.db.Relation(sc.name); rrel == nil {
+		rrel := c.db.Relation(sc.name)
+		if rrel == nil {
 			return nil, relationErr(sc.name)
 		}
-	} else if c.shared != nil {
-		rrel = c.shared.mats[n.r]
-	}
-	if rrel != nil {
 		enc := rrel.Encoding(c.dict)
 		if !enc.Ok() {
 			return nil, nil
 		}
 		return enc.Index(n.rpos), nil
 	}
-	// Derived build side with no shared copy: index it straight off its
-	// coded stream — codes never decode into tuples just to be hashed
-	// again.  The dedup set supplies the set semantics a materialization
-	// would have enforced, and its rows are the index's, which copies them.
+	// Derived build side: index it straight off its coded stream — codes
+	// never decode into tuples just to be hashed again.  The dedup set
+	// supplies the set semantics a materialization would have enforced,
+	// and its rows are the index's, which copies them.
 	seen := newCodedSet(n.r.out().Arity())
 	defer seen.release()
 	if err := seen.addStream(n.r, c, false, nil, nil); err != nil {
@@ -551,18 +518,11 @@ func (s *codedSet) addStream(n pnode, c *pctx, certainOnly bool, pred kpred, pro
 	})
 }
 
-// codedContainsFn builds (or fetches the prepare phase's shared copy of)
-// the coded right-side membership probe of a diff/intersect.  nil with
-// no error means the right side has no coded form — the caller bridges.
-// The returned function only reads immutable state and is safe for
-// concurrent probes.  When it probes a set built here, the set is returned
-// too, and the caller releases it once it stops probing.
+// codedContainsFn builds the coded right-side membership probe of a
+// diff/intersect.  nil with no error means the right side has no coded
+// form — the caller bridges.  When it probes a set built here, the set is
+// returned too, and the caller releases it once it stops probing.
 func (n *pdiff) codedContainsFn(c *pctx) (codedContains, *codedSet, error) {
-	if c.shared != nil {
-		if f, ok := c.shared.codedContains[n]; ok {
-			return f, nil, nil
-		}
-	}
 	if sc, ok := n.r.(*pscan); ok && n.rpred == nil {
 		rrel := c.db.Relation(sc.name)
 		if rrel == nil {
@@ -766,7 +726,7 @@ func scansEncodable(n pnode, c *pctx) bool {
 const gatherSlabRows = 512
 
 // gather materializes operator output into one relation in two phases.
-// Phase one (add, any number of times: union branches, a worker's morsels)
+// Phase one (add, any number of times: union branches)
 // streams coded branches into a set of code tuples and nothing else — the
 // set is the authority on duplicates, since one value has one code in a
 // dictionary (TestDictEncodeInjective) — while branches with no coded form

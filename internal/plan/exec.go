@@ -16,11 +16,8 @@ import (
 // and ∩ as key sets, both division inputs, Δ) materialize only what they
 // must.  Emitted tuples are immutable and may be adopted by the consumer.
 
-// pctx carries the database view and a reusable key scratch buffer for one
-// evaluation.  On the parallel path (parallel.go) each worker owns one pctx
-// holding its morsel assignment and the evaluation-wide shared state; on
-// the serial path the extra fields stay zero and every operator behaves
-// exactly as before.
+// pctx carries the database view and reusable scratch buffers for one
+// evaluation.
 type pctx struct {
 	db     ra.DB
 	keyBuf []byte
@@ -33,13 +30,6 @@ type pctx struct {
 	dictVals []value.Value // lock-free decode snapshot, refreshed on demand
 
 	budget int64 // join build-side memory budget in bytes; 0 = unbounded (spill.go)
-
-	shared     *sharedEval       // prepare-phase materializations shared by workers
-	morselFor  *pscan            // scan whose tuples come from morsel, not the relation
-	morsel     []table.Tuple     // the worker's current morsel of morselFor
-	partIdxFor *pjoin            // join probing a per-partition build index
-	partIdx    *table.Index      // the partition's index, matching the worker's morsel
-	partCoded  *table.CodedIndex // coded twin of partIdx; nil → the coded join bridges
 }
 
 // getSel hands out a selection-vector buffer from the context pool,
@@ -89,9 +79,7 @@ type pnode interface {
 
 // materialize evaluates a node into a relation with set semantics.  Base
 // relation scans are returned as-is (never mutated by the planner), so
-// their cached hash indexes survive across evaluations.  On the parallel
-// path, pipeline breakers materialized during the prepare phase are served
-// from the shared cache instead of being recomputed per worker.
+// their cached hash indexes survive across evaluations.
 func materialize(n pnode, c *pctx) (*table.Relation, error) {
 	if sc, ok := n.(*pscan); ok {
 		rel := c.db.Relation(sc.name)
@@ -99,11 +87,6 @@ func materialize(n pnode, c *pctx) (*table.Relation, error) {
 			return nil, relationErr(sc.name)
 		}
 		return rel, nil
-	}
-	if c.shared != nil {
-		if rel, ok := c.shared.mats[n]; ok {
-			return rel, nil
-		}
 	}
 	out := table.NewRelation(n.out())
 	if err := materializeIntoAdopt(n, c, false, true, out); err != nil {
@@ -124,14 +107,6 @@ type pscan struct {
 func (n *pscan) out() schema.Relation { return n.rs }
 
 func (n *pscan) stream(c *pctx, emit func(table.Tuple) bool) error {
-	if c.morselFor == n {
-		for _, t := range c.morsel {
-			if !emit(t) {
-				return nil
-			}
-		}
-		return nil
-	}
 	rel := c.db.Relation(n.name)
 	if rel == nil {
 		return relationErr(n.name)
@@ -243,14 +218,10 @@ type pjoin struct {
 
 func (n *pjoin) out() schema.Relation { return n.rs }
 
-// buildIndex returns the hash index this join probes: on the partitioned
-// parallel path the worker's per-partition index (matching its morsel of
-// the probe side), otherwise the index over the whole materialized build
-// side (cached on the relation when the build side is a base scan).
+// buildIndex returns the hash index this join probes: the index over the
+// whole materialized build side (cached on the relation when the build
+// side is a base scan).
 func (n *pjoin) buildIndex(c *pctx) (*table.Index, error) {
-	if c.partIdxFor == n {
-		return c.partIdx, nil
-	}
 	rrel, err := materialize(n.r, c)
 	if err != nil {
 		return nil, err
@@ -259,7 +230,7 @@ func (n *pjoin) buildIndex(c *pctx) (*table.Index, error) {
 }
 
 func (n *pjoin) stream(c *pctx, emit func(table.Tuple) bool) error {
-	if c.budget > 0 && c.partIdxFor != n {
+	if c.budget > 0 {
 		return n.spillStream(c, emit)
 	}
 	ix, err := n.buildIndex(c)
@@ -372,16 +343,9 @@ const probeKeySize = 96
 
 func (n *pdiff) out() schema.Relation { return n.rs }
 
-// containsFn builds (or, on the parallel path, fetches the prepare phase's
-// shared copy of) the right-side membership probe, which takes the
-// comparison row of a left tuple (sideRow).  The returned function only reads
-// immutable state and is safe for concurrent probes.
+// containsFn builds the right-side membership probe, which takes the
+// comparison row of a left tuple (sideRow).
 func (n *pdiff) containsFn(c *pctx) (func(row table.Tuple) bool, error) {
-	if c.shared != nil {
-		if f, ok := c.shared.contains[n]; ok {
-			return f, nil
-		}
-	}
 	if sc, ok := n.r.(*pscan); ok && n.rpred == nil {
 		rrel := c.db.Relation(sc.name)
 		if rrel == nil {

@@ -58,14 +58,17 @@ func Compile(q ra.Expr, s *schema.Schema) (*Plan, error) {
 // OutSchema returns the plan's output schema (the original expression's).
 func (p *Plan) OutSchema() schema.Relation { return p.out }
 
-// EvalConfig selects the execution strategy of one evaluation: the
-// worker-pool size of the morsel-parallel path (Workers <= 1 is serial)
-// and whether eligible subtrees run on the coded path (codedexec.go)
-// instead of the row-chunk path.  Every combination produces
-// bit-identical results; the row path is the differential oracle of the
-// coded one.
+// EvalConfig selects the execution strategy of one evaluation: whether
+// eligible subtrees run on the coded path (codedexec.go) instead of the
+// row-chunk path, and an optional join memory budget.  Evaluation is
+// serial; parallelism lives between queries (engine.Serve, server
+// sessions) and between worlds (the per-world pool of package certain).
+// Every combination produces bit-identical results; the row path is the
+// differential oracle of the coded one.
 type EvalConfig struct {
-	// Workers is the worker-pool size; <= 1 evaluates serially.
+	// Workers is deprecated and ignored: evaluation is serial.  It stays
+	// only while the benchmark harness sets and reads it, and carries no
+	// "Deprecated:" marker because staticcheck would report those reads.
 	Workers int
 	// Deprecated: ignored; the value-vector columnar tier is gone, and
 	// Coded alone selects the vectorized path.  Kept until the benchmark
@@ -82,18 +85,17 @@ type EvalConfig struct {
 	// budget is Grace-partitioned to temporary spill files and joined
 	// partition by partition (spill.go), so evaluation handles build
 	// sides larger than RAM.  Answers are bit-identical to the unbounded
-	// path.  A budgeted evaluation runs on the serial row engine —
-	// Workers and Coded are overridden, since the parallel and coded
-	// tiers assume resident build sides.
+	// path.  A budgeted evaluation runs on the row engine — Coded is
+	// overridden, since the coded tier assumes resident build sides.
 	MemBudget int64
 }
 
 // normalized resolves the config's internal contradictions: a memory
-// budget forces the serial row engine, since the morsel-parallel and
-// coded tiers both assume resident build sides.
+// budget forces the row engine, since the coded tier assumes resident
+// build sides.
 func (cfg EvalConfig) normalized() EvalConfig {
 	if cfg.MemBudget > 0 {
-		cfg.Workers, cfg.Coded = 1, false
+		cfg.Coded = false
 	}
 	return cfg
 }
@@ -104,10 +106,10 @@ type dictProvider interface {
 	Dict() *table.Dict
 }
 
-// newPctx builds the evaluation context for one serial or worker run,
-// resolving the coded tier against the database's dictionary.
-func newPctx(db ra.DB, cfg EvalConfig, shared *sharedEval) *pctx {
-	c := &pctx{db: db, shared: shared, budget: cfg.MemBudget}
+// newPctx builds the evaluation context for one evaluation, resolving
+// the coded tier against the database's dictionary.
+func newPctx(db ra.DB, cfg EvalConfig) *pctx {
+	c := &pctx{db: db, budget: cfg.MemBudget}
 	if cfg.Coded {
 		if dp, ok := db.(dictProvider); ok {
 			if d := dp.Dict(); d != nil {
@@ -127,19 +129,9 @@ func (p *Plan) Eval(db ra.DB) (*table.Relation, error) {
 
 // EvalWith evaluates the plan with the given execution configuration.
 // The result is bit-identical across all configurations and never
-// aliases mutable state of the database.  cfg.Workers <= 1, plans without
-// a parallelizable shape (no driving scan: division or Δ roots) and
-// driving relations smaller than the parallel cutoff evaluate serially.
+// aliases mutable state of the database.
 func (p *Plan) EvalWith(db ra.DB, cfg EvalConfig) (*table.Relation, error) {
-	cfg = cfg.normalized()
-	if cfg.Workers > 1 && parallelizable(p.root, db) {
-		out := table.NewRelation(p.out)
-		if err := runParallel(p.root, db, cfg, false, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	c := newPctx(db, cfg, nil)
+	c := newPctx(db, cfg.normalized())
 	rel, err := materialize(p.root, c)
 	if err != nil {
 		return nil, err
@@ -162,15 +154,7 @@ func (p *Plan) EvalCertain(db ra.DB) (*table.Relation, error) {
 // EvalCertainWith is EvalWith with the null-stripping of certain-answer
 // extraction fused into materialization.
 func (p *Plan) EvalCertainWith(db ra.DB, cfg EvalConfig) (*table.Relation, error) {
-	cfg = cfg.normalized()
-	if cfg.Workers > 1 && parallelizable(p.root, db) {
-		out := table.NewRelation(p.out)
-		if err := runParallel(p.root, db, cfg, true, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	c := newPctx(db, cfg, nil)
+	c := newPctx(db, cfg.normalized())
 	out := table.NewRelation(p.out)
 	if err := materializeInto(p.root, c, true, out); err != nil {
 		return nil, err

@@ -374,3 +374,34 @@ func TestRelationIndex(t *testing.T) {
 		t.Fatalf("rebuilt index has %d entries, want 4", got)
 	}
 }
+
+// TestChunkedMaterializeBatches covers AddBatch-based materialization:
+// chunked output equals per-tuple MustAdd output on a multi-chunk stream.
+func TestChunkedMaterializeBatches(t *testing.T) {
+	rs := schema.NewRelation("R", "a", "b")
+	rel := table.NewRelation(rs)
+	for i := 0; i < 3*chunkSize+17; i++ {
+		rel.MustAdd(table.NewTuple(value.Int(int64(i)), value.Int(int64(i%7))))
+	}
+	d := table.NewDatabase(schema.MustNew(rs))
+	rel.Each(func(tp table.Tuple) bool {
+		d.MustAdd("R", tp)
+		return true
+	})
+	q := ra.Select{Input: ra.Base("R"), Pred: ra.Neq(ra.Attr("b"), ra.LitInt(3))}
+	p, err := Compile(q, d.Schema())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	got, err := p.Eval(d)
+	if err != nil {
+		t.Fatalf("eval: %v", err)
+	}
+	want, err := ra.Eval(q, d)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	if got.CanonicalKey() != want.CanonicalKey() {
+		t.Fatalf("chunked materialization differs: %d vs %d tuples", got.Len(), want.Len())
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"incdata/internal/ra"
 	"incdata/internal/schema"
@@ -42,28 +41,14 @@ type WorldPlan struct {
 	n     int           // number of nodes (scratch sizing)
 	nulls []value.Value // the nulls the plan reads, sorted: a session's dense valuation is indexed like it
 
-	workers atomic.Int32 // worker budget for partition-parallel stable parts
-
 	sessions sync.Pool // recycled *Session values (warm per-node scratch)
 }
 
-// SetWorkers sets the worker budget used when stable parts are computed
-// partition-parallel (see computeStable); the stable results themselves are
-// bit-identical regardless of the budget.  The highest value ever set wins
-// — world plans are cached and shared across calls with different worker
-// settings, and stable parts are computed only once.  Safe to call
-// concurrently with evaluation.
-func (wp *WorldPlan) SetWorkers(w int) {
-	for {
-		cur := wp.workers.Load()
-		if int32(w) <= cur {
-			return
-		}
-		if wp.workers.CompareAndSwap(cur, int32(w)) {
-			return
-		}
-	}
-}
+// SetWorkers is deprecated and does nothing: stable parts are computed
+// serially, and the worlds of a sweep are spread over the per-world pool of
+// package certain.  It stays only while the benchmark harness calls it, and
+// carries no "Deprecated:" marker because staticcheck would report that call.
+func (wp *WorldPlan) SetWorkers(int) {}
 
 // AcquireSession returns a session from the plan's pool (or a fresh one).
 // Returning it with ReleaseSession lets the next certain-answer call reuse
@@ -495,10 +480,7 @@ func (b *worldBuilder) buildSetOp(le, re ra.Expr, op string) (*wnode, *wnode, er
 }
 
 // computeStable evaluates the world-invariant part of a node, child stable
-// parts first.  For invariant nodes this is the full (only) result.  With a
-// worker budget set (SetWorkers) the heavy shapes — join probes, σ/π maps,
-// products — run partition-parallel over morsels of the left stable part;
-// set-semantics merging keeps the result bit-identical to the serial loop.
+// parts first.  For invariant nodes this is the full (only) result.
 func (wp *WorldPlan) computeStable(n *wnode) (*table.Relation, error) {
 	var sl, sr *table.Relation
 	var err error
@@ -512,28 +494,14 @@ func (wp *WorldPlan) computeStable(n *wnode) (*table.Relation, error) {
 			return nil, err
 		}
 	}
-	workers := int(wp.workers.Load())
-	parallel := func() bool { return workers > 1 && sl.Len() >= parallelCutoff }
 	switch n.kind {
 	case wRel:
 		return wp.d.Relation(n.relName).CompletePart(), nil
 	case wEmpty:
 		return table.NewRelation(n.rs), nil
 	case wSelect:
-		if parallel() {
-			return parallelStableMap(sl, n.rs, workers, func(t table.Tuple, out *table.Relation) {
-				if n.pred(t) {
-					out.MustAdd(t)
-				}
-			})
-		}
 		return sl.Filter(n.pred), nil
 	case wProject:
-		if parallel() {
-			return parallelStableMap(sl, n.rs, workers, func(t table.Tuple, out *table.Relation) {
-				out.MustAdd(t.Project(n.projIdx...))
-			})
-		}
 		out := table.NewRelation(n.rs)
 		sl.Each(func(t table.Tuple) bool {
 			out.MustAdd(t.Project(n.projIdx...))
@@ -543,14 +511,6 @@ func (wp *WorldPlan) computeStable(n *wnode) (*table.Relation, error) {
 	case wRename:
 		return sl.WithSchema(n.rs), nil
 	case wProduct:
-		if parallel() {
-			return parallelStableMap(sl, n.rs, workers, func(lt table.Tuple, out *table.Relation) {
-				sr.Each(func(rt table.Tuple) bool {
-					out.MustAdd(lt.Concat(rt))
-					return true
-				})
-			})
-		}
 		out := table.NewRelation(n.rs)
 		sl.Each(func(lt table.Tuple) bool {
 			sr.Each(func(rt table.Tuple) bool {
@@ -561,9 +521,6 @@ func (wp *WorldPlan) computeStable(n *wnode) (*table.Relation, error) {
 		})
 		return out, nil
 	case wJoin:
-		if parallel() {
-			return parallelStableJoin(sl, sr, n, workers)
-		}
 		out := table.NewRelation(n.rs)
 		ix := sr.Index(n.rpos)
 		var keyBuf []byte

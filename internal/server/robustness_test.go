@@ -8,8 +8,10 @@ package server
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -242,26 +244,33 @@ func TestConfigMaxFrame(t *testing.T) {
 func TestTypedErrorCodes(t *testing.T) {
 	_, _, addr := startServer(t, Config{})
 	cl := dial(t, addr)
+	// A request's workers sizes the per-world pool, which allocates per
+	// worker: past GOMAXPROCS one request could exhaust the process.
+	workersBound := fmt.Sprintf("0..%d", runtime.GOMAXPROCS(0))
 
 	cases := []struct {
 		name string
 		req  wire.Request
 		code string
+		msg  string // when set, a substring the error message must hold
 	}{
-		{"unknown op", wire.Request{Op: "EXPLODE"}, wire.CodeParse},
-		{"empty op", wire.Request{}, wire.CodeParse},
-		{"malformed query", wire.Request{Op: wire.OpQuery, Query: "project(R"}, wire.CodeParse},
-		{"bad mode", wire.Request{Op: wire.OpQuery, Query: "R", Mode: "bogus"}, wire.CodeParse},
-		{"bad planner", wire.Request{Op: wire.OpQuery, Query: "R", Planner: "maybe"}, wire.CodeParse},
-		{"unknown relation", wire.Request{Op: wire.OpQuery, Query: "Nope"}, wire.CodeEval},
-		{"update without ops", wire.Request{Op: wire.OpUpdate}, wire.CodeParse},
-		{"update bad op kind", wire.Request{Op: wire.OpUpdate, Ops: []wire.UpdateOp{{Op: "upsert", Rel: "R", Row: []string{"1", "2"}}}}, wire.CodeParse},
-		{"update unknown relation", wire.Request{Op: wire.OpUpdate, Ops: []wire.UpdateOp{{Op: "add", Rel: "Nope", Row: []string{"1"}}}}, wire.CodeEval},
-		{"update arity mismatch", wire.Request{Op: wire.OpUpdate, Ops: []wire.UpdateOp{{Op: "add", Rel: "R", Row: []string{"1"}}}}, wire.CodeEval},
-		{"asof unknown commit", wire.Request{Op: wire.OpAsOf, Ref: "nope"}, wire.CodeEval},
-		{"register without name", wire.Request{Op: wire.OpRegister, Query: "R"}, wire.CodeParse},
-		{"subscribe unknown view", wire.Request{Op: wire.OpSubscribe, Name: "ghost"}, wire.CodeEval},
-		{"unsubscribe without name", wire.Request{Op: wire.OpUnsubscribe}, wire.CodeParse},
+		{"unknown op", wire.Request{Op: "EXPLODE"}, wire.CodeParse, ""},
+		{"empty op", wire.Request{}, wire.CodeParse, ""},
+		{"malformed query", wire.Request{Op: wire.OpQuery, Query: "project(R"}, wire.CodeParse, ""},
+		{"bad mode", wire.Request{Op: wire.OpQuery, Query: "R", Mode: "bogus"}, wire.CodeParse, ""},
+		{"bad planner", wire.Request{Op: wire.OpQuery, Query: "R", Planner: "maybe"}, wire.CodeParse, ""},
+		{"huge workers", wire.Request{Op: wire.OpQuery, Query: "R", Mode: "certain-cwa", Workers: 1 << 40}, wire.CodeParse, workersBound},
+		{"workers above GOMAXPROCS", wire.Request{Op: wire.OpQuery, Query: "R", Mode: "certain-cwa", Workers: runtime.GOMAXPROCS(0) + 1}, wire.CodeParse, workersBound},
+		{"negative workers", wire.Request{Op: wire.OpRegister, Name: "v", Query: "R", Workers: -1}, wire.CodeParse, workersBound},
+		{"unknown relation", wire.Request{Op: wire.OpQuery, Query: "Nope"}, wire.CodeEval, ""},
+		{"update without ops", wire.Request{Op: wire.OpUpdate}, wire.CodeParse, ""},
+		{"update bad op kind", wire.Request{Op: wire.OpUpdate, Ops: []wire.UpdateOp{{Op: "upsert", Rel: "R", Row: []string{"1", "2"}}}}, wire.CodeParse, ""},
+		{"update unknown relation", wire.Request{Op: wire.OpUpdate, Ops: []wire.UpdateOp{{Op: "add", Rel: "Nope", Row: []string{"1"}}}}, wire.CodeEval, ""},
+		{"update arity mismatch", wire.Request{Op: wire.OpUpdate, Ops: []wire.UpdateOp{{Op: "add", Rel: "R", Row: []string{"1"}}}}, wire.CodeEval, ""},
+		{"asof unknown commit", wire.Request{Op: wire.OpAsOf, Ref: "nope"}, wire.CodeEval, ""},
+		{"register without name", wire.Request{Op: wire.OpRegister, Query: "R"}, wire.CodeParse, ""},
+		{"subscribe unknown view", wire.Request{Op: wire.OpSubscribe, Name: "ghost"}, wire.CodeEval, ""},
+		{"unsubscribe without name", wire.Request{Op: wire.OpUnsubscribe}, wire.CodeParse, ""},
 	}
 	for _, c := range cases {
 		_, err := cl.Call(c.req)
@@ -273,9 +282,15 @@ func TestTypedErrorCodes(t *testing.T) {
 		if re.Code != c.code {
 			t.Errorf("%s: code = %s, want %s (%s)", c.name, re.Code, c.code, re.Msg)
 		}
+		if !strings.Contains(re.Msg, c.msg) {
+			t.Errorf("%s: message %q does not hold %q", c.name, re.Msg, c.msg)
+		}
 	}
 
 	// After all those failures the session still works.
+	if _, err := cl.Call(wire.Request{Op: wire.OpHello}); err != nil {
+		t.Fatalf("HELLO after error replies: %v", err)
+	}
 	if _, err := cl.Query("R", "certain", "on", 0); err != nil {
 		t.Fatalf("session unusable after error replies: %v", err)
 	}

@@ -74,8 +74,10 @@ type Config struct {
 	// slow to drain its pushes is disconnected rather than allowed to
 	// stall the server.  Default 256.
 	PushBuffer int
-	// Workers is the default intra-query worker budget for requests that
-	// do not set their own (engine.Options.Workers semantics).
+	// Workers is the default per-world enumeration pool size for
+	// requests that do not set their own (engine.Options.Workers
+	// semantics).  It is trusted as given; a request's own value is
+	// bounded by GOMAXPROCS.
 	Workers int
 	// MaxWorlds bounds world enumeration for the world-modes served over
 	// the wire.  Default 1<<20.
@@ -604,6 +606,9 @@ func (s *Server) evalOptions(req wire.Request) (engine.Options, error) {
 		return engine.Options{}, err
 	}
 	workers := req.Workers
+	if limit := runtime.GOMAXPROCS(0); workers < 0 || workers > limit {
+		return engine.Options{}, fmt.Errorf("server: workers %d outside 0..%d (GOMAXPROCS)", workers, limit)
+	}
 	if workers == 0 {
 		workers = s.cfg.Workers
 	}

@@ -131,7 +131,9 @@ type Request struct {
 	Mode string `json:"mode,omitempty"`
 	// Planner is "on", "off" or "" (engine.ParsePlanner).
 	Planner string `json:"planner,omitempty"`
-	// Workers is the intra-query worker budget (engine.Options.Workers).
+	// Workers sizes the per-world enumeration pool
+	// (engine.Options.Workers); the server refuses a value below 0 or
+	// above its GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 	// Ops are the mutations of an OpUpdate.
 	Ops []UpdateOp `json:"ops,omitempty"`

@@ -252,14 +252,3 @@ func (r *Relation) SelectCodedIndex(e *Encoding, positions []int, build bool) (*
 	}
 	return e.Index(positions), path
 }
-
-// SelectSplit is asked by a morsel-parallel evaluation before it splits a
-// scan that carries an equality on the positions: an index, once it serves
-// the scan, yields each matching row once, not once per morsel, so such a
-// scan must run whole.  It reports false, counting nothing, once the header's
-// scans have made an index due (the scan, run serially, then asks for it
-// itself), and before that counts the split scan like any other and returns
-// its path.
-func (r *Relation) SelectSplit(positions []int) (SelectPath, bool) {
-	return r.countedScan(r.demandFor(positions), false)
-}

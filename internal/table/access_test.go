@@ -202,32 +202,6 @@ func TestSelectIndexReconstructionStartsFromZero(t *testing.T) {
 	}
 }
 
-// TestSelectSplit: the morsel driver may split a scan while no index is
-// due, its scans counting like any other, and is told to run it whole from
-// then on; an unselective key may always be split.
-func TestSelectSplit(t *testing.T) {
-	db := orderKeysDB(3 * segMax)
-	r := db.Snapshot().Relation("Order")
-	for k := 1; k <= indexBuildScans; k++ {
-		path, split := r.SelectSplit([]int{0})
-		if !split || path.Kind() != SelectScanBelowThreshold {
-			t.Fatalf("scan %d: split %v, path %q", k, split, path)
-		}
-	}
-	if _, split := r.SelectSplit([]int{0}); split {
-		t.Fatal("an index is due, yet the scan may be split")
-	}
-	if ix, _ := r.SelectIndex([]int{0}, true); ix == nil {
-		t.Fatal("the split scans did not count towards the build")
-	}
-	for k := 0; k < 3*indexBuildScans; k++ {
-		r.SelectIndex([]int{1}, true)
-	}
-	if path, split := r.SelectSplit([]int{1}); !split || path.Kind() != SelectScanNotSelective {
-		t.Fatalf("unselective key: split %v, path %q", split, path)
-	}
-}
-
 // TestSelectIndexConcurrentFirstBuild races readers through the threshold,
 // and so through the first build and the patches after it, on shared
 // snapshot headers, against a writer on the live header.  CI runs it under

@@ -174,9 +174,9 @@ func (d *Database) Snapshot() *Database {
 // SnapshotReusing is Snapshot, except that relations whose content stamp
 // is unchanged since prev (a snapshot of an earlier state of the same
 // database) reuse prev's relation headers instead of fresh shares.
-// Headers own the lazily built derived caches — hash indexes,
-// partitionings, the coded sidecar — so with reuse a commit leaves the
-// caches of the relations it did not touch alone.  Safe because snapshots
+// Headers own the lazily built derived caches — hash indexes and the
+// coded sidecar — so with reuse a commit leaves the caches of the
+// relations it did not touch alone.  Safe because snapshots
 // are read-only and stamps identify content: an equal stamp means the
 // header describes exactly the frozen storage the new snapshot reads.
 //

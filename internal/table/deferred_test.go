@@ -33,9 +33,9 @@ func gatherTuples(n, base int) []Tuple {
 }
 
 // TestDeferredIterationBuildsNoTable pins what the deferral is for: reading
-// a gathered result row by row — and building its encoding, indexes and
-// partitionings, which read rows too — never makes its hash table.  The
-// first probe does, once.
+// a gathered result row by row — and building its encoding and indexes,
+// which read rows too — never makes its hash table.  The first probe
+// does, once.
 func TestDeferredIterationBuildsNoTable(t *testing.T) {
 	db := NewDatabase(schema.MustNew(schema.NewRelation("R", "a", "b")))
 	r := db.Relation("R")
@@ -58,7 +58,6 @@ func TestDeferredIterationBuildsNoTable(t *testing.T) {
 	if ix := r.Index([]int{0}); ix.Len() != len(ts) {
 		t.Fatalf("Index has %d entries", ix.Len())
 	}
-	r.Partition([]int{1}, 4)
 	c := r.Clone()
 	if !r.IsComplete() || c.Len() != len(ts) || r.CompletePart().Len() != len(ts) {
 		t.Fatal("a share of the result lost tuples")

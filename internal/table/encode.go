@@ -815,60 +815,3 @@ rows:
 	}
 	return out
 }
-
-// codedBucket caches one partition bucket's coded index together with
-// the dictionary it was encoded against; ix is nil when the bucket holds
-// a value outside the code space (a cached negative).
-type codedBucket struct {
-	dict *Dict
-	ix   *CodedIndex
-}
-
-// CodedIndex returns the coded hash index of bucket i over the
-// partitioning's positions, encoding the bucket's tuples against dict
-// and caching the result per bucket (CAS-published like Index).  It
-// returns nil when dict is nil or a bucket value is outside the code
-// space — callers fall back to the binary-key Index.  It panics on a
-// round-robin partitioning, which has no key columns.
-func (p *Partitioning) CodedIndex(i int, dict *Dict) *CodedIndex {
-	if p.positions == nil {
-		panic("table: CodedIndex on a round-robin partitioning")
-	}
-	if dict == nil {
-		return nil
-	}
-	for {
-		cb := p.coded[i].Load()
-		if cb != nil && cb.dict == dict {
-			return cb.ix
-		}
-		ncb := &codedBucket{dict: dict, ix: newCodedIndexFromTuples(p.positions, p.buckets[i], dict)}
-		if p.coded[i].CompareAndSwap(cb, ncb) {
-			return ncb.ix
-		}
-		// Lost a race with another builder; retry (and likely adopt theirs).
-	}
-}
-
-// newCodedIndexFromTuples encodes a tuple slice against dict and indexes
-// it; it returns nil when any value is outside the code space.
-func newCodedIndexFromTuples(positions []int, ts []Tuple, dict *Dict) *CodedIndex {
-	arity := 0
-	if len(ts) > 0 {
-		arity = len(ts[0])
-	}
-	ix := newCodedIndex(positions, arity, nil, 1, len(ts))
-	row := make([]uint64, arity)
-	for _, t := range ts {
-		for j, v := range t {
-			c, ok := dict.Encode(v)
-			if !ok {
-				return nil
-			}
-			row[j] = c
-		}
-		ix.add(row)
-	}
-	ix.seal()
-	return ix
-}

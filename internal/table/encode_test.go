@@ -382,15 +382,6 @@ func TestEncodingConcurrentBuildVsWriter(t *testing.T) {
 					t.Errorf("index has %d entries for %d rows", ix.Len(), rows)
 					return
 				}
-				n := 0
-				p := r.Partition([]int{0}, 4)
-				for i := 0; i < p.Parts(); i++ {
-					n += len(p.Bucket(i))
-				}
-				if n != rows {
-					t.Errorf("partitioning holds %d tuples for %d rows", n, rows)
-					return
-				}
 				rounds.Add(1)
 			}
 		}()

@@ -311,16 +311,13 @@ func (sh *IndexShard) rebuilt(positions []int, ins, del []Tuple) *IndexShard {
 }
 
 // invalidateDerived drops all cached derived structures (hash indexes,
-// partitionings, the coded sidecar) and the selection demand counted towards
+// the coded sidecar) and the selection demand counted towards
 // building one; every mutation path calls it.  A header that mutates may be
 // writing its segments in place, so nothing it cached can be checked against
 // them any more.
 func (r *Relation) invalidateDerived() {
 	if r.indexes.Load() != nil {
 		r.indexes.Store(nil)
-	}
-	if r.partitions.Load() != nil {
-		r.partitions.Store(nil)
 	}
 	if r.encoding.Load() != nil {
 		r.encoding.Store(nil)

@@ -7,7 +7,7 @@ package table
 //
 // The design constraint is that everything built on relation headers —
 // content stamps, copy-on-write sharing, plan-cache validation, the
-// derived index/partitioning/encoding caches — must behave exactly as if
+// derived index and encoding caches — must behave exactly as if
 // the tuples had been there all along.  Loading therefore populates the
 // segments WITHOUT bumping the version or generation (the content is
 // logically present from the start; materializing it changes nothing),

@@ -24,27 +24,26 @@ import (
 // afterwards.
 //
 // Concurrency: any number of goroutines may read a relation, and build its
-// derived structures (Encoding, Index, Partition), as long as nobody mutates
+// derived structures (Encoding, Index), as long as nobody mutates
 // that header; a header must not be mutated while anything else uses it.
 // Writers and readers therefore work on different headers: the engine
 // mutates the live database under its lock and readers evaluate over
 // Database.Snapshot headers, which are frozen (mutating one is a bug, and a
 // panic under the tablecheck build tag).
 type Relation struct {
-	schema     schema.Relation
-	segs       []*segment                      // tuple storage, hash-segmented; the length is a power of two (see segment.go)
-	n          int                             // tuples stored across segs
-	shared     atomic.Bool                     // segs and every segment are reachable from another header
-	frozen     bool                            // a Snapshot header: read-only by contract (see checkWritable)
-	indexes    atomic.Pointer[[]*Index]        // lazily built hash indexes (see index.go)
-	partitions atomic.Pointer[[]*Partitioning] // lazily built hash partitionings (see partition.go)
-	encoding   atomic.Pointer[Encoding]        // lazily built coded sidecar (see encode.go)
-	demands    atomic.Pointer[[]*selectDemand] // per key positions: scans served and selectivity (see access.go)
-	encStats   *encStats                       // sidecar and access-path counters, shared across shares (see encode.go)
-	lazy       atomic.Pointer[lazyLoad]        // pending on-demand load, nil once materialized (see lazy.go)
-	version    uint64                          // bumped on every mutation (plan-cache validation)
-	gen        uint64                          // storage generation, see Stamp
-	rec        *recorder                       // delta capture hook, nil unless tracked (see delta.go)
+	schema   schema.Relation
+	segs     []*segment                      // tuple storage, hash-segmented; the length is a power of two (see segment.go)
+	n        int                             // tuples stored across segs
+	shared   atomic.Bool                     // segs and every segment are reachable from another header
+	frozen   bool                            // a Snapshot header: read-only by contract (see checkWritable)
+	indexes  atomic.Pointer[[]*Index]        // lazily built hash indexes (see index.go)
+	encoding atomic.Pointer[Encoding]        // lazily built coded sidecar (see encode.go)
+	demands  atomic.Pointer[[]*selectDemand] // per key positions: scans served and selectivity (see access.go)
+	encStats *encStats                       // sidecar and access-path counters, shared across shares (see encode.go)
+	lazy     atomic.Pointer[lazyLoad]        // pending on-demand load, nil once materialized (see lazy.go)
+	version  uint64                          // bumped on every mutation (plan-cache validation)
+	gen      uint64                          // storage generation, see Stamp
+	rec      *recorder                       // delta capture hook, nil unless tracked (see delta.go)
 }
 
 // storageGen issues a process-unique generation id every time a relation
@@ -181,7 +180,6 @@ func (r *Relation) share() *Relation {
 	// of r serves it as it is.
 	out.encoding.Store(r.encoding.Load())
 	out.indexes.Store(r.indexes.Load())
-	out.partitions.Store(r.partitions.Load())
 	out.demands.Store(cloneDemands(r.demands.Load()))
 	return out
 }
@@ -190,7 +188,7 @@ func (r *Relation) share() *Relation {
 // p is a snapshot of, those of p's encoding and indexes that are worth
 // bringing up to date for r's segments (patchable); each is when it is
 // next asked for.  Kinds r already has (the live header had built its own)
-// are left alone, and partitionings are not carried: they rebuild in full.
+// are left alone.
 // The selection demand p has seen carries over with them (access.go) — the
 // write in between reset the live header's, not what readers have asked
 // for — as long as the relation still has the segment count it was recorded

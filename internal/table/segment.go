@@ -36,7 +36,7 @@ package table
 // a tuple.  A tuple that was handed out never changes: rows hold tuples the
 // relation adopted, and a delete moves the last row header into the hole.
 //
-// The derived structures (Encoding, Index, CodedIndex, Partitioning)
+// The derived structures (Encoding, Index, CodedIndex)
 // remember the segment array they were built from.  A header whose array
 // holds the same segment pointers serves them as they are; a header that
 // inherited them from an earlier state of the relation (share,

@@ -161,17 +161,6 @@ func checkSidecars(t testing.TB, r *Relation, dict *Dict) {
 			}
 		}
 	}
-
-	for _, pos := range [][]int{nil, {0}} {
-		p := r.Partition(pos, 3)
-		got := map[string]int{}
-		for i := 0; i < p.Parts(); i++ {
-			for _, tp := range p.Bucket(i) {
-				got[tp.Key()]++
-			}
-		}
-		sameBag(fmt.Sprintf("Partition(%v)", pos), got)
-	}
 }
 
 // storageModel is the plain-map model a relation is checked against, with
