@@ -14,16 +14,19 @@
 //
 // Cross-checking these three against each other — where they must agree and
 // where they provably differ — is the substance of experiments E1–E9.
+//
+// Every world enumeration (routes 1 and 3, and Boolean certainty) runs on
+// one loop, runPool: the worlds of a sweep are the valuations in
+// valuation.Enumerate's order, or a list of materialized OWA worlds, and
+// each worker steps through a contiguous range of them.
 package certain
 
 import (
 	"fmt"
 
-	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/semantics"
 	"incdata/internal/table"
-	"incdata/internal/valuation"
 	"incdata/internal/value"
 )
 
@@ -42,11 +45,14 @@ type Options struct {
 	// ExtraConstants are added to the enumeration domain (e.g. constants
 	// mentioned by the query).
 	ExtraConstants []value.Value
-	// Workers enables parallel evaluation of worlds when > 1.
+	// Workers sizes the world pool: a sweep's worlds are split into
+	// contiguous ranges, one per worker, and one worker runs on the
+	// caller's goroutine (≤ 0 means GOMAXPROCS).
 	Workers int
-	// MaxWorlds aborts enumeration when the number of valuations of the
-	// sweep that would run (see checkWorldBound) exceeds the bound (0
-	// means no bound); this keeps experiment sweeps from running forever
+	// MaxWorlds aborts enumeration when the sweep that would run exceeds
+	// the bound (0 means no bound): its valuations — of the nulls the
+	// query reads, on a world plan — or materialized worlds under
+	// MaxExtraTuples.  This keeps experiment sweeps from running forever
 	// on instances with many nulls.
 	MaxWorlds int
 }
@@ -149,38 +155,24 @@ var ErrTooManyWorlds = fmt.Errorf("certain: world enumeration exceeds the config
 // order).
 var errNoWorlds = fmt.Errorf("certain: no worlds to intersect (empty enumeration domain)")
 
-// checkWorldBound enforces Options.MaxWorlds before a sweep starts, against
-// the sweep that will run: a world plan ranges over the nulls of the
-// relations the query reads; without one (the oracle path, OWA worlds) the
-// enumeration ranges over all of Null(D).
-func (o Options) checkWorldBound(wp *plan.WorldPlan, d *table.Database, dom semantics.Domain) error {
-	if o.MaxWorlds <= 0 {
-		return nil
-	}
-	worlds := 0
-	if wp != nil {
-		worlds = valuation.Count(len(wp.SortedNulls()), len(dom))
-	} else {
-		worlds = semantics.WorldCount(d, dom)
-	}
-	if worlds > o.MaxWorlds {
-		return ErrTooManyWorlds
-	}
-	return nil
-}
-
 // collectWorldsOWA enumerates OWA worlds (valuation images plus up to
-// MaxExtraTuples additional tuples over the domain).
+// MaxExtraTuples additional tuples over the domain).  MaxWorlds bounds both
+// the valuations and the worlds materialized: enumeration stops, with
+// ErrTooManyWorlds, as soon as one more world than the bound is held.
 func collectWorldsOWA(d *table.Database, opts Options) ([]*table.Database, error) {
 	dom := opts.domain(d)
-	if err := opts.checkWorldBound(nil, d, dom); err != nil {
-		return nil, err
+	bounded := opts.MaxWorlds > 0
+	if bounded && semantics.WorldCount(d, dom) > opts.MaxWorlds {
+		return nil, ErrTooManyWorlds
 	}
 	var worlds []*table.Database
 	semantics.EnumerateOWA(d, dom, opts.MaxExtraTuples, func(w *table.Database) bool {
 		worlds = append(worlds, w)
-		return true
+		return !bounded || len(worlds) <= opts.MaxWorlds
 	})
+	if bounded && len(worlds) > opts.MaxWorlds {
+		return nil, ErrTooManyWorlds
+	}
 	return worlds, nil
 }
 

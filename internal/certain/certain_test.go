@@ -2,6 +2,7 @@ package certain
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"incdata/internal/ra"
@@ -309,17 +310,30 @@ func TestOptionsAndErrors(t *testing.T) {
 	if _, err := ev.Compare(ra.Diff{Left: ra.Base("R"), Right: ra.Base("Nope")}, d, Options{}); err == nil {
 		t.Error("Compare should propagate errors from the ground-truth side")
 	}
-	// Parallel evaluation error propagation.
-	if _, err := parallelAnswers(bad, []*table.Database{d, d, d}, 2); err == nil {
-		t.Error("parallelAnswers should propagate errors")
+	// The world pool over materialized worlds: an evaluation error stops
+	// the sweep and comes back.
+	worlds := []*table.Database{d, d, d}
+	if _, _, err := ev.poolIntersect(len(worlds), 2, materializedWorker(bad, worlds)); err == nil {
+		t.Error("the world pool should propagate errors")
 	}
-	// Parallel with more workers than worlds degrades gracefully.
-	if answers, err := parallelAnswers(q, []*table.Database{d}, 8); err != nil || len(answers) != 1 {
-		t.Error("parallelAnswers with a single world should work")
+	// More workers than worlds: one worker per world at most.
+	if poolSize(1, 8) != 1 {
+		t.Errorf("poolSize(1, 8) = %d, want 1", poolSize(1, 8))
+	}
+	if answers, err := ev.poolCollect(1, 8, materializedWorker(q, worlds[:1]), nil); err != nil || len(answers) != 1 {
+		t.Errorf("the world pool over a single world: %d answers, %v", len(answers), err)
 	}
 	// Workers <= 0 falls back to GOMAXPROCS.
-	if answers, err := parallelAnswers(q, []*table.Database{d, d, d, d}, 0); err != nil || len(answers) != 4 {
-		t.Error("parallelAnswers with default workers should work")
+	if got, want := poolSize(4, 0), min(runtime.GOMAXPROCS(0), 4); got != want {
+		t.Errorf("poolSize(4, 0) = %d, want %d", got, want)
+	}
+	worlds = append(worlds, d)
+	before := ev.Stats().WorldsEvaluated
+	if tuples, _, err := ev.poolIntersect(len(worlds), 0, materializedWorker(q, worlds)); err != nil || len(tuples) != 3 {
+		t.Errorf("the world pool with default workers: %d tuples, %v", len(tuples), err)
+	}
+	if n := ev.Stats().WorldsEvaluated - before; n != 4 {
+		t.Errorf("the world pool with default workers evaluated %d worlds, want 4", n)
 	}
 }
 

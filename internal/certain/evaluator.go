@@ -7,7 +7,6 @@ import (
 	"incdata/internal/plan"
 	"incdata/internal/ra"
 	"incdata/internal/schema"
-	"incdata/internal/semantics"
 	"incdata/internal/table"
 )
 
@@ -170,31 +169,21 @@ func (ev *Evaluator) evalMaybePlanned(q ra.Expr, d *table.Database) (*table.Rela
 	return ra.Eval(q, d)
 }
 
-// sweepPlan prepares a CWA sweep of q over d: the enumeration domain, and
-// the world plan the sweep runs on — nil under planner off or when the
-// planner rejects q, which is the oracle path.  It fails when the sweep
-// would exceed Options.MaxWorlds.
-func (ev *Evaluator) sweepPlan(q ra.Expr, d *table.Database, opts Options) (*plan.WorldPlan, semantics.Domain, error) {
-	opts = opts.withDefaults(d).withQueryConstants(q)
-	dom := opts.domain(d)
-	wp := ev.worldPlanFor(q, d)
-	return wp, dom, opts.checkWorldBound(wp, d, dom)
-}
-
 // ByWorldsCWA computes the intersection-based certain answers under CWA by
 // explicit world enumeration:  ⋂ { Q(v(D)) | v valuation into the finite
 // domain }.  For generic queries with enough fresh constants in the domain
 // this equals certain(Q,D) under [[·]]cwa.
 //
 // Worlds are never materialized: the query is evaluated under a valuation
-// view of the base database, a running intersection is maintained, and the
-// enumeration aborts as soon as the intersection is empty.
+// view of the base database (or a world-plan session), a running
+// intersection is maintained, and the enumeration aborts as soon as the
+// intersection is empty.
 func (ev *Evaluator) ByWorldsCWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
-	wp, dom, err := ev.sweepPlan(q, d, opts)
+	s, err := ev.cwaSweep(q, d, opts)
 	if err != nil {
 		return nil, err
 	}
-	return ev.intersectWorldsCWA(wp, q, d, dom, opts.Workers)
+	return ev.intersect(s, opts.Workers)
 }
 
 // ByWorldsOWA computes intersection-based certain answers under OWA over
@@ -214,11 +203,7 @@ func (ev *Evaluator) ByWorldsOWA(q ra.Expr, d *table.Database, opts Options) (*t
 	if err != nil {
 		return nil, err
 	}
-	answers, err := answersOnWorlds(q, worlds, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return order.IntersectionRelations(answers)
+	return ev.intersect(sweep{n: len(worlds), worker: materializedWorker(q, worlds)}, opts.Workers)
 }
 
 // CertainObjectCWA computes certainO(Q,D) under CWA: the greatest lower
@@ -227,11 +212,11 @@ func (ev *Evaluator) ByWorldsOWA(q ra.Expr, d *table.Database, opts Options) (*t
 // Section 6.1 says this equals Q(D) itself (naïve evaluation, nulls kept);
 // experiment E8/E11 verify the equality.
 func (ev *Evaluator) CertainObjectCWA(q ra.Expr, d *table.Database, opts Options) (*table.Relation, error) {
-	wp, dom, err := ev.sweepPlan(q, d, opts)
+	s, err := ev.cwaSweep(q, d, opts)
 	if err != nil {
 		return nil, err
 	}
-	answers, err := ev.collectAnswersCWA(wp, q, d, dom, opts.Workers)
+	answers, err := ev.collectAnswers(s, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -243,25 +228,11 @@ func (ev *Evaluator) CertainObjectCWA(q ra.Expr, d *table.Database, opts Options
 // evaluates through a valuation view (no world materialization) and stops
 // at the first counterexample world.
 func (ev *Evaluator) BoolCertainCWA(q ra.Expr, d *table.Database, opts Options) (bool, error) {
-	wp, dom, err := ev.sweepPlan(q, d, opts)
+	s, err := ev.cwaSweep(q, d, opts)
 	if err != nil {
 		return false, err
 	}
-	if wp != nil {
-		return ev.boolCertainPlanned(wp, dom)
-	}
-	certain := true
-	err = ev.forEachWorldAnswer(q, d, dom, func(ans *table.Relation) bool {
-		if ans.Len() == 0 {
-			certain = false
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return false, err
-	}
-	return certain, nil
+	return ev.allNonempty(s, opts.Workers)
 }
 
 // Compare checks naïve-evaluation certain answers against the

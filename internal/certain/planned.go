@@ -3,16 +3,13 @@ package certain
 import (
 	"incdata/internal/plan"
 	"incdata/internal/ra"
-	"incdata/internal/semantics"
 	"incdata/internal/table"
 	"incdata/internal/valuation"
-	"incdata/internal/value"
 )
 
 // Planner-backed world enumeration.  plan.ForWorlds factors the query into
 // a world-invariant stable part, evaluated once, and a per-valuation delta
-// plan; the certain-answer combinators below exploit the factorization
-// directly:
+// plan; the certain-answer combinators exploit the factorization directly:
 //
 //   - Intersection: ⋂_v (S ∪ D_v) = S ∪ ⋂_v D_v, so the running
 //     intersection touches only the (tiny) deltas.
@@ -41,17 +38,19 @@ func (ev *Evaluator) worldPlanFor(q ra.Expr, d *table.Database) *plan.WorldPlan 
 	return wp
 }
 
-// enumerate calls fn with every valuation of nulls into dom until fn returns
-// false, records the sweep in the evaluator's counters (one update per
-// sweep) and returns the number of worlds fn saw.
-func (ev *Evaluator) enumerate(nulls []value.Value, dom semantics.Domain, fn func(valuation.Valuation) bool) int {
-	worlds := 0
-	all := valuation.Enumerate(nulls, dom.Values(), func(v valuation.Valuation) bool {
-		worlds++
-		return fn(v)
-	})
-	ev.noteSweep(worlds, !all)
-	return worlds
+// plannedEval gives a worker a session of its own on wp, handed back to the
+// plan's pool at the end.  A world's result is its delta when the plan is
+// splittable, its full answer otherwise; either is the session's, valid
+// until its next call.
+func plannedEval(wp *plan.WorldPlan) func() (worldEval, func()) {
+	return func() (worldEval, func()) {
+		sess := wp.AcquireSession()
+		release := func() { wp.ReleaseSession(sess) }
+		if wp.Splittable() {
+			return sess.Delta, release
+		}
+		return sess.Answer, release
+	}
 }
 
 // noteSweep counts one world enumeration: how many worlds it evaluated, and
@@ -65,112 +64,105 @@ func (ev *Evaluator) noteSweep(worlds int, early bool) {
 	}
 }
 
-// intersectWorldsPlanned computes ⋂ { Q(v(D)) | v } through the factored
-// plan.  Every planned sweep ranges over wp.SortedNulls(), the nulls of the
-// relations the query reads: a valuation of any other null cannot change
-// the answer.
-func (ev *Evaluator) intersectWorldsPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) (*table.Relation, error) {
-	if workers > 1 {
-		return ev.parallelIntersectPlanned(wp, dom, workers)
+// sweep is a world loop ready to run: its n worlds and how a worker
+// evaluates them.  A CWA sweep ranges over valuations, on a world plan of
+// wp.SortedNulls() only: the nulls of the relations the query reads, since
+// a valuation of any other null cannot change the answer.  On a
+// splittable plan the workers yield deltas, to be combined with
+// wp.Stable().
+type sweep struct {
+	n      int
+	worker worldWorker
+	wp     *plan.WorldPlan // nil on the oracle path and over materialized worlds
+	split  bool
+}
+
+// cwaSweep prepares the CWA sweep of q over d: on the world plan, or on
+// the oracle under planner off or when the planner rejects q.  It fails
+// when the sweep would exceed Options.MaxWorlds.
+func (ev *Evaluator) cwaSweep(q ra.Expr, d *table.Database, opts Options) (sweep, error) {
+	opts = opts.withDefaults(d).withQueryConstants(q)
+	dom := opts.domain(d)
+	s := sweep{wp: ev.worldPlanFor(q, d)}
+	nulls, eval := d.SortedNulls(), oracleEval(q, d)
+	if s.wp != nil {
+		nulls, eval, s.split = s.wp.SortedNulls(), plannedEval(s.wp), s.wp.Splittable()
 	}
-	sess := wp.AcquireSession()
-	defer wp.ReleaseSession(sess)
-	var evalErr error
-	if wp.Splittable() {
-		// Running intersection of the deltas as a slice of tuples: per world
-		// only membership probes against the current delta, no map copying.
-		// A delta's tuples are immutable and freshly allocated, so keeping
-		// them across the session's next call is safe.
-		var cands []table.Tuple
-		first := true
-		worlds := ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
-			delta, err := sess.Delta(v)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if first {
-				first = false
-				delta.Each(func(t table.Tuple) bool {
-					cands = append(cands, t)
-					return true
-				})
-			} else {
-				w := 0
-				for _, t := range cands {
-					if delta.Contains(t) {
-						cands[w] = t
-						w++
-					}
-				}
-				cands = cands[:w]
-			}
-			// Once the delta intersection is empty the result is exactly the
-			// stable part; further worlds cannot change it.
-			return len(cands) > 0
-		})
-		if evalErr != nil {
-			return nil, evalErr
-		}
-		if worlds == 0 {
-			return nil, errNoWorlds
-		}
-		stable, err := wp.Stable()
+	s.n = valuation.Count(len(nulls), len(dom))
+	if opts.MaxWorlds > 0 && s.n > opts.MaxWorlds {
+		return s, ErrTooManyWorlds
+	}
+	s.worker = valuationWorker(nulls, dom, eval)
+	return s, nil
+}
+
+// intersect computes ⋂ { Q(v(D)) | v } over the sweep, aborting as soon as
+// the intersection is empty (sound for any query: intersecting further
+// worlds cannot grow it).  On a splittable plan only the deltas are
+// intersected, and the stable part is added at the end.
+func (ev *Evaluator) intersect(s sweep, workers int) (*table.Relation, error) {
+	cands, rs, err := ev.poolIntersect(s.n, workers, s.worker)
+	if err != nil {
+		return nil, err
+	}
+	if s.wp != nil {
+		rs = s.wp.OutSchema()
+	}
+	out := table.NewRelation(rs)
+	if s.split {
+		stable, err := s.wp.Stable()
 		if err != nil {
 			return nil, err
 		}
-		out := table.NewRelation(wp.OutSchema())
 		if err := out.AddAll(stable); err != nil {
 			return nil, err
 		}
-		for _, t := range cands {
-			out.MustAdd(t)
-		}
-		return out, nil
 	}
-	var running *table.Relation
-	worlds := ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
-		ans, err := sess.Answer(v)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if running == nil {
-			running = ans.Clone()
-		} else {
-			running.Retain(ans.Contains)
-		}
-		return running.Len() > 0
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	if worlds == 0 {
-		return nil, errNoWorlds
-	}
-	return running.WithSchema(wp.OutSchema()), nil
-}
-
-// mergeStableDelta materializes stable ∪ delta under the plan's output
-// schema; delta may be nil (no surviving delta tuples).
-func mergeStableDelta(wp *plan.WorldPlan, stable, delta *table.Relation) (*table.Relation, error) {
-	out := table.NewRelation(wp.OutSchema())
-	if err := out.AddAll(stable); err != nil {
-		return nil, err
-	}
-	if delta != nil && delta.Len() > 0 {
-		if err := out.AddAll(delta); err != nil {
-			return nil, err
-		}
+	for _, t := range cands {
+		out.MustAdd(t)
 	}
 	return out, nil
 }
 
-// boolCertainPlanned decides Boolean certainty through the factored plan.
-func (ev *Evaluator) boolCertainPlanned(wp *plan.WorldPlan, dom semantics.Domain) (bool, error) {
-	split := wp.Splittable()
-	if split {
-		stable, err := wp.Stable()
+// collectAnswers evaluates the query on every world of the sweep and
+// returns the distinct answers (deduplicated by canonical key; duplicate
+// worlds and worlds with equal answers collapse).  The GLB construction is
+// invariant under duplicates, so deduplication is purely an optimization.
+func (ev *Evaluator) collectAnswers(s sweep, workers int) ([]*table.Relation, error) {
+	var stable *table.Relation
+	var normalize func(*table.Relation)
+	if s.split {
+		var err error
+		if stable, err = s.wp.Stable(); err != nil {
+			return nil, err
+		}
+		// So that the delta's key identifies the full answer.
+		normalize = func(delta *table.Relation) {
+			delta.Retain(func(t table.Tuple) bool { return !stable.Contains(t) })
+		}
+	}
+	answers, err := ev.poolCollect(s.n, workers, s.worker, normalize)
+	if err != nil || stable == nil {
+		return answers, err
+	}
+	for i, delta := range answers {
+		out := table.NewRelation(s.wp.OutSchema())
+		if err := out.AddAll(stable); err != nil {
+			return nil, err
+		}
+		if err := out.AddAll(delta); err != nil {
+			return nil, err
+		}
+		answers[i] = out
+	}
+	return answers, nil
+}
+
+// allNonempty decides Boolean certainty over the sweep: true iff the query
+// is nonempty in every world.
+func (ev *Evaluator) allNonempty(s sweep, workers int) (bool, error) {
+	if s.split {
+		stable, err := s.wp.Stable()
 		if err != nil {
 			return false, err
 		}
@@ -180,142 +172,7 @@ func (ev *Evaluator) boolCertainPlanned(wp *plan.WorldPlan, dom semantics.Domain
 			ev.noteSweep(0, true)
 			return true, nil
 		}
-	}
-	sess := wp.AcquireSession()
-	defer wp.ReleaseSession(sess)
-	certain := true
-	var evalErr error
-	ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
 		// With an empty stable part the delta alone decides a world.
-		ans, err := worldResult(sess, split, v)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		certain = ans.Len() > 0
-		return certain
-	})
-	return certain && evalErr == nil, evalErr
-}
-
-// worldResult evaluates one world on a session: its delta when the plan is
-// splittable, its full answer otherwise.  The relation is the session's,
-// valid until the session's next call.
-func worldResult(sess *plan.Session, split bool, v valuation.Valuation) (*table.Relation, error) {
-	if split {
-		return sess.Delta(v)
 	}
-	return sess.Answer(v)
-}
-
-// collectAnswersPlanned gathers the distinct per-world answers through the
-// factored plan (for the certainO GLB).
-func (ev *Evaluator) collectAnswersPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) ([]*table.Relation, error) {
-	if workers > 1 {
-		return ev.parallelCollectPlanned(wp, dom, workers)
-	}
-	sess := wp.AcquireSession()
-	defer wp.ReleaseSession(sess)
-	seen := map[string]bool{}
-	var answers []*table.Relation
-	var evalErr error
-	if wp.Splittable() {
-		stable, err := wp.Stable()
-		if err != nil {
-			return nil, err
-		}
-		ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
-			delta, err := sess.Delta(v)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			// Normalize so the delta key identifies the full answer: the
-			// stable part is fixed across worlds.
-			delta.Retain(func(t table.Tuple) bool { return !stable.Contains(t) })
-			k := delta.CanonicalKey()
-			if !seen[k] {
-				seen[k] = true
-				full, err := mergeStableDelta(wp, stable, delta)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				answers = append(answers, full)
-			}
-			return true
-		})
-		return answers, evalErr
-	}
-	ev.enumerate(wp.SortedNulls(), dom, func(v valuation.Valuation) bool {
-		ans, err := sess.Answer(v)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		k := ans.CanonicalKey()
-		if !seen[k] {
-			seen[k] = true
-			answers = append(answers, ans.Clone())
-		}
-		return true
-	})
-	return answers, evalErr
-}
-
-// plannedWorker is a pool worker's evaluation state over a world plan (see
-// runPool): a session of its own, handed back to the plan's pool at the end.
-func plannedWorker(wp *plan.WorldPlan) worldWorker {
-	split := wp.Splittable()
-	return func() (func(valuation.Valuation) (*table.Relation, error), func()) {
-		sess := wp.AcquireSession()
-		return func(v valuation.Valuation) (*table.Relation, error) { return worldResult(sess, split, v) },
-			func() { wp.ReleaseSession(sess) }
-	}
-}
-
-// parallelIntersectPlanned is intersectWorldsPlanned over a worker pool:
-// per-worker running intersections of the deltas (or full answers), merged
-// at the end.
-func (ev *Evaluator) parallelIntersectPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) (*table.Relation, error) {
-	running, err := ev.poolIntersect(wp.SortedNulls(), dom, workers, plannedWorker(wp))
-	if err != nil {
-		return nil, err
-	}
-	if wp.Splittable() {
-		stable, err := wp.Stable()
-		if err != nil {
-			return nil, err
-		}
-		return mergeStableDelta(wp, stable, running)
-	}
-	return running.WithSchema(wp.OutSchema()), nil
-}
-
-// parallelCollectPlanned is collectAnswersPlanned over a worker pool with
-// local dedup; full answers are materialized once per globally distinct
-// answer.
-func (ev *Evaluator) parallelCollectPlanned(wp *plan.WorldPlan, dom semantics.Domain, workers int) ([]*table.Relation, error) {
-	var stable *table.Relation
-	var normalize func(*table.Relation)
-	if wp.Splittable() {
-		var err error
-		if stable, err = wp.Stable(); err != nil {
-			return nil, err
-		}
-		// So that the delta's key identifies the full answer.
-		normalize = func(delta *table.Relation) {
-			delta.Retain(func(t table.Tuple) bool { return !stable.Contains(t) })
-		}
-	}
-	answers, err := ev.poolCollect(wp.SortedNulls(), dom, workers, plannedWorker(wp), normalize)
-	if err != nil || stable == nil {
-		return answers, err
-	}
-	for i, delta := range answers {
-		if answers[i], err = mergeStableDelta(wp, stable, delta); err != nil {
-			return nil, err
-		}
-	}
-	return answers, nil
+	return ev.poolAllNonempty(s.n, workers, s.worker)
 }

@@ -99,17 +99,12 @@ func TestPlannerDifferentialCertainPaths(t *testing.T) {
 				opts := Options{ExtraFresh: 1, MaxWorlds: 1 << 20, Workers: workers}
 
 				// The GLB construction behind CertainObjectCWA multiplies
-				// answer relations, and its pairwise fold order determines
-				// the intermediate product sizes: on moderate answer sets
-				// an unlucky order exceeds the core budget and snowballs —
-				// planner on or off alike, and with workers the order is
-				// scheduling-dependent.  So the full certainO differential
-				// runs serially on tiny-answer queries only; the parallel
-				// paths are covered by the order-insensitive comparison of
-				// the collected answer sets, which is the part the planner
-				// rebuilt.
-				checkCertainO := workers == 0 &&
-					(name == "base" || name == "select" || name == "delta")
+				// answer relations, and on moderate answer sets it exceeds
+				// the core budget and snowballs, planner on or off alike.
+				// So the full certainO differential runs on tiny-answer
+				// queries only; the others compare the collected answer
+				// sets, which is the part the planner rebuilt.
+				checkCertainO := name == "base" || name == "select" || name == "delta"
 
 				type outcome struct {
 					byWorlds, certainO, naive, owa string
@@ -137,10 +132,10 @@ func TestPlannerDifferentialCertainPaths(t *testing.T) {
 					o.errs[4] = err
 					o.owa = relFingerprint(r4)
 					// The distinct per-world answer set (certainO's input).
-					wp, dom, err := ev.sweepPlan(q, d, opts)
+					s, err := ev.cwaSweep(q, d, opts)
 					var answers []*table.Relation
 					if err == nil {
-						answers, err = ev.collectAnswersCWA(wp, q, d, dom, workers)
+						answers, err = ev.collectAnswers(s, workers)
 					}
 					o.errs[5] = err
 					for _, a := range answers {
@@ -162,8 +157,8 @@ func TestPlannerDifferentialCertainPaths(t *testing.T) {
 					t.Errorf("%s seed=%d workers=%d: ByWorldsCWA differs", name, seed, workers)
 				}
 				if checkCertainO && on.certainO != off.certainO {
-					// Serial enumeration is fully deterministic: require
-					// bit-identical GLBs.
+					// The pool collects answers in the serial order at any
+					// worker count: require bit-identical GLBs.
 					t.Errorf("%s seed=%d workers=%d: CertainObjectCWA differs", name, seed, workers)
 				}
 				if on.boolCertain != off.boolCertain {
@@ -237,7 +232,7 @@ func unreadNullsDB() *table.Database {
 // the relations the query reads, not Null(D).  U carries three nulls no
 // query below can see; the answers must equal the oracle's (which ranges
 // over all five), and the worlds evaluated must be |dom|^(nulls read), at
-// one worker and over the pool, whose feeder takes the same list.
+// one worker and over the pool, whose ranges split the same list.
 func TestSweepRangesOverReadNullsOnly(t *testing.T) {
 	d := unreadNullsDB()
 	const dom = 4 // 1, 2, 3 and one fresh constant
@@ -367,6 +362,28 @@ func TestMaxWorldsBoundsTheSweepThatRuns(t *testing.T) {
 		}
 		if _, err := sweep(NewEvaluator(false), Options{MaxWorlds: maxWorlds}); !errors.Is(err, ErrTooManyWorlds) {
 			t.Errorf("%s: planner off under MaxWorlds=%d: %v, want ErrTooManyWorlds", name, maxWorlds, err)
+		}
+	}
+
+	// Under MaxExtraTuples the bound counts materialized OWA worlds: R =
+	// {(1, ⊥1), (2, 3)} has 4 valuations but 344 worlds with up to two
+	// extra tuples over {1, 2, 3, @w0}.
+	owa := table.NewDatabase(schema.MustNew(schema.NewRelation("R", "a", "b")))
+	owa.MustAddRow("R", "1", "⊥1")
+	owa.MustAddRow("R", "2", "3")
+	for _, planner := range []bool{true, false} {
+		ev := NewEvaluator(planner)
+		if _, err := ev.ByWorldsOWA(ra.Base("R"), owa, Options{MaxWorlds: 10, MaxExtraTuples: 2}); !errors.Is(err, ErrTooManyWorlds) {
+			t.Errorf("planner=%v: OWA with extra tuples under MaxWorlds=10: %v, want ErrTooManyWorlds", planner, err)
+		}
+		if st := ev.Stats(); st.Sweeps != 0 || st.WorldsEvaluated != 0 {
+			t.Errorf("planner=%v: a refused OWA sweep counted %+v", planner, st)
+		}
+		if _, err := ev.ByWorldsOWA(ra.Base("R"), owa, Options{MaxExtraTuples: 2, Workers: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if st := ev.Stats(); st.Sweeps != 1 || st.WorldsEvaluated != 344 {
+			t.Errorf("planner=%v: unbounded OWA sweep counted %+v, want 1 sweep of 344 worlds", planner, st)
 		}
 	}
 }

@@ -144,17 +144,18 @@ type Options struct {
 	// and the constants mentioned by the query.
 	ExtraConstants []value.Value
 
-	// Workers sizes the per-world enumeration pool of the world-sweep
-	// modes: 0 (the zero value) means GOMAXPROCS, 1 sweeps serially (the
-	// differential oracle every pooled result is pinned against), and > 1
-	// uses a pool of exactly that many goroutines.  Plans always evaluate
-	// serially; Engine.Serve parallelizes across the queries of a batch.
+	// Workers sizes the world pool of the world-sweep modes: a sweep's
+	// valuations are split into one contiguous range per worker, and one
+	// worker runs on the caller's goroutine.  0 (the zero value) means
+	// GOMAXPROCS.  Answers are the same at any count.  Plans always
+	// evaluate serially; Engine.Serve parallelizes across the queries of
+	// a batch.
 	Workers int
 
 	// MaxWorlds aborts world enumeration when the sweep that would run
-	// needs more valuations (0 means no bound): |dom|^(nulls of the
-	// relations the query reads) under the planner, |dom|^|Null(D)| with
-	// PlannerOff.
+	// exceeds it (0 means no bound): its valuations, |dom|^(nulls of the
+	// relations the query reads) under the planner and |dom|^|Null(D)|
+	// with PlannerOff, or materialized worlds under MaxExtraTuples.
 	MaxWorlds int
 
 	// MemBudget, when positive, bounds (approximately, in bytes) the
@@ -168,8 +169,8 @@ type Options struct {
 	MemBudget int64
 }
 
-// resolvedWorkers resolves the Workers knob for the per-world pool: 0 (the
-// zero value) means GOMAXPROCS, anything below 1 clamps to serial.
+// resolvedWorkers resolves the Workers knob for the world pool: 0 (the
+// zero value) means GOMAXPROCS, anything below 1 clamps to one worker.
 func (o Options) resolvedWorkers() int {
 	if o.Workers == 0 {
 		return runtime.GOMAXPROCS(0)

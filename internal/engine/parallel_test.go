@@ -78,6 +78,9 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 	check := func(eng *Engine, mode Mode, extra Options) {
 		t.Helper()
 		for name, q := range queries {
+			if mode == ModeCertainObject && name == "select" {
+				continue // its GLB takes ~1 s in order's core, with no world pool to it
+			}
 			for _, planner := range []PlannerSetting{PlannerOn, PlannerOff} {
 				opts := extra
 				opts.Mode = mode
@@ -106,6 +109,7 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 	worldOpts := Options{ExtraFresh: 1, MaxWorlds: 1 << 18}
 	check(med, ModeCertainCWA, worldOpts)
 	check(med, ModeCertainOWA, worldOpts)
+	check(med, ModeCertainObject, worldOpts)
 
 	// Boolean certainty through the same worker knob.
 	q := ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "c"}}

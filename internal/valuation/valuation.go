@@ -186,14 +186,24 @@ func FreshFor(d *table.Database) Valuation {
 }
 
 // Enumerate calls fn with every total valuation of the given nulls into the
-// given constant domain, in a deterministic order.  It stops early (and
-// reports false) when fn returns false.  The number of valuations is
+// given constant domain, in a deterministic order: nulls and constants
+// sorted, the last null varying fastest.  It stops early (and reports
+// false) when fn returns false.  The number of valuations is
 // |domain|^|nulls|, so callers must keep both small; this is the
 // world-enumeration ground truth used by the certain-answer experiments.
 //
 // The Valuation passed to fn is reused across calls; fn must Clone it if it
 // wants to retain it.
 func Enumerate(nulls []value.Value, domain []value.Value, fn func(Valuation) bool) bool {
+	return EnumerateRange(nulls, domain, 0, math.MaxInt, fn)
+}
+
+// EnumerateRange is Enumerate restricted to the valuations at positions
+// [lo, hi) of Enumerate's order: an odometer over the domain that starts at
+// position lo.  hi = math.MaxInt leaves the range open at the end, so a
+// count saturated there (see Count) still reaches the last valuation.
+// Consecutive ranges run back to back call fn exactly as Enumerate does.
+func EnumerateRange(nulls []value.Value, domain []value.Value, lo, hi int, fn func(Valuation) bool) bool {
 	ns := make([]value.Value, 0, len(nulls))
 	for _, n := range nulls {
 		if n.IsNull() {
@@ -210,28 +220,45 @@ func Enumerate(nulls []value.Value, domain []value.Value, fn func(Valuation) boo
 	}
 	slices.SortFunc(dom, value.Compare)
 
+	lo = max(lo, 0)
 	if len(ns) == 0 {
-		return fn(New())
+		if lo == 0 && hi > 0 {
+			return fn(New())
+		}
+		return true
 	}
 	if len(dom) == 0 {
 		return true // no valuations exist
 	}
 
-	v := New()
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(ns) {
-			return fn(v)
-		}
-		for _, c := range dom {
-			v[ns[i]] = c
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
+	// Seek: the digits of lo in base |dom|, the last null's least significant.
+	digits := make([]int, len(ns))
+	rest := lo
+	for i := len(ns) - 1; i >= 0; i-- {
+		digits[i], rest = rest%len(dom), rest/len(dom)
 	}
-	return rec(0)
+	if rest > 0 {
+		return true // lo is past the last valuation
+	}
+	v := make(Valuation, len(ns))
+	for p, i := lo, 0; hi == math.MaxInt || p < hi; p++ {
+		for ; i < len(ns); i++ {
+			v[ns[i]] = dom[digits[i]]
+		}
+		if !fn(v) {
+			return false
+		}
+		// Step: carry into the rightmost digit below its maximum, and
+		// rebind the nulls from it on.
+		for i = len(ns) - 1; i >= 0 && digits[i] == len(dom)-1; i-- {
+			digits[i] = 0
+		}
+		if i < 0 {
+			return true // wrapped past the last valuation
+		}
+		digits[i]++
+	}
+	return true
 }
 
 // Count returns the number of total valuations of k nulls into a domain of

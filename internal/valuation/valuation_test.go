@@ -2,6 +2,7 @@ package valuation
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"incdata/internal/schema"
@@ -236,5 +237,102 @@ func TestCountSaturatesAtMaxInt(t *testing.T) {
 	// Saturated counts must still exceed any positive bound.
 	if Count(40, 1000) <= 1<<40 {
 		t.Error("saturated count does not dominate large bounds")
+	}
+}
+
+// enumerateRef is the recursive enumeration EnumerateRange's odometer
+// replaced: the first null varies slowest.
+func enumerateRef(ns, dom []value.Value) []string {
+	if len(ns) == 0 {
+		return []string{New().String()}
+	}
+	var out []string
+	v := New()
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(ns) {
+			out = append(out, v.String())
+			return
+		}
+		for _, c := range dom {
+			v[ns[i]] = c
+			rec(i + 1)
+		}
+	}
+	rec(0)
+	return out
+}
+
+// TestEnumerateRangeSplits: for small null and domain sizes and every
+// split point, the ranges [0, s) and [s, end) run back to back call fn with
+// exactly Enumerate's sequence, which is the recursive order; so do three
+// ranges, the last one open at math.MaxInt.
+func TestEnumerateRangeSplits(t *testing.T) {
+	for k := 0; k <= 3; k++ {
+		for d := 0; d <= 3; d++ {
+			var ns, dom []value.Value
+			for i := k; i >= 1; i-- { // unsorted on purpose
+				ns = append(ns, value.Null(uint64(i)))
+			}
+			for i := d; i >= 1; i-- {
+				dom = append(dom, value.Int(int64(i)))
+			}
+			want := enumerateRef([]value.Value{value.Null(1), value.Null(2), value.Null(3)}[:k],
+				[]value.Value{value.Int(1), value.Int(2), value.Int(3)}[:d])
+			var full []string
+			if !Enumerate(ns, dom, func(v Valuation) bool { full = append(full, v.String()); return true }) {
+				t.Fatalf("k=%d d=%d: Enumerate stopped", k, d)
+			}
+			if !slices.Equal(full, want) {
+				t.Fatalf("k=%d d=%d: Enumerate %v, want %v", k, d, full, want)
+			}
+			n := Count(k, d)
+			for s1 := 0; s1 <= n+1; s1++ {
+				for s2 := s1; s2 <= n+1; s2++ {
+					var got []string
+					for _, r := range [][2]int{{0, s1}, {s1, s2}, {s2, math.MaxInt}} {
+						if !EnumerateRange(ns, dom, r[0], r[1], func(v Valuation) bool { got = append(got, v.String()); return true }) {
+							t.Fatalf("k=%d d=%d: range %v stopped", k, d, r)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("k=%d d=%d splits %d,%d: %v, want %v", k, d, s1, s2, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestEnumerateRangeEdges(t *testing.T) {
+	ns := []value.Value{value.Null(1), value.Null(2)}
+	dom := []value.Value{value.Int(1), value.Int(2)}
+	count := func(lo, hi int) (int, bool) {
+		c := 0
+		done := EnumerateRange(ns, dom, lo, hi, func(Valuation) bool { c++; return true })
+		return c, done
+	}
+	for _, c := range []struct{ lo, hi, want int }{
+		{4, 10, 0}, {100, math.MaxInt, 0}, {3, 2, 0}, {-5, 2, 2}, {1, 3, 2}, {3, math.MaxInt, 1},
+	} {
+		if got, done := count(c.lo, c.hi); got != c.want || !done {
+			t.Errorf("[%d, %d): %d calls (done %v), want %d", c.lo, c.hi, got, done, c.want)
+		}
+	}
+	// No nulls: the empty valuation is position 0 only.
+	if n := 0; !EnumerateRange(nil, dom, 1, 5, func(Valuation) bool { n++; return true }) || n != 0 {
+		t.Errorf("no nulls past position 0: %d calls", n)
+	}
+	// Empty domain: no valuation in any range.
+	if n := 0; !EnumerateRange(ns, nil, 0, math.MaxInt, func(Valuation) bool { n++; return true }) || n != 0 {
+		t.Errorf("empty domain: %d calls", n)
+	}
+	// Early stop inside a range that starts mid-way.
+	var seen []string
+	if EnumerateRange(ns, dom, 1, math.MaxInt, func(v Valuation) bool { seen = append(seen, v.String()); return len(seen) < 2 }) {
+		t.Error("early stop reported completion")
+	}
+	if want := []string{"{⊥1↦1, ⊥2↦2}", "{⊥1↦2, ⊥2↦1}"}; !slices.Equal(seen, want) {
+		t.Errorf("early stop saw %v, want %v", seen, want)
 	}
 }

@@ -194,6 +194,27 @@ func BenchmarkWorldSweep(b *testing.B) {
 	}
 }
 
+// TestWorldSweepPoolAllocs pins what a pooled sweep costs over a serial
+// one: each worker steps an odometer through a contiguous range of
+// valuations, so Workers: 2 allocates what Workers: 1 does plus a second
+// session's and intersection's worth, not a copy of every valuation.
+func TestWorldSweepPoolAllocs(t *testing.T) {
+	d := sweepDB(3)
+	allocs := func(workers int) float64 {
+		ev := certain.NewEvaluator(true)
+		return testing.AllocsPerRun(3, func() {
+			if ans, err := ev.ByWorldsCWA(sweepQuery, d, certain.Options{Workers: workers}); err != nil || ans.Len() == 0 {
+				t.Fatalf("sweep at %d workers: %v", workers, err)
+			}
+		})
+	}
+	serial, pooled := allocs(1), allocs(2)
+	t.Logf("allocs per sweep: %.0f at 1 worker, %.0f at 2", serial, pooled)
+	if pooled >= 1.1*serial {
+		t.Errorf("a sweep allocates %.0f times at 2 workers, %.0f at 1: want under 1.1×", pooled, serial)
+	}
+}
+
 // snapshottedRelation returns a database whose relation R(a, b) holds n
 // tuples and has been written once after a snapshot, so that its storage
 // is segmented the way a live engine's is.
