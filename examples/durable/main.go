@@ -5,8 +5,7 @@
 // sha256-keyed chunks shared across commits, and Open replays the log's
 // valid prefix — a torn tail from a crash is truncated, landing the
 // engine on the last fully appended commit with the whole history (and
-// time travel) intact.  A memory budget on evaluation demonstrates the
-// spill-to-disk join on the reopened store.
+// time travel) intact.
 package main
 
 import (
@@ -87,24 +86,6 @@ func main() {
 		must(err)
 		fmt.Printf("unpaid %-24s %v\n", at.label+":", r)
 	}
-
-	// Larger than RAM: a tiny MemBudget forces the join to spill both
-	// sides to disk partitions — same certain answer, bounded memory.
-	paid := ra.Project{
-		Input: ra.Join{
-			Left:  ra.Base("Order"),
-			Right: ra.Rename{Input: ra.Base("Pay"), As: "P", Attrs: []string{"p_id", "o_id", "amount"}},
-		},
-		Attrs: []string{"o_id", "amount"},
-	}
-	unbounded, err := eng2.Eval(paid, certain)
-	must(err)
-	budgeted := certain
-	budgeted.MemBudget = 64 // bytes — everything spills
-	spilled, err := eng2.Eval(paid, budgeted)
-	must(err)
-	fmt.Printf("\npaid join unbounded:        %v\n", unbounded)
-	fmt.Printf("paid join with 64B budget:  %v  (identical: %v)\n", spilled, spilled.Equal(unbounded))
 }
 
 func must(err error) {

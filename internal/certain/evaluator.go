@@ -127,8 +127,8 @@ func (ev *Evaluator) Naive(q ra.Expr, d *table.Database) (*table.Relation, error
 }
 
 // NaiveWith is Naive with an explicit plan execution configuration
-// (coded/row path selection and join memory budget; a subtree the coded
-// path refuses runs on the row path).  With the planner on the compiled
+// (coded/row path selection; a subtree the coded path refuses runs on the
+// row path).  With the planner on the compiled
 // plan evaluates serially under cfg; the oracle path ignores cfg.  The
 // result is bit-identical to Naive's for every configuration.
 func (ev *Evaluator) NaiveWith(q ra.Expr, d *table.Database, cfg plan.EvalConfig) (*table.Relation, error) {

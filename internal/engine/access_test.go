@@ -17,9 +17,9 @@ import (
 // accessOptions is the planned execution matrix an access-path answer must
 // not depend on.
 func accessOptions() map[string]Options {
-	out := map[string]Options{"budget": {MemBudget: 1 << 12}}
+	out := map[string]Options{}
 	for _, w := range []int{1, 2, 4} {
-		out[fmt.Sprint("row/w", w)] = Options{Workers: w, Coded: CodedOff}
+		out[fmt.Sprint("row/w", w)] = Options{Workers: w, rowOnly: true}
 		out[fmt.Sprint("coded/w", w)] = Options{Workers: w}
 	}
 	return out

@@ -64,12 +64,12 @@ func TestEngineCodedBitIdentical(t *testing.T) {
 		for _, mode := range []Mode{ModeCertain, ModeNaive} {
 			for _, planner := range []PlannerSetting{PlannerOn, PlannerOff} {
 				for _, workers := range []int{1, 2, 4} {
-					opts := Options{Mode: mode, Planner: planner, Workers: workers, Coded: CodedOff}
+					opts := Options{Mode: mode, Planner: planner, Workers: workers, rowOnly: true}
 					want, err := eng.Eval(q, opts)
 					if err != nil {
 						t.Fatalf("%s/%v/planner=%v/workers=%d row: %v", name, mode, planner, workers, err)
 					}
-					opts.Coded = CodedOn
+					opts.rowOnly = false
 					got, err := eng.Eval(q, opts)
 					if err != nil {
 						t.Fatalf("%s/%v/planner=%v/workers=%d coded: %v", name, mode, planner, workers, err)

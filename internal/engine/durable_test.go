@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"incdata/internal/ra"
+	"incdata/internal/sqlx"
 	"incdata/internal/table"
 	"incdata/internal/value"
 	"incdata/internal/version"
@@ -53,7 +57,7 @@ func commitSteps(t *testing.T, eng *Engine, stream []histStep, rng *rand.Rand, l
 // live durable commits, branches and a merge, reopened with Open, yields
 // bit-identical AsOf states at every commit and bit-identical certain
 // answers at the head across modes × planner settings × worker counts,
-// and under a memory budget that makes every join spill.
+// and on the row path as well as the coded one.
 func TestDurablePersistOpenDifferential(t *testing.T) {
 	for _, checkpointEvery := range []int{-1, 2, 16} {
 		checkpointEvery := checkpointEvery
@@ -163,12 +167,12 @@ func TestDurablePersistOpenDifferential(t *testing.T) {
 							}
 						}
 					}
-					// A spill join on the recovered head (a budget below any
-					// build side) against the writing engine's resident join.
+					// The row path on the recovered head against the writing
+					// engine's coded answer.
 					want, werr := eng.Eval(q, Options{Mode: mode})
-					got, gerr := re.Eval(q, Options{Mode: mode, MemBudget: 64})
+					got, gerr := re.Eval(q, Options{Mode: mode, rowOnly: true})
 					if (gerr == nil) != (werr == nil) || (gerr == nil && fp(got) != fp(want)) {
-						t.Fatalf("%s mode=%v: budgeted answer differs after reopen (%v / %v)", qname, mode, gerr, werr)
+						t.Fatalf("%s mode=%v: row-path answer differs after reopen (%v / %v)", qname, mode, gerr, werr)
 					}
 				}
 				// World enumeration spot check (exponential: small queries only).
@@ -531,38 +535,76 @@ func TestPersistTwiceFails(t *testing.T) {
 	eng.Close()
 }
 
-// TestEngineMemBudgetBitIdentical pins the facade's MemBudget knob: a
-// join evaluated under a budget far smaller than its build side (forcing
-// the Grace spill path) returns bit-identical answers to the unbounded
-// configuration, in both certain and naive modes.
-func TestEngineMemBudgetBitIdentical(t *testing.T) {
-	rnd := rand.New(rand.NewSource(17))
-	eng := New(table.NewDatabase(testSchema()))
-	if err := eng.Update(func(db *table.Database) error {
-		for i := 0; i < 400; i++ {
-			db.MustAdd("R", table.NewTuple(value.Int(int64(i%50)), value.Int(int64(rnd.Intn(40)))))
-			db.MustAdd("S", table.NewTuple(value.Int(int64(rnd.Intn(40))), value.String(fmt.Sprintf("v%d", i%90))))
-			if i%9 == 0 {
-				db.MustAdd("S", table.NewTuple(value.Null(uint64(i%4+1)), value.String("n")))
-			}
-		}
-		return nil
-	}); err != nil {
+// corruptRelChunk flips one byte of the chunk Persist wrote for r, a
+// relation smaller than one chunk (its tuple count and sorted tuple keys,
+// addressed by SHA-256), and returns the chunk's address.
+func corruptRelChunk(t *testing.T, dir string, r *table.Relation) string {
+	t.Helper()
+	payload := binary.AppendUvarint(nil, uint64(r.Len()))
+	for _, tu := range r.SortedTuples() {
+		payload = tu.AppendKey(payload)
+	}
+	sum := sha256.Sum256(payload)
+	h := hex.EncodeToString(sum[:])
+	path := filepath.Join(dir, "chunks", h[:2], h)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	q := ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "c"}}
-	for _, mode := range []Mode{ModeCertain, ModeNaive} {
-		want, err := eng.Eval(q, Options{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.Eval(q, Options{Mode: mode, MemBudget: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp(got) != fp(want) {
-			t.Fatalf("mode %v: budgeted answer differs: %d vs %d tuples", mode, got.Len(), want.Len())
-		}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestCorruptChunkFailsTheQuery: Open loads relations lazily, so a chunk
+// that fails its hash check goes unnoticed until a query reads it.  That
+// query, in every entry point, returns an error naming the chunk instead
+// of panicking, and a query on an intact relation still answers.  The
+// world-sweep modes draw their domain from every relation, so they fail
+// whichever relation they name.
+func TestCorruptChunkFailsTheQuery(t *testing.T) {
+	for _, name := range []string{"R", "S", "T"} {
+		t.Run(name, func(t *testing.T) {
+			other := "S"
+			if name == other {
+				other = "R"
+			}
+			want, err := New(testDB(3)).Eval(ra.Base(other), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(t.TempDir(), "store")
+			eng := New(testDB(3))
+			if err := eng.Persist(dir); err != nil {
+				t.Fatal(err)
+			}
+			eng.Close()
+			chunk := corruptRelChunk(t, dir, testDB(3).Relation(name))
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer re.Close()
+			q := ra.Base(name)
+			for label, call := range map[string]func() error{
+				"certain":   func() error { _, err := re.Eval(q, Options{}); return err },
+				"naive":     func() error { _, err := re.Eval(q, Options{Mode: ModeNaive, Planner: PlannerOff}); return err },
+				"cwa-other": func() error { _, err := re.Eval(ra.Base(other), Options{Mode: ModeCertainCWA}); return err },
+				"bool":      func() error { _, err := re.EvalBool(q, Options{}); return err },
+				"sql":       func() error { _, err := re.SQL(sqlx.Query{Select: []string{"b"}, From: name}); return err },
+				"register":  func() error { return re.Register("v", q, Options{}) },
+			} {
+				if err := call(); err == nil || !strings.Contains(err.Error(), chunk) {
+					t.Errorf("%s: error %v, want one naming chunk %s", label, err, chunk)
+				}
+			}
+			got, err := re.Eval(ra.Base(other), Options{})
+			if err != nil || fp(got) != fp(want) {
+				t.Fatalf("intact %s after the failures: %v, %v; want %v", other, got, err, want)
+			}
+		})
 	}
 }
 
@@ -581,7 +623,7 @@ func TestStatsEncodingPatchVsBuild(t *testing.T) {
 	// A bare scan materializes the relation as-is; a projected join is
 	// coded-eligible and builds the sidecars of the relations it reads.
 	q := ra.Project{Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}, Attrs: []string{"a", "c"}}
-	opts := Options{Mode: ModeCertain, Coded: CodedOn, Workers: 1}
+	opts := Options{Mode: ModeCertain, Workers: 1}
 	if _, err := eng.Eval(q, opts); err != nil {
 		t.Fatal(err)
 	}

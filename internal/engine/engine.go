@@ -245,7 +245,27 @@ func (s *Snapshot) Database() *table.Database { return s.db }
 // Eval evaluates the relational-algebra query under the options' mode and
 // returns the answer relation.
 func (s *Snapshot) Eval(q ra.Expr, opts Options) (*table.Relation, error) {
+	if err := preload(s.db, q, opts.Mode.sweeps()); err != nil {
+		return nil, err
+	}
 	return evalMode(s.eng.evaluator(opts), q, s.db, opts)
+}
+
+// preload loads the relations q reads from the store, or every relation
+// when all is set, so that a chunk the store cannot read fails the query
+// with an error naming it instead of panicking inside evaluation (see
+// table.NewLazyRelation).  On a loaded relation it is one atomic load.
+func preload(db *table.Database, q ra.Expr, all bool) error {
+	names, wholeDB := ra.BaseRelations(q)
+	if all || wholeDB {
+		names = db.RelationNames()
+	}
+	for _, name := range names {
+		if err := db.Relation(name).Preload(); err != nil {
+			return fmt.Errorf("engine: %w", err)
+		}
+	}
+	return nil
 }
 
 // evalMode dispatches one evaluation on an explicit evaluator and database
@@ -273,17 +293,27 @@ func evalMode(ev *certain.Evaluator, q ra.Expr, db *table.Database, opts Options
 // enumeration: true iff the query is nonempty in every world.  The mode in
 // opts is ignored.
 func (s *Snapshot) EvalBool(q ra.Expr, opts Options) (bool, error) {
+	if err := preload(s.db, q, true); err != nil {
+		return false, err
+	}
 	return s.eng.evaluator(opts).BoolCertainCWA(q, s.db, opts.certainOptions())
 }
 
 // SQL evaluates a SELECT-FROM-WHERE query under SQL's three-valued-logic
-// semantics (the "practice" baseline the paper critiques).
+// semantics (the "practice" baseline the paper critiques).  A condition is
+// handed the whole database, so every relation is loaded first.
 func (s *Snapshot) SQL(q sqlx.Query) (*table.Relation, error) {
+	if err := preload(s.db, nil, true); err != nil {
+		return nil, err
+	}
 	return sqlx.Eval(q, s.db)
 }
 
 // Compare checks the ModeCertain answer against the ModeCertainCWA ground
 // truth on this snapshot, reporting missing and spurious tuples.
 func (s *Snapshot) Compare(q ra.Expr, opts Options) (certain.Comparison, error) {
+	if err := preload(s.db, q, true); err != nil {
+		return certain.Comparison{}, err
+	}
 	return s.eng.evaluator(opts).Compare(q, s.db, opts.certainOptions())
 }

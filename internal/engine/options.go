@@ -54,6 +54,10 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
+// sweeps reports whether the mode enumerates worlds, whose domain is drawn
+// from the whole database rather than from the relations the query reads.
+func (m Mode) sweeps() bool { return m != ModeCertain && m != ModeNaive }
+
 // ParseMode converts a textual mode name into a Mode.
 func ParseMode(s string) (Mode, error) {
 	if m, ok := modeNames[s]; ok {
@@ -91,27 +95,6 @@ func ParsePlanner(s string) (PlannerSetting, error) {
 	}
 }
 
-// CodedSetting selects whether planned evaluation may run on the
-// dictionary-coded execution tier: monomorphic []uint64 code-vector
-// kernels over the database's value dictionary.  The coded path computes
-// bit-identical results to the row path; eligibility is resolved per
-// query subtree (every base relation read must encode cleanly), so "on"
-// and the auto default are always safe: a refused subtree runs on the
-// row path.
-type CodedSetting uint8
-
-const (
-	// CodedAuto is the zero value and defaults to coded being on: the
-	// coded path is used whenever the read relations' dictionaries are
-	// available, and a refused subtree runs on the row path.
-	CodedAuto CodedSetting = iota
-	// CodedOn selects the coded path where eligible.
-	CodedOn
-	// CodedOff disables the coded tier, keeping the row path as the
-	// differential oracle.
-	CodedOff
-)
-
 // Options is the unified evaluation-options struct of the engine facade,
 // replacing the per-package option structs the entry points used to take.
 // The zero value asks for certain answers via null stripping with the
@@ -123,12 +106,6 @@ type Options struct {
 	// Planner selects the planned fast paths or the oracle; PlannerAuto
 	// (the zero value) means on.
 	Planner PlannerSetting
-
-	// Coded selects the dictionary-coded execution tier of planned
-	// evaluation; CodedAuto (the zero value) means on where eligible.
-	// Only the planned naive/certain modes read it — the
-	// world-enumeration modes and the oracle path are row-based.
-	Coded CodedSetting
 
 	// ExtraFresh is the number of fresh constants (outside adom and the
 	// query constants) added to the world-enumeration domain; 0 defaults
@@ -158,15 +135,10 @@ type Options struct {
 	// with PlannerOff, or materialized worlds under MaxExtraTuples.
 	MaxWorlds int
 
-	// MemBudget, when positive, bounds (approximately, in bytes) the
-	// memory a hash join may pin for its build side: a build side over
-	// budget is Grace-partitioned to disk and joined partition by
-	// partition, so certain-answer queries run against databases larger
-	// than RAM.  Answers are bit-identical to the unbounded path.  A
-	// budgeted evaluation runs on the row engine (Coded is overridden):
-	// the budget is a hard cap, and the coded tier assumes resident build
-	// sides.
-	MemBudget int64
+	// rowOnly keeps planned evaluation off the dictionary-coded tier, which
+	// otherwise runs wherever it is eligible: tests hold the coded tier
+	// against the row path with it.
+	rowOnly bool
 }
 
 // resolvedWorkers resolves the Workers knob for the world pool: 0 (the
@@ -181,19 +153,9 @@ func (o Options) resolvedWorkers() int {
 	return o.Workers
 }
 
-// resolvedCoded resolves the Coded knob: anything but an explicit off
-// means the coded tier is offered (per-subtree eligibility still
-// decides whether it actually runs).
-func (o Options) resolvedCoded() bool {
-	return o.Coded != CodedOff
-}
-
-// evalConfig bundles the resolved execution knobs for package plan.
+// evalConfig is the plan execution configuration of the planned modes.
 func (o Options) evalConfig() plan.EvalConfig {
-	return plan.EvalConfig{
-		Coded:     o.resolvedCoded(),
-		MemBudget: o.MemBudget,
-	}
+	return plan.EvalConfig{Coded: !o.rowOnly}
 }
 
 // certainOptions converts the world-enumeration knobs for package certain.

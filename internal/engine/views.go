@@ -60,8 +60,11 @@ type viewReg struct {
 // buildViewLocked compiles and materializes a view against the current
 // live database; the caller holds e.mu.
 func (e *Engine) buildViewLocked(name string, q ra.Expr, opts Options) (*inc.View, error) {
+	if err := preload(e.db, q, opts.Mode.sweeps()); err != nil {
+		return nil, err
+	}
 	ev := e.evaluator(opts)
-	incremental := opts.Mode == ModeCertain || opts.Mode == ModeNaive
+	incremental := !opts.Mode.sweeps()
 	cfg := inc.Config{
 		CompleteOnly: opts.Mode == ModeCertain,
 		Recompute: func(db *table.Database) (*table.Relation, error) {

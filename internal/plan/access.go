@@ -115,10 +115,9 @@ func (eq *eqAccess) describe() string {
 // each calls f on the tuples the scan reads until f returns false: the
 // index's matches when an index serves the scan's equality restriction,
 // every tuple of the relation otherwise.
-func (n *pscan) each(c *pctx, rel *table.Relation, f func(table.Tuple) bool) {
+func (n *pscan) each(rel *table.Relation, f func(table.Tuple) bool) {
 	if n.eq != nil {
-		// A budgeted evaluation uses an index that is there but builds none.
-		ix, path := rel.SelectIndex(n.eq.positions, c.budget == 0)
+		ix, path := rel.SelectIndex(n.eq.positions)
 		n.eq.last.Store(uint32(path))
 		if ix != nil {
 			for sh, i := ix.Lookup(n.eq.key); i != 0; {
@@ -139,7 +138,7 @@ func (n *pscan) each(c *pctx, rel *table.Relation, f func(table.Tuple) bool) {
 // constant the dictionary has never seen is in no encoded relation, so the
 // answer is empty without a probe.
 func (n *pscan) streamCodedIndex(c *pctx, rel *table.Relation, enc *table.Encoding, emit codedEmit) bool {
-	ix, path := rel.SelectCodedIndex(enc, n.eq.positions, c.budget == 0)
+	ix, path := rel.SelectCodedIndex(enc, n.eq.positions)
 	n.eq.last.Store(uint32(path))
 	if ix == nil {
 		return false

@@ -82,10 +82,9 @@ func accessQueries(c, c2 value.Value) []ra.Expr {
 	}
 }
 
-// accessConfigs is the execution matrix: both tiers, and the budgeted row
-// engine.
+// accessConfigs is the execution matrix: both tiers.
 func accessConfigs() map[string]EvalConfig {
-	return map[string]EvalConfig{"row": {}, "coded": {Coded: true}, "budget": {MemBudget: 1 << 10}}
+	return map[string]EvalConfig{"row": {}, "coded": {Coded: true}}
 }
 
 // evalBoth evaluates p raw and certain and holds both against the oracle's
@@ -110,8 +109,8 @@ func evalBoth(t *testing.T, p *Plan, db *table.Database, cfg EvalConfig, raw, ce
 
 // TestAccessPathDifferential: on every tier, an equality
 // selection answers bit for bit what ra.Eval answers while it scans (a fresh
-// snapshot), once its index is there (the same snapshot, asked often enough),
-// and under a memory budget with and without an index to use.
+// snapshot) and once its index is there (the same snapshot, asked often
+// enough).
 func TestAccessPathDifferential(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -122,7 +121,7 @@ func TestAccessPathDifferential(t *testing.T) {
 		db := accessDB(seed)
 		for ci, c := range accessConsts {
 			c2 := accessConsts[(ci+int(seed))%len(accessConsts)]
-			for qi, q := range accessQueries(c, c2) {
+			for _, q := range accessQueries(c, c2) {
 				want, err := ra.Eval(q, db)
 				if err != nil {
 					t.Fatal(err)
@@ -134,32 +133,19 @@ func TestAccessPathDifferential(t *testing.T) {
 				}
 				for name, cfg := range accessConfigs() {
 					snap := db.Snapshot() // no demand yet: the first evaluations scan
-					before := snap.Relation("R").EncodingStats()
 					for round := 0; round < 6; round++ {
 						label := fmt.Sprintf("seed %d, %s, round %d, %s", seed, name, round, q)
 						evalBoth(t, p, snap, cfg, raw, cert, label)
 					}
-					after := snap.Relation("R").EncodingStats()
-					if cfg.MemBudget > 0 {
-						if after.IndexBuilds != before.IndexBuilds {
-							t.Fatalf("seed %d, %s: a budgeted evaluation built an index\nplan:\n%s", seed, q, p.Describe())
-						}
-						continue
-					}
 					if strings.Contains(p.Describe(), "index(") {
 						indexed[name] = true
-						// The budgeted engine uses what is there.
-						evalBoth(t, p, snap, EvalConfig{MemBudget: 1 << 10}, raw, cert, fmt.Sprintf("seed %d, budget over %s, %s", seed, name, q))
-						if qi == 0 && !strings.Contains(p.Describe(), "index(a)") {
-							t.Fatalf("seed %d: the budgeted engine ignored the index that is there\nplan:\n%s", seed, p.Describe())
-						}
 					}
 				}
 			}
 		}
 	}
-	for name, cfg := range accessConfigs() {
-		if cfg.MemBudget == 0 && !indexed[name] {
+	for name := range accessConfigs() {
+		if !indexed[name] {
 			t.Errorf("configuration %s never took the index path", name)
 		}
 	}

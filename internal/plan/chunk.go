@@ -89,7 +89,7 @@ func (n *pscan) streamChunks(c *pctx, emit func([]table.Tuple) bool) error {
 	chp := getChunk()
 	defer putChunk(chp)
 	chunk := (*chp)[:0]
-	n.each(c, rel, func(t table.Tuple) bool {
+	n.each(rel, func(t table.Tuple) bool {
 		chunk = append(chunk, t)
 		if len(chunk) == chunkSize {
 			if !emit(chunk) {

@@ -452,8 +452,8 @@ func gatherDB(rows int) *table.Database {
 // 0: TestGatherArityZero drives the gather over that shape), a union of
 // coded branches (one set), unions mixing a coded branch with one that has no
 // coded form in either order (the relation holds tuples the set never saw),
-// and a derived join build side (the set feeds an index); unbounded and
-// budgeted (the row path: no set at all).
+// and a derived join build side (the set feeds an index); coded and row (the
+// row path: no set at all).
 func TestTwoPhaseMaterializeMatchesOracle(t *testing.T) {
 	proj := func(rel string, attrs ...string) ra.Expr {
 		return ra.Project{Input: ra.Base(rel), Attrs: attrs}
@@ -486,9 +486,9 @@ func TestTwoPhaseMaterializeMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
-			for _, budget := range []int64{0, 1 << 16} {
-				cfg := EvalConfig{Coded: true, MemBudget: budget}
-				label := fmt.Sprintf("%s rows=%d budget=%d", name, rows, budget)
+			for _, coded := range []bool{true, false} {
+				cfg := EvalConfig{Coded: coded}
+				label := fmt.Sprintf("%s rows=%d coded=%v", name, rows, coded)
 				got, err := p.EvalWith(d, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

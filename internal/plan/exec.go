@@ -28,8 +28,6 @@ type pctx struct {
 	coded    bool          // use the coded path where eligible (codedexec.go)
 	dict     *table.Dict   // the database's value dictionary; nil disables coded
 	dictVals []value.Value // lock-free decode snapshot, refreshed on demand
-
-	budget int64 // join build-side memory budget in bytes; 0 = unbounded (spill.go)
 }
 
 // getSel hands out a selection-vector buffer from the context pool,
@@ -111,7 +109,7 @@ func (n *pscan) stream(c *pctx, emit func(table.Tuple) bool) error {
 	if rel == nil {
 		return relationErr(n.name)
 	}
-	n.each(c, rel, emit)
+	n.each(rel, emit)
 	return nil
 }
 
@@ -230,9 +228,6 @@ func (n *pjoin) buildIndex(c *pctx) (*table.Index, error) {
 }
 
 func (n *pjoin) stream(c *pctx, emit func(table.Tuple) bool) error {
-	if c.budget > 0 {
-		return n.spillStream(c, emit)
-	}
 	ix, err := n.buildIndex(c)
 	if err != nil {
 		return err
@@ -241,8 +236,7 @@ func (n *pjoin) stream(c *pctx, emit func(table.Tuple) bool) error {
 }
 
 // probeWith streams the probe (left) side against a build-side index,
-// emitting the joined output tuples.  Shared by the resident path and the
-// under-budget case of the spill path.
+// emitting the joined output tuples.
 func (n *pjoin) probeWith(c *pctx, ix *table.Index, emit func(table.Tuple) bool) error {
 	return n.l.stream(c, func(lt table.Tuple) bool {
 		key := c.appendPosKey(lt, n.lpos)

@@ -60,9 +60,9 @@ func (p *Plan) OutSchema() schema.Relation { return p.out }
 
 // EvalConfig selects the execution strategy of one evaluation: whether
 // eligible subtrees run on the coded path (codedexec.go) instead of the
-// row-chunk path, and an optional join memory budget.  Evaluation is
-// serial; parallelism lives between queries (engine.Serve, server
-// sessions) and between worlds (the per-world pool of package certain).
+// row-chunk path.  Evaluation is serial; parallelism lives between
+// queries (engine.Serve, server sessions) and between worlds (the
+// per-world pool of package certain).
 // Every combination produces bit-identical results; the row path is the
 // differential oracle of the coded one.
 type EvalConfig struct {
@@ -80,24 +80,6 @@ type EvalConfig struct {
 	// encodes cleanly; a subtree the coded path refuses runs on the row
 	// path, so enabling it is always safe.
 	Coded bool
-	// MemBudget, when positive, bounds (approximately, in bytes) the
-	// memory a hash join may pin for its build side: a build side over
-	// budget is Grace-partitioned to temporary spill files and joined
-	// partition by partition (spill.go), so evaluation handles build
-	// sides larger than RAM.  Answers are bit-identical to the unbounded
-	// path.  A budgeted evaluation runs on the row engine — Coded is
-	// overridden, since the coded tier assumes resident build sides.
-	MemBudget int64
-}
-
-// normalized resolves the config's internal contradictions: a memory
-// budget forces the row engine, since the coded tier assumes resident
-// build sides.
-func (cfg EvalConfig) normalized() EvalConfig {
-	if cfg.MemBudget > 0 {
-		cfg.Coded = false
-	}
-	return cfg
 }
 
 // dictProvider is implemented by databases carrying a value dictionary
@@ -109,7 +91,7 @@ type dictProvider interface {
 // newPctx builds the evaluation context for one evaluation, resolving
 // the coded tier against the database's dictionary.
 func newPctx(db ra.DB, cfg EvalConfig) *pctx {
-	c := &pctx{db: db, budget: cfg.MemBudget}
+	c := &pctx{db: db}
 	if cfg.Coded {
 		if dp, ok := db.(dictProvider); ok {
 			if d := dp.Dict(); d != nil {
@@ -131,7 +113,7 @@ func (p *Plan) Eval(db ra.DB) (*table.Relation, error) {
 // The result is bit-identical across all configurations and never
 // aliases mutable state of the database.
 func (p *Plan) EvalWith(db ra.DB, cfg EvalConfig) (*table.Relation, error) {
-	c := newPctx(db, cfg.normalized())
+	c := newPctx(db, cfg)
 	rel, err := materialize(p.root, c)
 	if err != nil {
 		return nil, err
@@ -154,7 +136,7 @@ func (p *Plan) EvalCertain(db ra.DB) (*table.Relation, error) {
 // EvalCertainWith is EvalWith with the null-stripping of certain-answer
 // extraction fused into materialization.
 func (p *Plan) EvalCertainWith(db ra.DB, cfg EvalConfig) (*table.Relation, error) {
-	c := newPctx(db, cfg.normalized())
+	c := newPctx(db, cfg)
 	out := table.NewRelation(p.out)
 	if err := materializeInto(p.root, c, true, out); err != nil {
 		return nil, err

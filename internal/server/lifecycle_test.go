@@ -6,8 +6,13 @@ package server
 // session cap, graceful-shutdown draining, and the STATS report.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +86,69 @@ func TestCommitsSurviveServerRestart(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("the committed row did not survive the restart: %v", resp.Rows)
+	}
+}
+
+// TestCorruptChunkIsAnEvalError: on a store whose chunk of R fails its hash
+// check, a query on R gets an eval error naming the chunk, and the same
+// session goes on to answer a query on the intact S and a STATS.
+func TestCorruptChunkIsAnEvalError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	eng := testEngine(t)
+	if err := eng.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	r := eng.Snapshot().Database().Relation("R")
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Persist writes R, smaller than a chunk, as one chunk: its tuple count
+	// and sorted tuple keys, addressed by SHA-256.
+	payload := binary.AppendUvarint(nil, uint64(r.Len()))
+	for _, tu := range r.SortedTuples() {
+		payload = tu.AppendKey(payload)
+	}
+	sum := sha256.Sum256(payload)
+	chunk := hex.EncodeToString(sum[:])
+	path := filepath.Join(dir, "chunks", chunk[:2], chunk)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	eng2, err := engine.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	srv, err := New(eng2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := dial(t, addr.String())
+	_, err = cl.Query("R", "certain", "on", 0)
+	var re *client.RemoteError
+	if !errors.As(err, &re) || re.Code != wire.CodeEval || !strings.Contains(re.Msg, chunk) {
+		t.Fatalf("query on the corrupt R: %v, want an eval error naming chunk %s", err, chunk)
+	}
+	resp, err := cl.Query("S", "certain", "on", 0)
+	if err != nil {
+		t.Fatalf("query on the intact S: %v", err)
+	}
+	if got := flat(resp.Columns, resp.Rows); got != "b,c\n2,3" {
+		t.Fatalf("S answered %q", got)
+	}
+	if _, err := cl.Stats(); err != nil {
+		t.Fatalf("STATS after the failed query: %v", err)
 	}
 }
 

@@ -118,9 +118,6 @@ const (
 	// SelectScanNotSelective: the key is estimated to match too large a
 	// share of the relation for an index to beat the filter.
 	SelectScanNotSelective
-	// SelectScanNoBuild: an index is due but the evaluation may not build
-	// one (it runs under a memory budget).
-	SelectScanNoBuild
 )
 
 // SelectPath is the access path one equality selection took: its kind and,
@@ -144,8 +141,6 @@ func (p SelectPath) String() string {
 		return fmt.Sprintf("scan: below build threshold %d/%d", p>>8, indexBuildScans)
 	case SelectScanNotSelective:
 		return "scan: not selective"
-	case SelectScanNoBuild:
-		return "scan: index due, not built under a memory budget"
 	default:
 		return "not evaluated"
 	}
@@ -169,17 +164,13 @@ func (r *Relation) countedScan(d *selectDemand, held bool) (SelectPath, bool) {
 
 // decideSelect runs the rule of the file comment for one selection on the
 // positions.  held says whether an index of the kind the caller wants is on
-// the header or can be patched from a candidate; build, whether the caller
-// may build one.  On SelectIndexed the caller fetches the index (Index,
-// Encoding.Index), which builds or patches as needed.
-func (r *Relation) decideSelect(positions []int, held, build bool) SelectPath {
+// the header or can be patched from a candidate.  On SelectIndexed the
+// caller fetches the index (Index, Encoding.Index), which builds or patches
+// as needed.
+func (r *Relation) decideSelect(positions []int, held bool) SelectPath {
 	d := r.demandFor(positions)
 	if path, scanned := r.countedScan(d, held); scanned {
 		return path
-	}
-	if !held && !build {
-		r.encStats.noteSelectScan()
-		return selectPath(SelectScanNoBuild, 0)
 	}
 	// An index is about to be used: the first time, look whether the key is
 	// worth one.
@@ -225,14 +216,14 @@ func (r *Relation) selective(positions []int) bool {
 
 // SelectIndex is Index for an equality selection on the positions: it
 // returns the index when the access-path rule (see the file comment) says
-// to use one, building it when it is due and build allows, and nil when the
-// selection should scan.  Either way the returned path says why.  The same
-// concurrency contract as Index.
-func (r *Relation) SelectIndex(positions []int, build bool) (*Index, SelectPath) {
+// to use one, building it when it is due, and nil when the selection should
+// scan.  Either way the returned path says why.  The same concurrency
+// contract as Index.
+func (r *Relation) SelectIndex(positions []int) (*Index, SelectPath) {
 	r.ensure()
 	cur, _ := findSidecar(r.indexes.Load(), func(ix *Index) bool { return samePositions(ix.positions, positions) })
 	held := cur != nil && (sameSegs(cur.segs, r.segs) || patchable(cur.segs, r.segs))
-	path := r.decideSelect(positions, held, build)
+	path := r.decideSelect(positions, held)
 	if path.Kind() != SelectIndexed {
 		return nil, path
 	}
@@ -243,10 +234,10 @@ func (r *Relation) SelectIndex(positions []int, build bool) (*Index, SelectPath)
 // encoding (Relation.Encoding) and Ok, and the index is Encoding.Index's.
 // Both kinds of index draw on the same demand record, so scans of either
 // tier count towards the build of whichever is asked for once it is due.
-func (r *Relation) SelectCodedIndex(e *Encoding, positions []int, build bool) (*CodedIndex, SelectPath) {
+func (r *Relation) SelectCodedIndex(e *Encoding, positions []int) (*CodedIndex, SelectPath) {
 	cur, _ := findSidecar(e.indexes.Load(), func(ix *CodedIndex) bool { return samePositions(ix.positions, positions) })
 	held := cur != nil && (sameSegs(cur.segs, e.segs) || patchable(cur.segs, e.segs))
-	path := r.decideSelect(positions, held, build)
+	path := r.decideSelect(positions, held)
 	if path.Kind() != SelectIndexed {
 		return nil, path
 	}

@@ -41,7 +41,7 @@ func TestSelectIndexSkiRental(t *testing.T) {
 	db := orderKeysDB(3 * segMax)
 	r := db.Snapshot().Relation("Order")
 	for k := 1; k <= indexBuildScans; k++ {
-		ix, path := r.SelectIndex([]int{0}, true)
+		ix, path := r.SelectIndex([]int{0})
 		if ix != nil || path.Kind() != SelectScanBelowThreshold {
 			t.Fatalf("selection %d: index %v, path %q; want a scan below the threshold", k, ix != nil, path)
 		}
@@ -53,7 +53,7 @@ func TestSelectIndexSkiRental(t *testing.T) {
 		}
 	}
 	for k := 0; k < 3; k++ {
-		ix, path := r.SelectIndex([]int{0}, true)
+		ix, path := r.SelectIndex([]int{0})
 		if ix == nil || path.Kind() != SelectIndexed {
 			t.Fatalf("selection past the threshold: index %v, path %q", ix != nil, path)
 		}
@@ -67,24 +67,6 @@ func TestSelectIndexSkiRental(t *testing.T) {
 	if st := r.EncodingStats(); st.IndexBuilds != 1 || st.IndexLookups != 3 || st.SelectScans != indexBuildScans {
 		t.Fatalf("after three lookups: %+v", st)
 	}
-
-	// A budgeted evaluation uses the index that is there, but on a header
-	// without one it keeps scanning however often it has.
-	if ix, path := r.SelectIndex([]int{0}, false); ix == nil {
-		t.Fatalf("build=false did not use the existing index: %q", path)
-	}
-	fresh := db.Snapshot().Relation("Order")
-	for k := 0; k < 2*indexBuildScans; k++ {
-		if ix, _ := fresh.SelectIndex([]int{0}, false); ix != nil {
-			t.Fatalf("build=false built an index at selection %d", k+1)
-		}
-	}
-	if _, path := fresh.SelectIndex([]int{0}, false); path.Kind() != SelectScanNoBuild {
-		t.Fatalf("path %q, want the no-build scan", path)
-	}
-	if ix, _ := fresh.SelectIndex([]int{0}, true); ix == nil {
-		t.Fatal("the index was due and build allowed, but the selection scanned")
-	}
 }
 
 // TestSelectIndexSelectivityGate: a key with few distinct values is never
@@ -94,8 +76,8 @@ func TestSelectIndexSelectivityGate(t *testing.T) {
 	r := db.Snapshot().Relation("Order")
 	e := r.Encoding(db.Dict())
 	for k := 0; k < 3*indexBuildScans; k++ {
-		ix, path := r.SelectIndex([]int{1}, true)
-		cx, cpath := r.SelectCodedIndex(e, []int{1}, true)
+		ix, path := r.SelectIndex([]int{1})
+		cx, cpath := r.SelectCodedIndex(e, []int{1})
 		if ix != nil || cx != nil {
 			t.Fatalf("selection %d on product (7 values): indexed (%q, %q)", k, path, cpath)
 		}
@@ -109,7 +91,7 @@ func TestSelectIndexSelectivityGate(t *testing.T) {
 	// The composite key (o_id, product) is as selective as o_id.
 	var cx *CodedIndex
 	for k := 0; k <= indexBuildScans; k++ {
-		cx, _ = r.SelectCodedIndex(e, []int{0, 1}, true)
+		cx, _ = r.SelectCodedIndex(e, []int{0, 1})
 	}
 	if cx == nil || cx.Len() != r.Len() {
 		t.Fatal("no coded index on (o_id, product) past the threshold")
@@ -117,7 +99,7 @@ func TestSelectIndexSelectivityGate(t *testing.T) {
 	// A relation of a few dozen tuples is scanned whatever the key.
 	small := orderKeysDB(40).Snapshot().Relation("Order")
 	for k := 0; k < 2*indexBuildScans; k++ {
-		if ix, _ := small.SelectIndex([]int{0}, true); ix != nil {
+		if ix, _ := small.SelectIndex([]int{0}); ix != nil {
 			t.Fatal("a 41-tuple relation got an index")
 		}
 	}
@@ -130,7 +112,7 @@ func TestSelectIndexCarriedAcrossWrites(t *testing.T) {
 	db := orderKeysDB(3 * segMax)
 	prev := db.Snapshot()
 	for k := 0; k <= indexBuildScans; k++ {
-		prev.Relation("Order").SelectIndex([]int{0}, true)
+		prev.Relation("Order").SelectIndex([]int{0})
 	}
 	built := prev.Relation("Order").EncodingStats()
 	if built.IndexBuilds != 1 {
@@ -142,7 +124,7 @@ func TestSelectIndexCarriedAcrossWrites(t *testing.T) {
 		db.Relation("Order").Remove(NewTuple(value.String(fmt.Sprint("oid", i)), value.String(fmt.Sprint("pr", i%7))))
 		prev = db.SnapshotReusing(prev)
 		r := prev.Relation("Order")
-		ix, path := r.SelectIndex([]int{0}, true)
+		ix, path := r.SelectIndex([]int{0})
 		if ix == nil {
 			t.Fatalf("write %d: the first selection after it scanned: %q", i, path)
 		}
@@ -159,7 +141,7 @@ func TestSelectIndexCarriedAcrossWrites(t *testing.T) {
 	prev = db.SnapshotReusing(prev)
 	db.MustAdd("Order", NewTuple(value.String("oid-skip2"), value.String("pr1")))
 	prev = db.SnapshotReusing(prev)
-	if ix, path := prev.Relation("Order").SelectIndex([]int{0}, true); ix == nil {
+	if ix, path := prev.Relation("Order").SelectIndex([]int{0}); ix == nil {
 		t.Fatalf("after a snapshot without selections: %q", path)
 	}
 	if st := prev.Relation("Order").EncodingStats(); st.IndexBuilds != built.IndexBuilds {
@@ -174,7 +156,7 @@ func TestSelectIndexReconstructionStartsFromZero(t *testing.T) {
 	db := orderKeysDB(3 * segMax)
 	base := db.Snapshot()
 	for k := 0; k <= indexBuildScans; k++ {
-		base.Relation("Order").SelectIndex([]int{0}, true)
+		base.Relation("Order").SelectIndex([]int{0})
 	}
 	before := base.Relation("Order").EncodingStats()
 
@@ -187,7 +169,7 @@ func TestSelectIndexReconstructionStartsFromZero(t *testing.T) {
 	if err := recon.Apply(cs); err != nil {
 		t.Fatal(err)
 	}
-	ix, path := recon.Relation("Order").SelectIndex([]int{0}, true)
+	ix, path := recon.Relation("Order").SelectIndex([]int{0})
 	if ix != nil || path.String() != fmt.Sprintf("scan: below build threshold 1/%d", indexBuildScans) {
 		t.Fatalf("first selection on a reconstruction: index %v, path %q", ix != nil, path)
 	}
@@ -197,7 +179,7 @@ func TestSelectIndexReconstructionStartsFromZero(t *testing.T) {
 	// A clone that is not written shares the storage and so the index, but
 	// counts on its own from where its origin stood.
 	clone := base.Clone().Relation("Order")
-	if ix, _ := clone.SelectIndex([]int{0}, true); ix == nil {
+	if ix, _ := clone.SelectIndex([]int{0}); ix == nil {
 		t.Fatal("an unwritten clone lost the index of the storage it shares")
 	}
 }
@@ -231,7 +213,7 @@ func TestSelectIndexConcurrentFirstBuild(t *testing.T) {
 				indexed := false
 				for k := 0; k < 2*indexBuildScans; k++ {
 					if g%2 == 0 {
-						ix, _ := r.SelectIndex([]int{0}, true)
+						ix, _ := r.SelectIndex([]int{0})
 						if ix == nil {
 							continue
 						}
@@ -241,7 +223,7 @@ func TestSelectIndexConcurrentFirstBuild(t *testing.T) {
 							return
 						}
 					} else {
-						cx, _ := r.SelectCodedIndex(e, []int{0}, true)
+						cx, _ := r.SelectCodedIndex(e, []int{0})
 						if cx == nil {
 							continue
 						}

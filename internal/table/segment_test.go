@@ -435,7 +435,7 @@ func runStorageProgram(t testing.TB, prog []byte) {
 		case false:
 			var ix *Index
 			for i := 0; i <= indexBuildScans && ix == nil; i++ {
-				ix, _ = h.rel.SelectIndex([]int{0}, true)
+				ix, _ = h.rel.SelectIndex([]int{0})
 			}
 			if ix == nil {
 				found = h.rel.Contains(want)
@@ -449,7 +449,7 @@ func runStorageProgram(t testing.TB, prog []byte) {
 		case true:
 			var ix *CodedIndex
 			for i := 0; i <= indexBuildScans && ix == nil; i++ {
-				ix, _ = h.rel.SelectCodedIndex(e, []int{0}, true)
+				ix, _ = h.rel.SelectCodedIndex(e, []int{0})
 			}
 			code, ok := db.Dict().Lookup(want[0])
 			if ix == nil || !ok {

@@ -184,8 +184,7 @@ func (t Tuple) Key() string {
 // DecodeTuple decodes one tuple of the given arity from the front of a key
 // encoding produced by AppendKey, returning it and the remaining bytes.
 // The key format is self-delimiting per value, so concatenated tuple keys
-// (the durable store's chunk payloads, the budgeted join's spill records)
-// decode unambiguously.  Corrupt input returns an error, never a panic.
+// (the durable store's chunk payloads) decode unambiguously.  Corrupt input returns an error, never a panic.
 func DecodeTuple(b []byte, arity int) (Tuple, []byte, error) {
 	t := make(Tuple, arity)
 	var err error

@@ -141,9 +141,9 @@ func (v Value) AppendKey(dst []byte) []byte {
 
 // DecodeKey decodes one value from the front of a key encoding produced
 // by AppendKey and returns it together with the remaining bytes.  It is
-// the inverse of AppendKey: the durable chunk store and the spill files of
-// the budgeted hash join persist tuples in exactly the key format, so the
-// encoding does double duty as the serialization format.  It never
+// the inverse of AppendKey: the durable chunk store persists tuples in
+// exactly the key format, so the encoding does double duty as the
+// serialization format.  It never
 // panics; corrupt input returns an error.
 func DecodeKey(b []byte) (Value, []byte, error) {
 	if len(b) == 0 {
