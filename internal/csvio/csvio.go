@@ -87,9 +87,10 @@ func readRelation(r io.Reader, name string, nulls *nullTracker) (*table.Relation
 		}
 		t := make(table.Tuple, len(rec))
 		for j, field := range rec {
+			// An empty field is an error, not a fresh null: NULL says that.
 			v, err := value.Parse(field)
 			if err != nil {
-				return nil, fmt.Errorf("csvio: relation %q row %d: %w", name, i+2, err)
+				return nil, fmt.Errorf("csvio: relation %q row %d column %q: %w", name, i+2, header[j], err)
 			}
 			if v.IsNull() {
 				where := fmt.Sprintf("relation %q row %d", name, i+2)

@@ -17,6 +17,9 @@ func TestReadWriteRelationRoundTrip(t *testing.T) {
 	rel := table.NewRelation(schema.NewRelation("Pay", "p_id", "order", "amount"))
 	rel.MustAdd(table.MustParseTuple("pid1", "⊥1", "100"))
 	rel.MustAdd(table.MustParseTuple("pid2", "oid2", "250"))
+	// Strings that look like an empty field, a null, a blank and an int.
+	rel.MustAdd(table.NewTuple(value.String(""), value.String("NULL"), value.String(" ")))
+	rel.MustAdd(table.NewTuple(value.String("7"), value.String(""), value.Int(7)))
 
 	var buf bytes.Buffer
 	if err := WriteRelation(&buf, rel); err != nil {
@@ -180,5 +183,37 @@ func TestWriteDatabaseDirError(t *testing.T) {
 	}
 	if err := WriteDatabaseDir(blocker, d); err == nil {
 		t.Error("writing into a file path should error")
+	}
+}
+
+// TestEmptyAndBlankFields pins the reading of empty-looking fields (the
+// cases of a CSV import suite for empty strings and null values): a quoted
+// pair of quotes is the empty string and a space is a string, while an empty
+// field, quoted or not, is an error naming its row and column — never a
+// fresh null, which only NULL denotes.
+func TestEmptyAndBlankFields(t *testing.T) {
+	for _, tc := range []struct {
+		field string // as written in the file
+		want  value.Value
+		err   bool
+	}{
+		{`""""""`, value.String(""), false},
+		{`""`, value.Value{}, true},
+		{``, value.Value{}, true},
+		{` `, value.String(" "), false},
+	} {
+		got, err := ReadRelation(strings.NewReader("k,v\na,1\nb,"+tc.field+"\n"), "R")
+		if tc.err {
+			if err == nil || !strings.Contains(err.Error(), `row 3 column "v"`) {
+				t.Errorf("field %q: error %v, want one naming row 3 column \"v\"", tc.field, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("field %q: %v", tc.field, err)
+		}
+		if want := table.NewTuple(value.String("b"), tc.want); !got.Contains(want) {
+			t.Errorf("field %q: read %v, want it to hold %v", tc.field, got, want)
+		}
 	}
 }

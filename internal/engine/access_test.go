@@ -253,3 +253,43 @@ func TestPointQueryAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallDerivedJoinSideAllocs pins the bytes of the catalog join whose
+// right side is a selection of about 3 000 rows and whose left side is the
+// 60 000-row Item: once Item's sku index is built, the selection's rows probe
+// it, so a warm evaluation costs the selection and the answer, not an index
+// over the selection (78 kB an evaluation when every join indexed its right
+// side).
+func TestSmallDerivedJoinSideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	db := workload.Catalog(workload.CatalogConfig{Items: 60000, Categories: 24, Tags: 40, Nulls: 3, NullRate: 0.02, Seed: 7})
+	eng := New(db)
+	q := ra.Project{Input: ra.Join{Left: ra.Base("Item"), Right: ra.Select{Input: ra.Base("Tagged"),
+		Pred: ra.Eq(ra.Attr("tag"), ra.LitString("tag-7"))}}, Attrs: []string{"category"}}
+	eval := func() {
+		if _, err := eng.Eval(q, Options{Mode: ModeCertain}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		eval()
+	}
+	if plan, err := eng.Explain(q); err != nil || !strings.Contains(plan, "probe left index(sku)") {
+		t.Fatalf("the join does not probe Item's index after 10 evaluations: %q, %v", plan, err)
+	}
+	runtime.GC()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		eval()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per evaluation", bytes)
+	if bytes > 24<<10 {
+		t.Errorf("a warm evaluation allocates %d bytes, want at most %d", bytes, 24<<10)
+	}
+}

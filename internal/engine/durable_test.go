@@ -608,6 +608,33 @@ func TestCorruptChunkFailsTheQuery(t *testing.T) {
 	}
 }
 
+// TestCorruptChunkFailsTheUpdate: a write to a relation whose chunk fails its
+// hash check returns an error naming the chunk, before the callback runs, so
+// nothing is applied; it used to panic in the callback's first touch of the
+// relation.
+func TestCorruptChunkFailsTheUpdate(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	eng := New(testDB(3))
+	if err := eng.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	chunk := corruptRelChunk(t, dir, testDB(3).Relation("R"))
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer re.Close()
+	ran := false
+	err = re.Update(func(db *table.Database) error {
+		ran = true
+		return db.Relation("R").Add(table.NewTuple(value.Int(7), value.Int(8)))
+	})
+	if err == nil || !strings.Contains(err.Error(), chunk) || ran {
+		t.Fatalf("Update: error %v, callback ran: %v; want an error naming chunk %s and no run", err, ran, chunk)
+	}
+}
+
 // TestStatsEncodingPatchVsBuild pins the sidecar counters of Stats: the
 // first coded evaluation over a relation builds its encoding, and after a
 // small write the next one patches only the segment the write touched —

@@ -102,9 +102,17 @@ func New(db *table.Database) *Engine {
 // are consistent again.  While version history is enabled (EnableHistory)
 // the same captured deltas also accumulate as the pending change set the
 // next Commit turns into a commit.
+//
+// Every relation is loaded before fn runs, as a world sweep's are: a write
+// to a relation whose stored chunk fails its check would otherwise panic.
+// Such a chunk fails the update instead, with an error naming it, and fn
+// does not run.
 func (e *Engine) Update(fn func(db *table.Database) error) (err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := preload(e.db, nil, true); err != nil {
+		return err
+	}
 	e.snap = nil
 	if len(e.views) == 0 && e.hist == nil {
 		return fn(e.db)
@@ -181,9 +189,12 @@ type Stats struct {
 	// counters: coded sidecars built from nothing, encoding blocks and index
 	// shards carried forward across writes, and how equality selections on
 	// it were served (IndexLookups, SelectScans) at what cost in hash indexes
-	// (IndexBuilds, IndexPatches).  The counters are the relation lineage's,
-	// whichever snapshot paid.  Relations with no such activity are omitted;
-	// nil when none have any.
+	// (IndexBuilds, IndexPatches).  A coded join whose derived right side is
+	// smaller than the relation asks the same rule for an index on its join
+	// key, and counts the same way: a lookup when it probes that index, a
+	// scan when it builds on the right side.  The counters are the relation
+	// lineage's, whichever snapshot paid.  Relations with no such activity
+	// are omitted; nil when none have any.
 	Encoding map[string]table.EncodingStats
 }
 

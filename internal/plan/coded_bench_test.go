@@ -86,12 +86,18 @@ func BenchmarkCodedFilter(b *testing.B) {
 }
 
 // BenchmarkCodedJoinProbe compares the full hash-join probe pipeline on
-// string keys: the row path (binary key encoding per probe) and the
-// coded path (code-hash probes, dedup on code tuples, decode only at
-// materialization).  The projected query is the set-semantics shape the
-// coded gather targets — the join generates 16 duplicates per surviving
-// row, and the code-tuple dedup drops them before any decode or binary
-// key is paid.
+// string keys: the row path (binary key encoding per probe) and the coded
+// path (batched code-hash probes, dedup on code tuples, decode only at
+// materialization).  "projected" is the set-semantics shape the coded gather
+// targets — the join generates 16 duplicates per surviving row, and the
+// code-tuple dedup drops them before any decode or binary key is paid;
+// "distinct" is its worst case, every generated row surviving.
+// "build-120k" probes a build side of 120 000 rows, larger than L2, where a
+// probe is a cache miss and the batch overlaps them.  "small-derived-right"
+// joins 60 000 base rows with a selection of about 1 000 rows, which on the
+// coded path probes the base relation's index once the access-path rule
+// has built it.  Each case runs warm: the sidecars and indexes the first
+// evaluations build are there before the timer starts.
 func BenchmarkCodedJoinProbe(b *testing.B) {
 	s := schema.MustNew(
 		schema.NewRelation("R", "a", "b"),
@@ -103,26 +109,35 @@ func BenchmarkCodedJoinProbe(b *testing.B) {
 		d.MustAdd("R", table.NewTuple(k, value.Int(int64(i))))
 		d.MustAdd("S", table.NewTuple(k, value.Int(int64(i/16))))
 	}
-	projected := ra.Project{
-		Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")},
-		Attrs: []string{"a", "c"},
+	large := table.NewDatabase(s)
+	for i := 0; i < 120_000; i++ {
+		large.MustAdd("R", table.NewTuple(value.String(fmt.Sprintf("key-%06d", (i*7919)%120_000)), value.Int(int64(i%16))))
+		large.MustAdd("S", table.NewTuple(value.String(fmt.Sprintf("key-%06d", i)), value.Int(int64(i%16))))
 	}
-	// The distinct-heavy worst case for the dedup structure: every
-	// generated row survives, so the code-tuple set pays without
-	// dropping anything.
-	distinct := ra.Project{
-		Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")},
-		Attrs: []string{"b", "c"},
+	small := table.NewDatabase(s)
+	for i := 0; i < 60_000; i++ {
+		small.MustAdd("R", table.NewTuple(value.String(fmt.Sprintf("key-%06d", i)), value.String(fmt.Sprint("cat-", i%24))))
+		small.MustAdd("S", table.NewTuple(value.String(fmt.Sprintf("key-%06d", (i*7919)%60_000)), value.Int(int64(i%60))))
 	}
+	project := func(q ra.Expr, attrs ...string) ra.Expr { return ra.Project{Input: q, Attrs: attrs} }
+	join := ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}
+	selS := ra.Select{Input: ra.Base("S"), Pred: ra.Eq(ra.Attr("c"), ra.LitInt(7))}
 
 	for _, shape := range []struct {
 		name string
+		db   *table.Database
 		q    ra.Expr
-	}{{"projected", projected}, {"distinct", distinct}} {
+	}{
+		{"projected", d, project(join, "a", "c")},
+		{"distinct", d, project(join, "b", "c")},
+		{"build-120k", large, project(join, "b", "c")},
+		{"small-derived-right", small, project(ra.Join{Left: ra.Base("R"), Right: selS}, "b")},
+	} {
 		p, err := Compile(shape.q, s)
 		if err != nil {
 			b.Fatal(err)
 		}
+		db := shape.db.Snapshot()
 		for _, cfg := range []struct {
 			name string
 			cfg  EvalConfig
@@ -131,9 +146,15 @@ func BenchmarkCodedJoinProbe(b *testing.B) {
 			{"coded", EvalConfig{Coded: true}},
 		} {
 			b.Run(shape.name+"/"+cfg.name, func(b *testing.B) {
+				for range 8 {
+					if _, err := p.EvalWith(db, cfg.cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := p.EvalWith(d, cfg.cfg); err != nil {
+					if _, err := p.EvalWith(db, cfg.cfg); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 
 	"incdata/internal/col"
@@ -48,10 +49,6 @@ type codedEmit func(ch *col.Coded, sel []int32) bool
 type codedStreamer interface {
 	streamCoded(c *pctx, emit codedEmit) error
 }
-
-// codedContains is a coded right-side membership probe for diff and
-// intersect: key holds the probe's codes, h their HashCode fold.
-type codedContains func(h uint64, key []uint64) bool
 
 // errCodedOverflow reports a value outside the code space reaching the
 // coded path.  codedEligible verifies every base relation encodes before
@@ -248,134 +245,277 @@ func (n *punion) streamCoded(c *pctx, emit codedEmit) error {
 	return streamCoded(n.r, c, emit)
 }
 
-// codedIndex returns the coded build index this join probes.  nil (with
-// no error) means the build side has no coded form — the caller falls
-// back to the row-path binary probe via bridgeCoded.
-func (n *pjoin) codedIndex(c *pctx) (*table.CodedIndex, error) {
-	// A base-scan build side (including folded renames) serves the index
-	// cached on the relation's sidecar.
+// probeBatch is the scratch of one batched hash probe over up to chunkSize
+// rows.  Every coded hash probe runs a batch in three passes: hash the key
+// codes of every row, look every hash up, then walk the chains and emit in
+// row order.  The lookups of the second pass do not depend on each other,
+// so the CPU overlaps their cache misses instead of waiting on each in turn.
+// An operator allocates its batch once per evaluation.
+type probeBatch struct {
+	n     int
+	row   [chunkSize]int32 // the rows of the probe side, in order
+	hash  [chunkSize]uint64
+	head  [chunkSize]int32 // chain head (CodedIndex) or slot reference (codedSet); 0: none
+	shard [chunkSize]*table.CodedShard
+}
+
+// hashRows loads the batch with the chunk's selected rows (nil sel: all)
+// from position lo on, at most chunkSize of them, and hashes their codes at
+// pos column by column.  It returns the position after the last row loaded;
+// b.n is 0 once the selection is exhausted.
+func (b *probeBatch) hashRows(ch *col.Coded, sel []int32, lo int, pos []int) int {
+	var hi int
+	if sel == nil {
+		hi = min(lo+chunkSize, ch.Rows)
+		for k := range hi - lo {
+			b.row[k] = int32(lo + k)
+		}
+	} else {
+		hi = min(lo+chunkSize, len(sel))
+		copy(b.row[:], sel[lo:hi])
+	}
+	b.n = hi - lo
+	rows, hash := b.row[:b.n], b.hash[:b.n]
+	for k := range hash {
+		hash[k] = value.CodeHashSeed
+	}
+	for _, p := range pos {
+		codes := ch.Cols[p]
+		for k, i := range rows {
+			hash[k] = value.HashCode(hash[k], codes[i])
+		}
+	}
+	return hi
+}
+
+// lookup loads the chain head of every hash of the batch.
+func (b *probeBatch) lookup(ix *table.CodedIndex) {
+	for k, h := range b.hash[:b.n] {
+		b.shard[k], b.head[k] = ix.Lookup(h)
+	}
+}
+
+// What a coded hash join did in its most recent evaluation (pjoin.side):
+// the low two bits say which, and a word of joinAsked carries, above them,
+// the table.SelectPath the base left relation's access-path rule returned.
+const (
+	joinBuildRight uint32 = 1 + iota // probed the right side's index: a base relation's, or one built from the derived side
+	joinNotSmaller                   // the derived right side held at least as many rows as the base left relation
+	joinAsked                        // the left relation's rule was asked for its index
+)
+
+// describeSide renders the side word for Describe; "" before any coded
+// evaluation.
+func (n *pjoin) describeSide() string {
+	w := n.side.Load()
+	switch w & 3 {
+	case joinBuildRight:
+		return " build right"
+	case joinNotSmaller:
+		return " build right: derived side not smaller"
+	case joinAsked:
+		path := table.SelectPath(w >> 2)
+		if path.Kind() != table.SelectIndexed {
+			return " build right: " + path.String()
+		}
+		attrs := make([]string, len(n.lpos))
+		for k, p := range n.lpos {
+			attrs[k] = n.l.out().Attrs[p]
+		}
+		return " probe left index(" + strings.Join(attrs, ", ") + ")"
+	}
+	return ""
+}
+
+// streamCoded on a hash join probes a coded index with the HashCode fold of
+// raw key codes and appends matches column-wise — no binary key is built
+// and no tuple is allocated per match.  The index is the right side's: the
+// one cached on a base relation's sidecar, or one built from a derived
+// side's rows.  But a derived right side with fewer rows than a plain base
+// left scan instead probes the left relation's cached index with its own
+// rows (leftIndex), so a small selection joined to a large relation costs
+// its own size and not the relation's.
+func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 	if sc, ok := n.r.(*pscan); ok {
 		rrel := c.db.Relation(sc.name)
 		if rrel == nil {
-			return nil, relationErr(sc.name)
+			return relationErr(sc.name)
 		}
 		enc := rrel.Encoding(c.dict)
 		if !enc.Ok() {
-			return nil, nil
+			return bridgeCoded(n, c, emit)
 		}
-		return enc.Index(n.rpos), nil
+		n.side.Store(joinBuildRight)
+		return n.probeLeft(c, enc.Index(n.rpos), emit)
 	}
-	// Derived build side: index it straight off its coded stream — codes
-	// never decode into tuples just to be hashed again.  The dedup set
-	// supplies the set semantics a materialization would have enforced,
-	// and its rows are the index's, which copies them.
-	seen := newCodedSet(n.r.out().Arity())
-	defer seen.release()
-	if err := seen.addStream(n.r, c, false, nil, nil); err != nil {
-		return nil, err
-	}
-	return table.NewCodedIndexFromRows(n.rpos, seen.width, seen.codes, seen.size()), nil
-}
-
-// streamCoded on a hash join probes the coded build index with the
-// HashCode fold of the probe columns' raw codes and appends matches
-// column-wise — no binary key is built and no tuple is allocated per
-// match.  A chain may mix distinct keys of several columns, so every
-// candidate is verified by u64 equality (MatchesKey) — unless the key is one
-// column, whose hash identifies it (CodedIndex.HashIsKey).  When the build
-// side indexed only null-free tuples (CodedIndex.AllComplete) and the probe
-// chunk is all-constant, the fast path skips the sidecar bookkeeping
-// entirely.
-func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
-	ix, err := n.codedIndex(c)
-	if err != nil {
+	// Derived build side: stream it into a set — codes never decode into
+	// tuples just to be hashed again, and the set supplies the set
+	// semantics a materialization would have enforced.
+	set := newCodedSet(n.r.out().Arity())
+	if err := set.addStream(n.r, c, false, nil, nil); err != nil {
+		set.release()
 		return err
 	}
-	if ix == nil {
-		return bridgeCoded(n, c, emit)
+	if ix := n.leftIndex(c, set.size()); ix != nil {
+		defer set.release()
+		return n.probeSet(ix, set, emit)
 	}
-	outArity := n.rs.Arity()
-	out := getCodedChunk(outArity)
-	defer putCodedChunk(out)
-	// key must survive emit calls mid-probe (a downstream operator may
-	// use its own scratch), so it is local to this evaluation.
-	key := make([]uint64, len(n.lpos))
-	verify := !ix.HashIsKey()
+	ix := table.NewCodedIndexFromRows(n.rpos, set.width, set.codes, set.size())
+	set.release()
+	return n.probeLeft(c, ix, emit)
+}
+
+// leftIndex returns the index on the join positions of a plain base left
+// scan, when the derived right side (of rows rows) is the smaller and the
+// relation's access-path rule (table.Relation.SelectCodedIndex) serves one:
+// held or patchable, or due after enough asks, and selective.  nil means
+// the join probes the right side's rows with the left side's.
+func (n *pjoin) leftIndex(c *pctx, rows int) *table.CodedIndex {
+	n.side.Store(joinBuildRight)
+	sc, ok := n.l.(*pscan)
+	if !ok || sc.eq != nil {
+		return nil
+	}
+	lrel := c.db.Relation(sc.name)
+	if lrel == nil {
+		return nil // the left stream reports it
+	}
+	enc := lrel.Encoding(c.dict)
+	if !enc.Ok() {
+		return nil
+	}
+	if rows >= lrel.Len() {
+		n.side.Store(joinNotSmaller)
+		return nil
+	}
+	ix, path := lrel.SelectCodedIndex(enc, n.lpos)
+	n.side.Store(joinAsked | uint32(path)<<2)
+	return ix
+}
+
+// probeLeft probes ix, an index of the right side, with the left side's
+// rows.
+func (n *pjoin) probeLeft(c *pctx, ix *table.CodedIndex, emit codedEmit) error {
+	o := n.newJoinOut(ix, emit)
+	defer putCodedChunk(o.out)
+	b := new(probeBatch)
+	lrow := make([]uint64, n.l.out().Arity())
 	stopped := false
-	err = streamCoded(n.l, c, func(ch *col.Coded, sel []int32) bool {
-		lar := len(ch.Cols)
-		fast := ix.AllComplete() && ch.AllConst()
-		probe := func(i int32) bool {
-			h := value.CodeHashSeed
-			for k, p := range n.lpos {
-				code := ch.Cols[p][i]
-				key[k] = code
-				h = value.HashCode(h, code)
-			}
-			for sh, e := ix.Lookup(h); e != 0; {
-				var row int32
-				row, e = sh.At(e)
-				if verify && !sh.MatchesKey(row, key) {
+	err := streamCoded(n.l, c, func(ch *col.Coded, sel []int32) bool {
+		o.fast = ix.AllComplete() && ch.AllConst()
+		for lo := b.hashRows(ch, sel, 0, n.lpos); b.n > 0; lo = b.hashRows(ch, sel, lo, n.lpos) {
+			b.lookup(ix)
+			for k := range b.n {
+				if b.head[k] == 0 {
 					continue
 				}
-				rc := sh.Row(row)
-				if fast {
-					for j := 0; j < lar; j++ {
-						out.Cols[j] = append(out.Cols[j], ch.Cols[j][i])
-					}
-					for k, ri := range n.extraIdx {
-						out.Cols[lar+k] = append(out.Cols[lar+k], rc[ri])
-					}
-				} else {
-					for j := 0; j < lar; j++ {
-						code := ch.Cols[j][i]
-						out.Cols[j] = append(out.Cols[j], code)
-						if out.Const[j] && value.CodeIsNull(code) {
-							out.Const[j] = false
-						}
-					}
-					for k, ri := range n.extraIdx {
-						code := rc[ri]
-						out.Cols[lar+k] = append(out.Cols[lar+k], code)
-						if out.Const[lar+k] && value.CodeIsNull(code) {
-							out.Const[lar+k] = false
-						}
-					}
+				for j := range lrow {
+					lrow[j] = ch.Cols[j][b.row[k]]
 				}
-				out.Rows++
-				if out.Rows == chunkSize {
-					if !emit(out, nil) {
-						return false
-					}
-					out.Reset(outArity)
-				}
-			}
-			return true
-		}
-		if sel == nil {
-			for i := int32(0); int(i) < ch.Rows; i++ {
-				if !probe(i) {
+				if !o.walk(b.shard[k], b.head[k], lrow, n.lpos, false) {
 					stopped = true
 					return false
 				}
 			}
-			return true
-		}
-		for _, i := range sel {
-			if !probe(i) {
-				stopped = true
-				return false
-			}
 		}
 		return true
 	})
-	if err != nil || stopped {
-		return err
+	if err == nil && !stopped && o.out.Rows > 0 {
+		emit(o.out, nil)
 	}
-	if out.Rows > 0 {
-		emit(out, nil)
+	return err
+}
+
+// probeSet probes ix, the base left relation's index, with the rows of the
+// derived right side's set.
+func (n *pjoin) probeSet(ix *table.CodedIndex, set *codedSet, emit codedEmit) error {
+	o := n.newJoinOut(ix, emit)
+	defer putCodedChunk(o.out)
+	b := new(probeBatch)
+	for lo := 0; lo < set.size(); lo += chunkSize {
+		b.n = min(chunkSize, set.size()-lo)
+		for k := range b.n {
+			h := value.CodeHashSeed
+			for _, p := range n.rpos {
+				h = value.HashCode(h, set.row(lo + k)[p])
+			}
+			b.hash[k] = h
+		}
+		b.lookup(ix)
+		for k := range b.n {
+			if b.head[k] != 0 && !o.walk(b.shard[k], b.head[k], set.row(lo+k), n.rpos, true) {
+				return nil
+			}
+		}
+	}
+	if o.out.Rows > 0 {
+		emit(o.out, nil)
 	}
 	return nil
+}
+
+// joinOut is the one emit loop of both orientations of the coded join: it
+// pairs a probe row with the matching rows of an index's chain and appends
+// the joined rows, the left row's codes and then the right row's extraIdx
+// codes, to a pooled chunk it emits when full.
+type joinOut struct {
+	n      *pjoin
+	out    *col.Coded
+	emit   codedEmit
+	verify bool     // chains may hold other keys: check each row (see CodedIndex.HashIsKey)
+	key    []uint64 // the probe row's key codes, for the check
+	fast   bool     // every code appended is constant: skip the null bookkeeping
+}
+
+func (n *pjoin) newJoinOut(ix *table.CodedIndex, emit codedEmit) *joinOut {
+	// key must survive emit calls mid-probe (a downstream operator may use
+	// its own scratch), so it is local to this evaluation.
+	return &joinOut{n: n, out: getCodedChunk(n.rs.Arity()), emit: emit,
+		verify: !ix.HashIsKey(), key: make([]uint64, len(n.lpos))}
+}
+
+// walk joins the probe row, keyed at ppos, with every row of the chain that
+// starts at head in sh.  flipped says the probe row is the right side's.
+// false means emit asked to stop.
+func (o *joinOut) walk(sh *table.CodedShard, head int32, probe []uint64, ppos []int, flipped bool) bool {
+	if o.verify {
+		for k, p := range ppos {
+			o.key[k] = probe[p]
+		}
+	}
+	out := o.out
+	for e := head; e != 0; {
+		var row int32
+		row, e = sh.At(e)
+		if o.verify && !sh.MatchesKey(row, o.key) {
+			continue
+		}
+		l, r := probe, sh.Row(row)
+		if flipped {
+			l, r = r, l
+		}
+		for j, code := range l {
+			out.Cols[j] = append(out.Cols[j], code)
+		}
+		for k, ri := range o.n.extraIdx {
+			out.Cols[len(l)+k] = append(out.Cols[len(l)+k], r[ri])
+		}
+		if !o.fast {
+			for j, codes := range out.Cols {
+				if out.Const[j] && value.CodeIsNull(codes[out.Rows]) {
+					out.Const[j] = false
+				}
+			}
+		}
+		if out.Rows++; out.Rows == chunkSize {
+			ok := o.emit(out, nil)
+			out.Reset(len(out.Cols))
+			if !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // codedSet is an insert-only set of fixed-width code tuples — the coded
@@ -437,11 +577,16 @@ func (s *codedSet) find(h uint64, key []uint64) (pos int, found bool) {
 
 // contains reports whether the set holds the key (hashed to h).
 func (s *codedSet) contains(h uint64, key []uint64) bool {
-	if s.width <= 1 {
-		return s.slots.Get(h) != 0
-	}
 	_, found := s.find(h, key)
 	return found
+}
+
+// lookup loads the slot reference of every hash of the batch: 0 where the
+// set holds no key of that hash.
+func (s *codedSet) lookup(b *probeBatch) {
+	for k, h := range b.hash[:b.n] {
+		b.head[k] = s.slots.Get(h)
+	}
 }
 
 // insert adds the key if absent; it reports whether the key was new.
@@ -518,11 +663,12 @@ func (s *codedSet) addStream(n pnode, c *pctx, certainOnly bool, pred kpred, pro
 	})
 }
 
-// codedContainsFn builds the coded right-side membership probe of a
-// diff/intersect.  nil with no error means the right side has no coded
-// form — the caller bridges.  When it probes a set built here, the set is
-// returned too, and the caller releases it once it stops probing.
-func (n *pdiff) codedContainsFn(c *pctx) (codedContains, *codedSet, error) {
+// codedRight returns the coded right side of a diff/intersect: a base
+// relation's index on the compared columns, or else the set of a derived
+// side's (projected) rows, which the caller releases once it stops probing.
+// Neither, with no error, means the right side has no coded form — the
+// caller bridges.
+func (n *pdiff) codedRight(c *pctx) (*table.CodedIndex, *codedSet, error) {
 	if sc, ok := n.r.(*pscan); ok && n.rpred == nil {
 		rrel := c.db.Relation(sc.name)
 		if rrel == nil {
@@ -536,8 +682,7 @@ func (n *pdiff) codedContainsFn(c *pctx) (codedContains, *codedSet, error) {
 		if pos == nil {
 			pos = allPositions(rrel.Arity())
 		}
-		ix := enc.Index(pos)
-		return ix.HasKey, nil, nil
+		return enc.Index(pos), nil, nil
 	}
 	// Derived right side (or a base scan with a fused filter): stream it
 	// coded once — the right side is a pipeline breaker either way — with
@@ -558,36 +703,36 @@ func (n *pdiff) codedContainsFn(c *pctx) (codedContains, *codedSet, error) {
 		}
 		return nil, nil, err
 	}
-	return set.contains, set, nil
+	return nil, set, nil
 }
 
 // streamCoded on a diff/intersect narrows the selection with the fused
-// coded pre-filter, folds each surviving row's key codes into a hash,
-// and probes the coded membership set — no binary key is ever built.
+// coded pre-filter and probes the right side with each surviving row's key
+// codes in batches (probeBatch) — no binary key is ever built.
 func (n *pdiff) streamCoded(c *pctx, emit codedEmit) error {
 	if n.lpred != nil && n.lkpred == nil {
 		return bridgeCoded(n, c, emit)
 	}
-	contains, set, err := n.codedContainsFn(c)
+	ix, set, err := n.codedRight(c)
 	if err != nil {
 		return err
 	}
-	if contains == nil {
+	if ix == nil && set == nil {
 		return bridgeCoded(n, c, emit)
 	}
 	if set != nil {
 		defer set.release()
 	}
 	var view col.Coded
-	if n.lproj != nil {
-		view.Cols = make([][]uint64, len(n.lproj))
-		view.Const = make([]bool, len(n.lproj))
+	pos := n.lproj
+	if pos == nil {
+		pos = allPositions(n.l.out().Arity())
+	} else {
+		view.Cols = make([][]uint64, len(pos))
+		view.Const = make([]bool, len(pos))
 	}
-	width := n.l.out().Arity()
-	if n.lproj != nil {
-		width = len(n.lproj)
-	}
-	key := make([]uint64, width)
+	key := make([]uint64, len(pos))
+	b := new(probeBatch)
 	return streamCoded(n.l, c, func(ch *col.Coded, sel []int32) bool {
 		owned := false
 		if n.lkpred != nil {
@@ -595,32 +740,28 @@ func (n *pdiff) streamCoded(c *pctx, emit codedEmit) error {
 			owned = true
 		}
 		out := c.getSel()[:0]
-		keep := func(i int32) {
-			h := value.CodeHashSeed
-			if n.lproj == nil {
-				for j := 0; j < width; j++ {
-					code := ch.Cols[j][i]
-					key[j] = code
-					h = value.HashCode(h, code)
-				}
+		for lo := b.hashRows(ch, sel, 0, pos); b.n > 0; lo = b.hashRows(ch, sel, lo, pos) {
+			if ix != nil {
+				b.lookup(ix)
 			} else {
-				for k, p := range n.lproj {
-					code := ch.Cols[p][i]
-					key[k] = code
-					h = value.HashCode(h, code)
+				set.lookup(b)
+			}
+			for k := range b.n {
+				// A key of one column is its hash: the slot is the answer.
+				found := b.head[k] != 0
+				if found && len(pos) > 1 {
+					for j, p := range pos {
+						key[j] = ch.Cols[p][b.row[k]]
+					}
+					if ix != nil {
+						found = ix.InChain(b.shard[k], b.head[k], key)
+					} else {
+						found = set.contains(b.hash[k], key)
+					}
 				}
-			}
-			if contains(h, key) != n.negate {
-				out = append(out, i)
-			}
-		}
-		if sel == nil {
-			for i := int32(0); int(i) < ch.Rows; i++ {
-				keep(i)
-			}
-		} else {
-			for _, i := range sel {
-				keep(i)
+				if found != n.negate {
+					out = append(out, b.row[k])
+				}
 			}
 		}
 		if owned {

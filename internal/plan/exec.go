@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"incdata/internal/ra"
 	"incdata/internal/schema"
@@ -212,6 +213,9 @@ type pjoin struct {
 	rpos     []int
 	extraIdx []int
 	rs       schema.Relation
+	// side is what the most recent coded evaluation did, for Describe (see
+	// joinSide); evaluations running at once overwrite each other's.
+	side atomic.Uint32
 }
 
 func (n *pjoin) out() schema.Relation { return n.rs }

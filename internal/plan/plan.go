@@ -159,7 +159,8 @@ func (p *Plan) EvalBool(db ra.DB) (bool, error) {
 // Describe renders the physical operator tree, one operator per line, for
 // debugging and documentation.  A scan under equality filters lists its
 // sargable conjuncts and the access path its most recent evaluation took:
-// index(attrs), or scan with the reason no index answered.
+// index(attrs), or scan with the reason no index answered.  A hash join
+// says which side its most recent coded evaluation indexed, and why.
 func (p *Plan) Describe() string {
 	var b strings.Builder
 	describe(p.root, &b, 0)
@@ -195,7 +196,7 @@ func describe(n pnode, b *strings.Builder, depth int) {
 		describe(x.l, b, depth+1)
 		describe(x.r, b, depth+1)
 	case *pjoin:
-		fmt.Fprintf(b, "hash-join l%v=r%v\n", x.lpos, x.rpos)
+		fmt.Fprintf(b, "hash-join l%v=r%v%s\n", x.lpos, x.rpos, x.describeSide())
 		describe(x.l, b, depth+1)
 		describe(x.r, b, depth+1)
 	case *punion:

@@ -89,10 +89,10 @@ func TestCommitsSurviveServerRestart(t *testing.T) {
 	}
 }
 
-// TestCorruptChunkIsAnEvalError: on a store whose chunk of R fails its hash
-// check, a query on R gets an eval error naming the chunk, and the same
-// session goes on to answer a query on the intact S and a STATS.
-func TestCorruptChunkIsAnEvalError(t *testing.T) {
+// serveCorruptR serves a store whose chunk of R fails its hash check and
+// returns a session on it and the chunk's name.
+func serveCorruptR(t *testing.T) (*client.Client, string) {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
 	eng := testEngine(t)
 	if err := eng.Persist(dir); err != nil {
@@ -124,7 +124,7 @@ func TestCorruptChunkIsAnEvalError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng2.Close()
+	t.Cleanup(func() { eng2.Close() })
 	srv, err := New(eng2, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -133,9 +133,16 @@ func TestCorruptChunkIsAnEvalError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	cl := dial(t, addr.String())
-	_, err = cl.Query("R", "certain", "on", 0)
+	t.Cleanup(func() { srv.Close() })
+	return dial(t, addr.String()), chunk
+}
+
+// TestCorruptChunkIsAnEvalError: on a store whose chunk of R fails its hash
+// check, a query on R gets an eval error naming the chunk, and the same
+// session goes on to answer a query on the intact S and a STATS.
+func TestCorruptChunkIsAnEvalError(t *testing.T) {
+	cl, chunk := serveCorruptR(t)
+	_, err := cl.Query("R", "certain", "on", 0)
 	var re *client.RemoteError
 	if !errors.As(err, &re) || re.Code != wire.CodeEval || !strings.Contains(re.Msg, chunk) {
 		t.Fatalf("query on the corrupt R: %v, want an eval error naming chunk %s", err, chunk)
@@ -149,6 +156,25 @@ func TestCorruptChunkIsAnEvalError(t *testing.T) {
 	}
 	if _, err := cl.Stats(); err != nil {
 		t.Fatalf("STATS after the failed query: %v", err)
+	}
+}
+
+// TestCorruptChunkFailsTheUpdate: an UPDATE of R on that store gets an eval
+// error naming the chunk instead of ending the server, and the same session
+// goes on to answer a query on the intact S.
+func TestCorruptChunkFailsTheUpdate(t *testing.T) {
+	cl, chunk := serveCorruptR(t)
+	_, err := cl.Update(client.Add("R", "7", "8"))
+	var re *client.RemoteError
+	if !errors.As(err, &re) || re.Code != wire.CodeEval || !strings.Contains(re.Msg, chunk) {
+		t.Fatalf("UPDATE of the corrupt R: %v, want an eval error naming chunk %s", err, chunk)
+	}
+	resp, err := cl.Query("S", "certain", "on", 0)
+	if err != nil {
+		t.Fatalf("query on the intact S after the failed UPDATE: %v", err)
+	}
+	if got := flat(resp.Columns, resp.Rows); got != "b,c\n2,3" {
+		t.Fatalf("S answered %q", got)
 	}
 }
 

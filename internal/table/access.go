@@ -234,6 +234,7 @@ func (r *Relation) SelectIndex(positions []int) (*Index, SelectPath) {
 // encoding (Relation.Encoding) and Ok, and the index is Encoding.Index's.
 // Both kinds of index draw on the same demand record, so scans of either
 // tier count towards the build of whichever is asked for once it is due.
+// A coded join asks it too, for a base left side's index on its join key.
 func (r *Relation) SelectCodedIndex(e *Encoding, positions []int) (*CodedIndex, SelectPath) {
 	cur, _ := findSidecar(e.indexes.Load(), func(ix *CodedIndex) bool { return samePositions(ix.positions, positions) })
 	held := cur != nil && (sameSegs(cur.segs, e.segs) || patchable(cur.segs, e.segs))

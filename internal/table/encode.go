@@ -235,10 +235,11 @@ func (s *encStats) notePatched(pieces int) {
 type EncodingStats struct {
 	Builds  uint64 // coded sidecars built from nothing (full interning passes)
 	Patched uint64 // encoding blocks and index shards carried forward unchanged
-	// The access paths equality selections on the relation took (access.go),
-	// and what their indexes and the joins' cost: selections answered from an
-	// index, selections that scanned, hash indexes (of either kind) built
-	// from nothing, and indexes brought up to date from a predecessor.
+	// The access paths equality selections and coded joins asked the
+	// relation for took (access.go), and what their indexes and the joins'
+	// cost: asks answered from an index, asks that scanned, hash indexes (of
+	// either kind) built from nothing, and indexes brought up to date from a
+	// predecessor.
 	IndexLookups uint64
 	SelectScans  uint64
 	IndexBuilds  uint64
@@ -592,6 +593,14 @@ func (sh *CodedShard) MatchesKey(row int32, key []uint64) bool {
 // the whole answer.
 func (ix *CodedIndex) HasKey(h uint64, key []uint64) bool {
 	sh, e := ix.Lookup(h)
+	return ix.InChain(sh, e, key)
+}
+
+// InChain is the second half of HasKey, for the chain a Lookup of the key's
+// hash returned: whether a row of it matches the key.  A batched probe looks
+// up every hash of a chunk before it verifies any, so that the lookups'
+// cache misses overlap.
+func (ix *CodedIndex) InChain(sh *CodedShard, e int32, key []uint64) bool {
 	if ix.HashIsKey() {
 		return e != 0
 	}
